@@ -35,6 +35,7 @@ __all__ = [
     "complete_host",
     "validate_decomposition",
     "intersection_graph",
+    "intersection_masks",
     "efl_to_decomposition",
     "decomposition_to_efl",
     "check_decomposition_coloring",
@@ -167,19 +168,44 @@ def validate_decomposition(host: HostGraph, cliques: Iterable):
     return CliqueDecomposition(host, tuple(canon))
 
 
+def intersection_masks(d: CliqueDecomposition) -> list:
+    """Neighbor bitmask of every clique in d's intersection graph.
+
+    Entry t - 1 has bit s - 1 set when cliques t and s (1-based, s != t)
+    share a host vertex.  Built from membership: each host vertex maps to
+    the bitmask of the cliques containing it, so the cost is linear in the
+    total clique size rather than quadratic in the clique count.
+    """
+    member: dict = {}
+    for t, c in enumerate(d.cliques):
+        bit = 1 << t
+        for v in c:
+            member[v] = member.get(v, 0) | bit
+    masks = []
+    for t, c in enumerate(d.cliques):
+        mask = 0
+        for v in c:
+            mask |= member[v]
+        masks.append(mask & ~(1 << t))
+    return masks
+
+
 def intersection_graph(d: CliqueDecomposition) -> HostGraph:
     """Graph on clique indices 1..k, joined when the cliques share a vertex.
 
     A decomposition coloring is valid exactly when it is a proper vertex
     coloring of this graph.
     """
-    k = len(d.cliques)
-    sets = [set(c) for c in d.cliques]
     edges = set()
-    for s, t in combinations(range(k), 2):
-        if not sets[s].isdisjoint(sets[t]):
-            edges.add((s + 1, t + 1))
-    return HostGraph(k, frozenset(edges))
+    for t, mask in enumerate(intersection_masks(d), start=1):
+        mask >>= t  # the neighbors s > t
+        s = t
+        while mask:
+            low = mask & -mask
+            s += low.bit_length()
+            mask >>= low.bit_length()
+            edges.add((t, s))
+    return HostGraph(len(d.cliques), frozenset(edges))
 
 
 def efl_to_decomposition(g: EflGraph) -> CliqueDecomposition:
@@ -271,8 +297,15 @@ def check_decomposition_coloring(
             f"palette {coloring.palette_size} exceeds the host order "
             f"{d.host.vertex_count}",
         )
-    for s, t in sorted(intersection_graph(d).edges):
-        if cmap[s] == cmap[t]:
+    classes: dict = {}  # color -> bitmask of the cliques holding it
+    for t in range(1, k + 1):
+        classes[cmap[t]] = classes.get(cmap[t], 0) | 1 << (t - 1)
+    # the first s with a same-colored neighbor t > s gives the
+    # lexicographically first violating pair
+    for s, mask in enumerate(intersection_masks(d), start=1):
+        clash = (mask & classes[cmap[s]]) >> s
+        if clash:
+            t = s + (clash & -clash).bit_length()
             return ProperCheck(
                 False,
                 (s, t),

@@ -4,10 +4,15 @@ Three engines: the chromatic number of a small EFL graph, palette-limited
 coloring of a clique decomposition, and exhaustive enumeration of the
 decompositions of K_n whose cliques all have size 2 or size r, swept for
 n-colorability.  Searches are deterministic: fail-first branching (fewest
-feasible colors, ties to the lowest index), with symmetry fixing that
-pre-colors one clique to collapse color permutations.  A negative answer
-is reported only after the search space is exhausted; running out of node
-budget is a distinct outcome, never conflated with a proof.
+feasible colors, ties to the lowest index, colors in ascending order),
+with symmetry fixing that pre-colors one clique to collapse color
+permutations.  The engine is iterative and bit-parallel: an explicit
+stack instead of recursion, so there is no recursion-depth limit, and
+graphs and color domains held as int bitmasks.  Its branching order, and
+so every node count, verdict and witness, is that of the recursive engine
+it replaced.  A negative answer is reported only after the search space
+is exhausted; running out of node budget is a distinct outcome, never
+conflated with a proof.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .decomposition import (
     DecompositionColoring,
     check_decomposition_coloring,
     complete_host,
+    intersection_masks,
     validate_decomposition,
 )
 
@@ -63,15 +69,13 @@ class SearchConfig:
     """Search knobs.
 
     node_limit bounds the number of color placements tried;
-    symmetry_fixing pre-colors a clique (always sound, usually decisive);
-    deterministic_order is fixed true in this version.  progress, when
-    set, is called with the running node count every progress_interval
-    placements.
+    symmetry_fixing pre-colors a clique (always sound, usually decisive).
+    progress, when set, is called with the running node count every
+    progress_interval placements.
     """
 
     node_limit: int = 10**8
     symmetry_fixing: bool = True
-    deterministic_order: bool = True
     progress: Optional[Callable[[int], None]] = field(
         default=None, compare=False
     )
@@ -80,8 +84,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
-        if not self.deterministic_order:
-            raise ValueError("only deterministic search order is supported")
+        if self.progress_interval < 1:
+            raise ValueError("progress_interval must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -108,93 +112,118 @@ class ChromaticResult:
     elapsed: float
 
 
-def _search(neighbors, palette, preset, node_limit, progress=None,
+def _search(nb, palette, preset, node_limit, progress=None,
             interval=10**6):
-    """Fail-first backtracking coloring over an indexed adjacency list.
+    """Fail-first backtracking coloring over neighbor bitmasks.
 
-    Returns (found, colors, nodes): found True with a complete 1-based
-    color list, False after exhausting the space.  preset pairs are
-    applied first and count as nodes; an infeasible preset (a clique
-    larger than the palette) exhausts the space immediately because
-    presets are symmetry-canonical.  Raises BudgetExhausted past
-    node_limit.
+    nb[v] is the bitmask of v's neighbors.  Returns (found, colors,
+    nodes): found True with a complete 1-based color list, False after
+    exhausting the space.  preset pairs are applied first, count as nodes
+    and are never undone; an infeasible preset (a clique larger than the
+    palette) exhausts the space immediately because presets are
+    symmetry-canonical.  Raises BudgetExhausted past node_limit.
+
+    The search is iterative, so depth is bounded by memory, not by the
+    interpreter's recursion limit.  Each placement is one stack frame
+    holding the bits it cleared: feasible[c] is the set of vertices that
+    may still take color c, and placing c on v clears it from every
+    uncolored neighbor in one operation; backtracking sets those bits
+    again.  Each vertex's count of blocked colors is bit-sliced across
+    the masks in blocked, so the fail-first vertex (most colors blocked,
+    ties to the lowest index) is found by one descent over the slices,
+    with no per-vertex scan.  Colors are tried in ascending order.
     """
-    m = len(neighbors)
-    color = [0] * m
-    blocked = [[0] * (palette + 1) for _ in range(m)]
-    avail = [palette] * m
-    state = {"uncolored": m, "nodes": 0}
-
-    def place(v, c):
-        color[v] = c
-        state["uncolored"] -= 1
-        for u in neighbors[v]:
-            if not color[u]:
-                b = blocked[u]
-                b[c] += 1
-                if b[c] == 1:
-                    avail[u] -= 1
-
-    def unplace(v, c):
-        color[v] = 0
-        state["uncolored"] += 1
-        for u in neighbors[v]:
-            if not color[u]:
-                b = blocked[u]
-                b[c] -= 1
-                if b[c] == 0:
-                    avail[u] += 1
-
-    def tick():
-        state["nodes"] += 1
-        if state["nodes"] > node_limit:
-            raise BudgetExhausted(state["nodes"])
-        if progress is not None and state["nodes"] % interval == 0:
-            progress(state["nodes"])
-
-    for v, c in preset:
-        if c > palette or blocked[v][c]:
-            return False, None, state["nodes"]
-        tick()
-        place(v, c)
-
-    def extend():
-        if state["uncolored"] == 0:
-            return True
-        best, best_avail = -1, palette + 1
-        for v in range(m):
-            if not color[v] and avail[v] < best_avail:
-                best, best_avail = v, avail[v]
-                if best_avail == 0:
+    m = len(nb)
+    uncolored = (1 << m) - 1
+    feasible = [uncolored] * (palette + 1)
+    # one slice per bit of a count up to palette, the highest bit first;
+    # carries and borrows walk the slices from the lowest bit (up)
+    blocked = [0] * palette.bit_length()
+    up = range(len(blocked))[::-1]
+    colors = range(1, palette + 1)
+    frames = []  # (vertex, its bit, color, bits cleared from feasible)
+    floor = len(preset)
+    pending = list(reversed(preset))
+    nodes = 0
+    # the node count at which the budget runs out or progress is due
+    due = node_limit + 1
+    if progress is not None:
+        due = min(due, interval)
+    while True:
+        if pending:
+            v, c = pending.pop()
+            bit = 1 << v
+            if c > palette or not feasible[c] & bit:
+                return False, None, nodes
+        elif not uncolored:
+            coloring = [0] * m
+            for v, _, c, _ in frames:
+                coloring[v] = c
+            return True, coloring, nodes
+        else:
+            cand = uncolored
+            for b in blocked:
+                most = cand & b
+                if most:
+                    cand = most
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            for c in colors:
+                if feasible[c] & bit:
                     break
-        bl = blocked[best]
-        for c in range(1, palette + 1):
-            if not bl[c]:
-                tick()
-                place(best, c)
-                if extend():
-                    return True
-                unplace(best, c)
-        return False
+            else:
+                # backtrack to the deepest vertex with an untried color
+                while True:
+                    if len(frames) == floor:
+                        return False, None, nodes
+                    v, bit, c, cleared = frames.pop()
+                    uncolored |= bit
+                    if cleared:
+                        feasible[c] |= cleared
+                        for k in up:  # blocked -= 1 on the cleared bits
+                            x = blocked[k]
+                            blocked[k] = x ^ cleared
+                            cleared &= x ^ cleared
+                            if not cleared:
+                                break
+                    for c in colors[c:]:  # the colors above c
+                        if feasible[c] & bit:
+                            break
+                    else:
+                        continue
+                    break
+        nodes += 1
+        if nodes == due:
+            if nodes > node_limit:
+                raise BudgetExhausted(nodes)
+            progress(nodes)
+            due = min(node_limit + 1, nodes + interval)
+        uncolored ^= bit
+        cleared = nb[v] & feasible[c] & uncolored
+        frames.append((v, bit, c, cleared))
+        if cleared:
+            feasible[c] ^= cleared
+            for k in up:  # blocked += 1 on the cleared bits
+                x = blocked[k]
+                blocked[k] = x ^ cleared
+                cleared &= x
+                if not cleared:
+                    break
 
-    found = extend()
-    return found, (color[:] if found else None), state["nodes"]
 
-
-def _greedy_clique(neighbors):
+def _greedy_clique(nb):
     """Deterministic clique: seed at the highest-degree vertex (ties to the
     lowest index), grow by the smallest common neighbor."""
-    m = len(neighbors)
-    if m == 0:
+    if not nb:
         return []
-    nsets = [set(ns) for ns in neighbors]
-    seed = max(range(m), key=lambda v: (len(nsets[v]), -v))
+    seed = max(range(len(nb)), key=lambda v: (nb[v].bit_count(), -v))
     clique = [seed]
-    cands = sorted(nsets[seed])
+    cands = nb[seed]
     while cands:
-        v = cands[0]
+        low = cands & -cands
+        v = low.bit_length() - 1
         clique.append(v)
-        cands = [u for u in cands[1:] if u in nsets[v]]
+        cands &= nb[v]
     return sorted(clique)
 
 
@@ -212,13 +241,12 @@ def chromatic_number(
     t0 = perf_counter()
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
-    neighbors = [[] for _ in verts]
+    nb = [0] * len(verts)
     for q in g.cliques:
-        qi = sorted(index[v] for v in q)
-        # any vertex pair lies in at most one clique, so no duplicate edges
-        for a, b in combinations(qi, 2):
-            neighbors[a].append(b)
-            neighbors[b].append(a)
+        qi = [index[v] for v in q]
+        mask = sum(1 << i for i in qi)
+        for i in qi:
+            nb[i] |= mask ^ (1 << i)
     preset = []
     if cfg.symmetry_fixing:
         q1 = sorted(g.cliques[0], key=vertex_key)
@@ -228,7 +256,7 @@ def chromatic_number(
     while True:
         try:
             found, colors, nodes = _search(
-                neighbors,
+                nb,
                 k,
                 preset,
                 cfg.node_limit - total_nodes,
@@ -266,20 +294,13 @@ def color_decomposition(
     """
     t0 = perf_counter()
     k = len(d.cliques)
-    sets = [set(c) for c in d.cliques]
-    neighbors = [[] for _ in range(k)]
-    for s, t in combinations(range(k), 2):
-        if not sets[s].isdisjoint(sets[t]):
-            neighbors[s].append(t)
-            neighbors[t].append(s)
+    nb = intersection_masks(d)
     preset = []
     if cfg.symmetry_fixing and k:
-        preset = [
-            (v, c) for c, v in enumerate(_greedy_clique(neighbors), start=1)
-        ]
+        preset = [(v, c) for c, v in enumerate(_greedy_clique(nb), start=1)]
     try:
         found, colors, nodes = _search(
-            neighbors,
+            nb,
             max(palette, 0),
             preset,
             cfg.node_limit,
@@ -457,19 +478,16 @@ def greedy_baseline(d: CliqueDecomposition) -> DecompositionColoring:
     the maximum intersection degree plus one, making it a cheap upper
     bound to compare against exact search.
     """
-    k = len(d.cliques)
-    sets = [set(c) for c in d.cliques]
-    neighbors = [[] for _ in range(k)]
-    for s, t in combinations(range(k), 2):
-        if not sets[s].isdisjoint(sets[t]):
-            neighbors[s].append(t)
-            neighbors[t].append(s)
-    order = sorted(range(k), key=lambda v: (-len(neighbors[v]), v))
+    nb = intersection_masks(d)
+    order = sorted(range(len(nb)), key=lambda v: (-nb[v].bit_count(), v))
+    classes = [0]  # classes[c]: bitmask of the cliques colored c
     colors: dict = {}
     for v in order:
-        used = {colors[u + 1] for u in neighbors[v] if u + 1 in colors}
         c = 1
-        while c in used:
+        while c < len(classes) and classes[c] & nb[v]:
             c += 1
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
         colors[v + 1] = c
-    return DecompositionColoring(max(colors.values(), default=0), colors)
+    return DecompositionColoring(len(classes) - 1, colors)

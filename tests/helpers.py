@@ -1,13 +1,14 @@
 """Independent brute-force oracles shared across the test modules.
 
 Everything here recomputes answers from first principles (pairwise scans,
-exhaustive enumeration) so the library's own fast paths are never trusted
-to check themselves.
+exhaustive enumeration, the recursive search engine) so the library's own
+fast paths are never trusted to check themselves.
 """
 
 from itertools import combinations, product
 
 from eflcolor.core import EflGraph
+from eflcolor.solver import BudgetExhausted
 
 
 def brute_force_proper(g: EflGraph, colors: dict) -> bool:
@@ -74,3 +75,81 @@ FANO_TRIANGLES = (
     (3, 4, 7),
     (3, 5, 6),
 )
+
+
+def reference_search(neighbors, palette, preset, node_limit, progress=None,
+                     interval=10**6):
+    """Fail-first backtracking coloring over an indexed adjacency list.
+
+    The recursive engine that eflcolor.solver._search replaced, kept as
+    the oracle its branching order is compared against: the same nodes,
+    verdicts and colors on every instance.  Recursion limits it to fewer
+    than about a thousand vertices.
+
+    Returns (found, colors, nodes): found True with a complete 1-based
+    color list, False after exhausting the space.  preset pairs are
+    applied first and count as nodes; an infeasible preset (a clique
+    larger than the palette) exhausts the space immediately because
+    presets are symmetry-canonical.  Raises BudgetExhausted past
+    node_limit.
+    """
+    m = len(neighbors)
+    color = [0] * m
+    blocked = [[0] * (palette + 1) for _ in range(m)]
+    avail = [palette] * m
+    state = {"uncolored": m, "nodes": 0}
+
+    def place(v, c):
+        color[v] = c
+        state["uncolored"] -= 1
+        for u in neighbors[v]:
+            if not color[u]:
+                b = blocked[u]
+                b[c] += 1
+                if b[c] == 1:
+                    avail[u] -= 1
+
+    def unplace(v, c):
+        color[v] = 0
+        state["uncolored"] += 1
+        for u in neighbors[v]:
+            if not color[u]:
+                b = blocked[u]
+                b[c] -= 1
+                if b[c] == 0:
+                    avail[u] += 1
+
+    def tick():
+        state["nodes"] += 1
+        if state["nodes"] > node_limit:
+            raise BudgetExhausted(state["nodes"])
+        if progress is not None and state["nodes"] % interval == 0:
+            progress(state["nodes"])
+
+    for v, c in preset:
+        if c > palette or blocked[v][c]:
+            return False, None, state["nodes"]
+        tick()
+        place(v, c)
+
+    def extend():
+        if state["uncolored"] == 0:
+            return True
+        best, best_avail = -1, palette + 1
+        for v in range(m):
+            if not color[v] and avail[v] < best_avail:
+                best, best_avail = v, avail[v]
+                if best_avail == 0:
+                    break
+        bl = blocked[best]
+        for c in range(1, palette + 1):
+            if not bl[c]:
+                tick()
+                place(best, c)
+                if extend():
+                    return True
+                unplace(best, c)
+        return False
+
+    found = extend()
+    return found, (color[:] if found else None), state["nodes"]

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 from eflcolor.cli import main
-from eflcolor.core import build_maximal
+from eflcolor.core import build_from_pairs, build_maximal
 from eflcolor.coloring import color_shared
 from eflcolor.serialize import (
     coloring_to_json,
@@ -189,6 +189,16 @@ class TestChromatic:
         assert main([
             "chromatic", "--in", graph, "--node-limit", "2"
         ]) == 4
+
+    def test_search_deeper_than_recursion_limit(self, tmp_path, capsys):
+        # 1,597 vertices, one node each: the recursive engine raised
+        # RecursionError here
+        g = build_from_pairs(40, [(1, 2), (2, 3), (3, 4)])
+        graph = write(tmp_path, "g.json", graph_to_json(g))
+        assert main(["chromatic", "--in", graph]) == 0
+        out = capsys.readouterr()
+        assert out.out == "40\n"
+        assert "nodes explored: 1597" in out.err
 
 
 class TestDecomposeAndBack:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -126,6 +127,18 @@ class TestIntersectionGraph:
             assert set(d.cliques[s]) & set(d.cliques[t])
         assert ig.edges == frozenset(combinations(range(1, 8), 2))
 
+    def test_mixed_sizes_match_pairwise_scan(self):
+        d = decomposition(6, family_to_clique_list(6, [(1, 2, 3), (3, 4, 5)]))
+        want = {
+            (s, t)
+            for s, t in combinations(range(1, len(d.cliques) + 1), 2)
+            if set(d.cliques[s - 1]) & set(d.cliques[t - 1])
+        }
+        ig = intersection_graph(d)
+        assert ig.vertex_count == len(d.cliques)
+        assert ig.edges == want
+        assert len(want) < len(list(combinations(d.cliques, 2)))
+
 
 class TestEflToDecomposition:
     def test_maximal_gives_all_two_cliques(self):
@@ -221,6 +234,30 @@ class TestDecompositionColoring:
         )
         assert not chk
         assert chk.violation == (1, 2)
+
+    def test_reports_lexicographically_first_conflict(self):
+        d = decomposition(5, family_to_clique_list(5, [(1, 2, 3)]))
+        rng = random.Random(7)
+        for _ in range(200):
+            palette = rng.randrange(1, 6)
+            colors = {
+                t: rng.randrange(1, palette + 1)
+                for t in range(1, len(d.cliques) + 1)
+            }
+            first = next(
+                (
+                    (s, t)
+                    for s, t in combinations(range(1, len(d.cliques) + 1), 2)
+                    if set(d.cliques[s - 1]) & set(d.cliques[t - 1])
+                    and colors[s] == colors[t]
+                ),
+                None,
+            )
+            chk = check_decomposition_coloring(
+                d, DecompositionColoring(palette, colors)
+            )
+            assert chk.violation == first
+            assert bool(chk) == (first is None)
 
     def test_fano_bijection_is_valid(self):
         d = fano_decomposition()

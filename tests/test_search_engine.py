@@ -1,0 +1,161 @@
+"""The iterative bit-parallel search engine against the recursive one it
+replaced, the node counts it must not exceed, and instances deeper than
+the interpreter's recursion limit."""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from eflcolor import solver
+from eflcolor.core import build_maximal
+from eflcolor.decomposition import complete_host, validate_decomposition
+from eflcolor.solver import (
+    BudgetExhausted,
+    SearchConfig,
+    Status,
+    chromatic_number,
+    color_decomposition,
+    enumerate_two_r_decompositions,
+    sweep_two_r_decompositions,
+)
+from helpers import FANO_TRIANGLES, reference_search
+
+
+def reference_engine(nb, palette, preset, node_limit, progress=None,
+                     interval=10**6):
+    """The recursive engine behind _search's bitmask interface."""
+    neighbors = [
+        [u for u in range(len(nb)) if nb[v] >> u & 1] for v in range(len(nb))
+    ]
+    return reference_search(
+        neighbors, palette, preset, node_limit, progress, interval
+    )
+
+
+def run(engine, *args):
+    """(found, colors, nodes) and the progress calls, or the node count
+    of an exhausted budget."""
+    calls = []
+    try:
+        return engine(*args, calls.append, 3), calls
+    except BudgetExhausted as e:
+        return ("budget", e.nodes), calls
+
+
+def random_instance(rng):
+    m = rng.randrange(0, 14)
+    density = rng.random()
+    nb = [0] * m
+    for a, b in combinations(range(m), 2):
+        if rng.random() < density:
+            nb[a] |= 1 << b
+            nb[b] |= 1 << a
+    palette = rng.randrange(0, 7)
+    # presets may repeat a color on neighbors or step past the palette
+    preset = [
+        (v, rng.randrange(1, palette + 2))
+        for v in rng.sample(range(m), rng.randrange(0, min(m, 4) + 1))
+    ]
+    node_limit = rng.choice([1, 2, 3, 5, 8, 13, 50, 400, 10**6])
+    return nb, palette, preset, node_limit
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_graphs_match_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(400):
+        args = random_instance(rng)
+        assert run(solver._search, *args) == run(reference_engine, *args), args
+
+
+@pytest.fixture
+def reference_solver(monkeypatch):
+    """Run the solver's entry points on the recursive engine."""
+
+    def use_reference():
+        monkeypatch.setattr(solver, "_search", reference_engine)
+
+    return use_reference
+
+
+def test_sweep_instances_match_reference(reference_solver):
+    cases = [
+        (inst.decomposition, palette)
+        for n in range(3, 8)
+        for r in range(3, n + 1)
+        for inst in enumerate_two_r_decompositions(n, r)
+        for palette in (n, n - 1)
+    ]
+    got = [color_decomposition(d, p) for d, p in cases]
+    reference_solver()
+    want = [color_decomposition(d, p) for d, p in cases]
+    for (d, p), a, b in zip(cases, got, want):
+        assert (a.status, a.certificate, a.nodes) == (
+            b.status, b.certificate, b.nodes
+        ), (d.cliques, p)
+
+
+def test_chromatic_numbers_match_reference(reference_solver):
+    graphs = [build_maximal(n) for n in range(2, 9)]
+    got = [chromatic_number(g) for g in graphs]
+    reference_solver()
+    want = [chromatic_number(g) for g in graphs]
+    for a, b in zip(got, want):
+        assert (a.value, a.nodes, a.witness) == (b.value, b.nodes, b.witness)
+
+
+def two_clique_decomposition(n):
+    return validate_decomposition(
+        complete_host(n), list(combinations(range(1, n + 1), 2))
+    )
+
+
+class TestNodeCeilings:
+    """Node counts of the engine at the time these tests were written;
+    pruning may lower them, nothing may raise them."""
+
+    @pytest.mark.parametrize("n,ceiling", [(7, 305), (8, 36)])
+    def test_chromatic(self, n, ceiling):
+        result = chromatic_number(build_maximal(n))
+        assert result.value == n
+        assert result.nodes <= ceiling
+
+    @pytest.mark.parametrize(
+        "n,palette,status,ceiling",
+        [
+            (5, 4, Status.NOT_COLORABLE, 12),
+            (7, 6, Status.NOT_COLORABLE, 690),
+            (7, 7, Status.COLORABLE, 262),
+        ],
+    )
+    def test_line_graphs(self, n, palette, status, ceiling):
+        out = color_decomposition(two_clique_decomposition(n), palette)
+        assert out.status is status
+        assert out.nodes <= ceiling
+
+    def test_fano_at_six(self):
+        d = validate_decomposition(complete_host(7), FANO_TRIANGLES)
+        out = color_decomposition(d, 6)
+        assert out.status is Status.NOT_COLORABLE
+        assert out.nodes <= 6
+
+    def test_sweep_7_3(self):
+        report = sweep_two_r_decompositions(7, 3)
+        assert report.colorable == report.instances == 5596
+        assert report.max_nodes <= 262
+
+
+def test_budget_past_recursion_limit():
+    # 1,081 vertices: the recursive engine raised RecursionError here
+    with pytest.raises(BudgetExhausted) as info:
+        chromatic_number(build_maximal(46), SearchConfig(node_limit=100000))
+    assert info.value.nodes == 100001
+
+
+@pytest.mark.parametrize("field", ["node_limit", "progress_interval"])
+def test_config_rejects_counts_below_one(field):
+    # the engine's budget and progress checks fire when the node count
+    # reaches them, which a count below one never does
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: 0})
