@@ -21,9 +21,8 @@ from .coloring import (
     check_proper,
     clique_color_sets,
     color_shared,
-    color_shared_even,
-    color_shared_odd,
     extend_to_full,
+    pair_color,
     round_robin_edge_coloring,
 )
 from .decomposition import (

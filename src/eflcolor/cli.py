@@ -213,10 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "translate to clique decompositions, and run exact searches."
         ),
     )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="reserved for future randomized modes (unused)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an EFL graph as JSON")

@@ -17,16 +17,14 @@ colors to shared vertices; both are provided so each can check the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .core import EflGraph, SharedVertex, TwoCliqueEflGraph, vertex_key
+from .core import EflGraph, TwoCliqueEflGraph, vertex_key
 
 __all__ = [
     "SharedColoring",
     "FullColoring",
     "ProperCheck",
-    "color_shared_even",
-    "color_shared_odd",
+    "pair_color",
     "color_shared",
     "clique_color_sets",
     "extend_to_full",
@@ -40,12 +38,18 @@ def _mod1(x: int, t: int) -> int:
     return (x - 1) % t + 1
 
 
-def _pair_color_even(n: int, i: int, j: int) -> int:
+def pair_color(n: int, i: int, j: int) -> int:
+    """Closed-form color of the vertex shared by Q_i and Q_j in order n.
+
+    Even n: i + j (mod n-1) when j < n and 2i (mod n-1) when j = n, in the
+    residue system {1, ..., n-1}.  Odd n: i + j (mod n), in {1, ..., n}.
+    Raises ValueError unless 1 <= i < j <= n.
+    """
+    if not 1 <= i < j <= n:
+        raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
+    if n % 2:
+        return _mod1(i + j, n)
     return _mod1(i + j, n - 1) if j < n else _mod1(2 * i, n - 1)
-
-
-def _pair_color_odd(n: int, i: int, j: int) -> int:
-    return _mod1(i + j, n)
 
 
 @dataclass(frozen=True)
@@ -76,55 +80,14 @@ class ProperCheck:
         return self.ok
 
 
-def _check_pairs(n: int, pairs: Iterable) -> list:
-    out = []
-    for p in pairs:
-        i, j = (p.i, p.j) if isinstance(p, SharedVertex) else p
-        if not (1 <= i < j <= n):
-            raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
-        out.append((i, j))
-    return out
-
-
-def color_shared_even(n: int, pairs: Iterable) -> SharedColoring:
-    """Proper (n-1)-coloring of shared vertices for even n.
-
-    The pair (i, j) gets i + j (mod n-1) when j < n and 2i (mod n-1) when
-    j = n, in the residue system {1, ..., n-1}.
-    """
-    if n < 2 or n % 2:
-        raise ValueError(f"n must be even and >= 2, got {n}; "
-                         "use color_shared_odd for odd n")
-    cmap = {
-        SharedVertex(i, j): _pair_color_even(n, i, j)
-        for i, j in _check_pairs(n, pairs)
-    }
-    return SharedColoring(n - 1, cmap)
-
-
-def color_shared_odd(n: int, pairs: Iterable) -> SharedColoring:
-    """Proper n-coloring of shared vertices for odd n.
-
-    The pair (i, j) gets i + j (mod n) in the residue system {1, ..., n}.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}; "
-                         "use color_shared_even for even n")
-    cmap = {
-        SharedVertex(i, j): _pair_color_odd(n, i, j)
-        for i, j in _check_pairs(n, pairs)
-    }
-    return SharedColoring(n, cmap)
-
-
 def color_shared(g: EflGraph) -> SharedColoring:
     """Proper coloring of the shared vertices of a two-clique EFL graph.
 
-    Dispatches on the parity of n; the palette is n - 1 for even n and n
-    for odd n regardless of how many shared vertices the graph has (the
-    pairs of any such graph are a subset of the maximal instance's, so the
-    restriction stays proper).  Raises ValueError when some shared vertex
-    lies in three or more cliques.
+    Colors every shared vertex by :func:`pair_color`; the palette is n - 1
+    for even n and n for odd n regardless of how many shared vertices the
+    graph has (the pairs of any such graph are a subset of the maximal
+    instance's, so the restriction stays proper).  Raises ValueError when
+    some shared vertex lies in three or more cliques.
     """
     n = g.n
     if not isinstance(g, TwoCliqueEflGraph) and not g.is_two_clique:
@@ -132,15 +95,8 @@ def color_shared(g: EflGraph) -> SharedColoring:
             "graph has a shared vertex in three or more defining cliques; "
             "translate to a clique decomposition and search instead"
         )
-    if n % 2 == 0:
-        palette, pair_color = n - 1, _pair_color_even
-    else:
-        palette, pair_color = n, _pair_color_odd
-    cmap = {}
-    for v in g.shared:
-        i, j = g.clique_pair_of(v)
-        cmap[v] = pair_color(n, i, j)
-    return SharedColoring(palette, cmap)
+    cmap = {v: pair_color(n, *g.clique_pair_of(v)) for v in g.shared}
+    return SharedColoring(n if n % 2 else n - 1, cmap)
 
 
 def clique_color_sets(g: EflGraph, shared: SharedColoring) -> dict:

@@ -15,6 +15,7 @@ cliques) by an opaque integer label.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -187,21 +188,7 @@ def build_maximal(n: int) -> TwoCliqueEflGraph:
     G_n has C(n, 2) shared vertices and n^2 - C(n, 2) vertices in total;
     each defining clique carries exactly one unshared vertex.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    members: list = [[] for _ in range(n + 1)]
-    shared = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            v = SharedVertex(i, j)
-            members[i].append(v)
-            members[j].append(v)
-            shared.append(v)
-    cliques = []
-    for i in range(1, n + 1):
-        members[i].append(UnsharedVertex(i, 1))
-        cliques.append(frozenset(members[i]))
-    return TwoCliqueEflGraph(n, tuple(cliques), frozenset(shared))
+    return build_from_pairs(n, combinations(range(1, n + 1), 2))
 
 
 def build_from_pairs(n: int, pairs: Iterable) -> TwoCliqueEflGraph:
@@ -214,19 +201,17 @@ def build_from_pairs(n: int, pairs: Iterable) -> TwoCliqueEflGraph:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     members: list = [[] for _ in range(n + 1)]
-    shared = []
-    seen = set()
+    shared = set()
     for p in pairs:
         i, j = (p.i, p.j) if isinstance(p, SharedVertex) else p
         if not (1 <= i < j <= n):
             raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
-        if (i, j) in seen:
-            raise ValueError(f"duplicate shared pair ({i}, {j})")
-        seen.add((i, j))
         v = SharedVertex(i, j)
+        if v in shared:
+            raise ValueError(f"duplicate shared pair ({i}, {j})")
+        shared.add(v)
         members[i].append(v)
         members[j].append(v)
-        shared.append(v)
     cliques = []
     for i in range(1, n + 1):
         ms = members[i]
@@ -243,9 +228,10 @@ def validate(cliques: Iterable, n: int):
     shared vertex lies in exactly two cliques) or a :class:`Rejection`
     naming the first violated invariant.  The scan order is fixed so the
     report is deterministic: order n, clique count, clique sizes by
-    ascending index, pairwise intersections in lexicographic index order,
-    then identity consistency (named identities must match actual
-    membership, and unshared slots must fit the clique's free capacity).
+    ascending index, the lexicographically first pair of cliques sharing
+    two or more vertices, then identity consistency (named identities
+    must match actual membership, and unshared slots must fit the
+    clique's free capacity).
     """
     if n < 2:
         return Rejection("order", f"n must be >= 2, got {n}")
@@ -261,20 +247,24 @@ def validate(cliques: Iterable, n: int):
                 f"clique {idx} has {len(q)} vertices, expected {n}",
                 (idx,),
             )
-    for a, b in combinations(range(1, n + 1), 2):
-        common = qs[a - 1] & qs[b - 1]
-        if len(common) > 1:
-            return Rejection(
-                "pairwise-intersection",
-                f"cliques {a} and {b} share {len(common)} vertices",
-                (a, b),
-            )
-
     membership: dict = {}
     for idx, q in enumerate(qs, start=1):
         for v in q:
             membership.setdefault(v, []).append(idx)
     membership = {v: tuple(ix) for v, ix in membership.items()}
+    # cliques a < b share one vertex per membership tuple holding both
+    common = Counter(
+        p for ix in membership.values() if len(ix) > 1
+        for p in combinations(ix, 2)
+    )
+    bad = [p for p, count in common.items() if count > 1]
+    if bad:
+        a, b = min(bad)
+        return Rejection(
+            "pairwise-intersection",
+            f"cliques {a} and {b} share {common[a, b]} vertices",
+            (a, b),
+        )
 
     for idx, q in enumerate(qs, start=1):
         for v in sorted(q, key=vertex_key):

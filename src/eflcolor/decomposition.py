@@ -36,6 +36,7 @@ __all__ = [
     "validate_decomposition",
     "intersection_graph",
     "intersection_masks",
+    "first_clash",
     "efl_to_decomposition",
     "decomposition_to_efl",
     "check_decomposition_coloring",
@@ -102,13 +103,6 @@ class DecompositionColoring:
 
     palette_size: int
     colors: dict
-
-
-def canonical_cliques(cliques: Iterable) -> tuple:
-    """Sorted vertex tuples ordered by (size, lexicographic vertex set)."""
-    return tuple(
-        sorted((tuple(sorted(c)) for c in cliques), key=lambda c: (len(c), c))
-    )
 
 
 def validate_decomposition(host: HostGraph, cliques: Iterable):
@@ -188,6 +182,25 @@ def intersection_masks(d: CliqueDecomposition) -> list:
             mask |= member[v]
         masks.append(mask & ~(1 << t))
     return masks
+
+
+def first_clash(masks: list, colors) -> tuple | None:
+    """The lexicographically first pair (s, t), s < t, of same-colored
+    neighbors, or None when the coloring is proper.
+
+    masks are neighbor bitmasks as from :func:`intersection_masks`, and
+    colors[t - 1] is the color of vertex t (both 1-based).
+    """
+    classes: dict = {}  # color -> bitmask of the vertices holding it
+    for t, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << t
+    # the first s with a same-colored neighbor t > s gives the
+    # lexicographically first pair
+    for s, (mask, c) in enumerate(zip(masks, colors), start=1):
+        clash = (mask & classes[c]) >> s
+        if clash:
+            return s, s + (clash & -clash).bit_length()
+    return None
 
 
 def intersection_graph(d: CliqueDecomposition) -> HostGraph:
@@ -297,20 +310,16 @@ def check_decomposition_coloring(
             f"palette {coloring.palette_size} exceeds the host order "
             f"{d.host.vertex_count}",
         )
-    classes: dict = {}  # color -> bitmask of the cliques holding it
-    for t in range(1, k + 1):
-        classes[cmap[t]] = classes.get(cmap[t], 0) | 1 << (t - 1)
-    # the first s with a same-colored neighbor t > s gives the
-    # lexicographically first violating pair
-    for s, mask in enumerate(intersection_masks(d), start=1):
-        clash = (mask & classes[cmap[s]]) >> s
-        if clash:
-            t = s + (clash & -clash).bit_length()
-            return ProperCheck(
-                False,
-                (s, t),
-                f"cliques {s} and {t} share a vertex and color {cmap[s]}",
-            )
+    clash = first_clash(
+        intersection_masks(d), [cmap[t] for t in range(1, k + 1)]
+    )
+    if clash:
+        s, t = clash
+        return ProperCheck(
+            False,
+            clash,
+            f"cliques {s} and {t} share a vertex and color {cmap[s]}",
+        )
     return ProperCheck(True)
 
 

@@ -84,19 +84,24 @@ def vertex_from_json(obj):
 
 
 def graph_to_json(g: EflGraph) -> dict:
-    pairs = sorted(
-        tuple(g.membership[v])
-        for v in g.shared
-        if len(g.membership[v]) == 2
+    """The shared pairs, plus the explicit cliques unless the pairs alone
+    rebuild g.
+
+    They do exactly when every vertex carries a pair or slot identity:
+    validated graphs keep those identities true to membership and fill
+    each clique's slots 1..free, as :func:`build_from_pairs` does.
+    """
+    named = all(
+        isinstance(v, (SharedVertex, UnsharedVertex))
+        for q in g.cliques for v in q
     )
+    if named:
+        pairs = sorted((v.i, v.j) for v in g.shared)
+    else:
+        member = g.membership
+        pairs = sorted(member[v] for v in g.shared if len(member[v]) == 2)
     out = {"n": g.n, "shared_pairs": [list(p) for p in pairs]}
-    canonical = False
-    if len(pairs) == len(g.shared):
-        try:
-            canonical = build_from_pairs(g.n, pairs) == g
-        except ValueError:
-            canonical = False
-    if not canonical:
+    if not named:
         out["cliques"] = [
             [vertex_to_json(v) for v in sorted(q, key=vertex_key)]
             for q in g.cliques

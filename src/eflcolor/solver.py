@@ -24,14 +24,13 @@ from time import perf_counter
 from typing import Callable, Iterator, Optional
 
 from .coloring import FullColoring, check_proper
-from .core import EflGraph, Rejection, vertex_key
+from .core import EflGraph, vertex_key
 from .decomposition import (
     CliqueDecomposition,
     DecompositionColoring,
-    check_decomposition_coloring,
     complete_host,
+    first_clash,
     intersection_masks,
-    validate_decomposition,
 )
 
 __all__ = [
@@ -92,8 +91,10 @@ class SearchConfig:
 class SearchOutcome:
     """Result of one palette-limited search.
 
-    A COLORABLE certificate always passes the decomposition checker;
-    NOT_COLORABLE means the space was exhausted.
+    A COLORABLE certificate gives intersecting cliques distinct colors
+    within the palette, checked before returning whatever the palette
+    (check_decomposition_coloring also fails a palette above the host
+    order); NOT_COLORABLE means the space was exhausted.
     """
 
     status: Status
@@ -290,7 +291,7 @@ def color_decomposition(
     symmetry fixing, a greedily grown clique of the intersection graph is
     pre-colored 1, 2, ...; when that clique alone exceeds the palette the
     space is exhausted with no search.  COLORABLE certificates are
-    re-checked before returning.
+    re-checked for properness before returning.
     """
     t0 = perf_counter()
     k = len(d.cliques)
@@ -315,15 +316,16 @@ def color_decomposition(
         return SearchOutcome(
             Status.NOT_COLORABLE, None, nodes, perf_counter() - t0
         )
+    clash = first_clash(nb, colors)
+    if clash:
+        s, t = clash
+        raise AssertionError(
+            f"solver certificate failed verification: cliques {s} and {t} "
+            f"share a vertex and color {colors[s - 1]}"
+        )
     cert = DecompositionColoring(
         palette, {t + 1: colors[t] for t in range(k)}
     )
-    if k == 0 or palette <= d.host.vertex_count:
-        chk = check_decomposition_coloring(d, cert)
-        if not chk:
-            raise AssertionError(
-                f"solver certificate failed verification: {chk.reason}"
-            )
     return SearchOutcome(Status.COLORABLE, cert, nodes, perf_counter() - t0)
 
 
@@ -352,24 +354,16 @@ def enumerate_two_r_decompositions(n: int, r: int) -> Iterator[SweepInstance]:
     host = complete_host(n)
     edges = sorted(host.edges)
     covered = set()
-    chosen = []
-
-    def leaf() -> SweepInstance:
-        r_edges = set()
-        for c in chosen:
-            r_edges.update(combinations(c, 2))
-        cliques = list(chosen) + [e for e in edges if e not in r_edges]
-        d = validate_decomposition(host, cliques)
-        if isinstance(d, Rejection):
-            raise AssertionError(
-                f"enumerator produced an invalid decomposition: {d.message}"
-            )
-        return SweepInstance(n, r, d)
+    twos = []  # the edges settled as 2-cliques
+    chosen = []  # the r-cliques
 
     def rec():
         e = next((f for f in edges if f not in covered), None)
         if e is None:
-            yield leaf()
+            # both lists grow in lexicographic order, so this is the
+            # canonical (size, lexicographic) order
+            cliques = tuple(twos) + tuple(chosen)
+            yield SweepInstance(n, r, CliqueDecomposition(host, cliques))
             return
         i, j = e
         others = [v for v in range(1, n + 1) if v != i and v != j]
@@ -384,7 +378,9 @@ def enumerate_two_r_decompositions(n: int, r: int) -> Iterator[SweepInstance]:
             chosen.pop()
             covered.difference_update(cand_edges)
         covered.add(e)
+        twos.append(e)
         yield from rec()
+        twos.pop()
         covered.discard(e)
 
     yield from rec()

@@ -1,13 +1,20 @@
 """Independent brute-force oracles shared across the test modules.
 
 Everything here recomputes answers from first principles (pairwise scans,
-exhaustive enumeration, the recursive search engine) so the library's own
-fast paths are never trusted to check themselves.
+exhaustive enumeration, graph rebuilds, the recursive search engine) so
+the library's own fast paths are never trusted to check themselves.
 """
 
 from itertools import combinations, product
 
-from eflcolor.core import EflGraph
+from eflcolor.core import (
+    EflGraph,
+    Rejection,
+    build_from_pairs,
+    validate,
+    vertex_key,
+)
+from eflcolor.serialize import vertex_to_json
 from eflcolor.solver import BudgetExhausted
 
 
@@ -63,6 +70,48 @@ def family_to_clique_list(n: int, family) -> list:
         e for e in combinations(range(1, n + 1), 2) if e not in used
     )
     return cliques
+
+
+def reference_validate(cliques, n):
+    """validate, with the pairwise-intersection rule decided by intersecting
+    every two cliques in lexicographic index order.
+
+    The scan runs only where validate would reach that rule (n >= 2, n
+    cliques of n vertices each); every other rule is validate's own.
+    """
+    qs = [frozenset(q) for q in cliques]
+    if n >= 2 and len(qs) == n and all(len(q) == n for q in qs):
+        for a, b in combinations(range(1, n + 1), 2):
+            common = qs[a - 1] & qs[b - 1]
+            if len(common) > 1:
+                return Rejection(
+                    "pairwise-intersection",
+                    f"cliques {a} and {b} share {len(common)} vertices",
+                    (a, b),
+                )
+    return validate(qs, n)
+
+
+def reference_graph_to_json(g: EflGraph) -> dict:
+    """graph_to_json deciding canonicity by rebuilding g from its shared
+    pairs and comparing: the explicit cliques are emitted unless the
+    rebuild equals g."""
+    pairs = sorted(
+        g.membership[v] for v in g.shared if len(g.membership[v]) == 2
+    )
+    out = {"n": g.n, "shared_pairs": [list(p) for p in pairs]}
+    canonical = False
+    if len(pairs) == len(g.shared):
+        try:
+            canonical = build_from_pairs(g.n, pairs) == g
+        except ValueError:
+            canonical = False
+    if not canonical:
+        out["cliques"] = [
+            [vertex_to_json(v) for v in sorted(q, key=vertex_key)]
+            for q in g.cliques
+        ]
+    return out
 
 
 # lines of the unique triple system on 7 points, 1-based

@@ -16,8 +16,8 @@ from eflcolor.coloring import (
     SharedColoring,
     check_proper,
     color_shared,
-    color_shared_odd,
     extend_to_full,
+    pair_color,
     round_robin_edge_coloring,
 )
 from eflcolor.core import SharedVertex, build_from_pairs, build_maximal
@@ -90,11 +90,12 @@ def test_criterion_1_published_g10_coloring_reproduced(tmp_path, capsys):
 
 def test_criterion_2_odd_case_is_bold_removal(capsys):
     g10 = color_shared(build_maximal(10))
-    g9 = color_shared_odd(9, list(combinations(range(1, 10), 2)))
-    mismatches = [
-        v for v, c in g9.colors.items() if g10.colors[v] != c
-    ]
-    ok = not mismatches and len(g9.colors) == 36
+    g9 = {
+        SharedVertex(i, j): pair_color(9, i, j)
+        for i, j in combinations(range(1, 10), 2)
+    }
+    mismatches = [v for v, c in g9.items() if g10.colors[v] != c]
+    ok = not mismatches and len(g9) == 36
     with capsys.disabled():
         report(
             "criterion 2: G_9 coloring equals G_10 coloring with column 10 removed",

@@ -11,9 +11,8 @@ from eflcolor.coloring import (
     check_proper,
     clique_color_sets,
     color_shared,
-    color_shared_even,
-    color_shared_odd,
     extend_to_full,
+    pair_color,
     round_robin_edge_coloring,
 )
 from eflcolor.core import (
@@ -41,24 +40,27 @@ def all_pairs(n):
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
+def pair_colors(n, pairs):
+    return {SharedVertex(i, j): pair_color(n, i, j) for i, j in pairs}
+
+
 class TestEvenFormula:
     def test_published_g10_values(self):
-        c = color_shared_even(10, all_pairs(10))
-        assert c.palette_size == 9
-        assert c.colors[SharedVertex(1, 9)] == 1
-        assert c.colors[SharedVertex(5, 10)] == 1
-        assert c.colors[SharedVertex(2, 9)] == 2
-        assert c.colors[SharedVertex(8, 9)] == 8
-        assert c.colors[SharedVertex(9, 10)] == 9
+        assert color_shared(build_maximal(10)).palette_size == 9
+        assert pair_color(10, 1, 9) == 1
+        assert pair_color(10, 5, 10) == 1
+        assert pair_color(10, 2, 9) == 2
+        assert pair_color(10, 8, 9) == 8
+        assert pair_color(10, 9, 10) == 9
 
     def test_matches_golden_fixture_everywhere(self):
-        c = color_shared_even(10, all_pairs(10))
-        assert c.colors == load_golden_g10()
+        assert pair_colors(10, all_pairs(10)) == load_golden_g10()
 
     def test_n2_single_vertex(self):
-        c = color_shared_even(2, [(1, 2)])
+        c = color_shared(build_maximal(2))
         assert c.palette_size == 1
         assert c.colors == {SharedVertex(1, 2): 1}
+        assert pair_color(2, 1, 2) == 1
 
     def test_n4_hand_computed(self):
         # evaluated by hand: residues mod 3 in {1, 2, 3}, doubling on j = 4
@@ -70,24 +72,24 @@ class TestEvenFormula:
             SharedVertex(2, 4): 1,
             SharedVertex(3, 4): 3,
         }
-        c = color_shared_even(4, all_pairs(4))
-        assert c.colors == expected
-        assert brute_force_proper(build_maximal(4), c.colors)
+        colors = pair_colors(4, all_pairs(4))
+        assert colors == expected
+        assert brute_force_proper(build_maximal(4), colors)
 
-    def test_rejects_odd_n(self):
-        with pytest.raises(ValueError, match="color_shared_odd"):
-            color_shared_even(5, [(1, 2)])
+    def test_rejects_index_below_one(self):
+        with pytest.raises(ValueError, match=r"pair \(0, 2\) out of range"):
+            pair_color(4, 0, 2)
 
     def test_rejects_out_of_range_pair(self):
         with pytest.raises(ValueError):
-            color_shared_even(4, [(1, 6)])
+            pair_color(4, 1, 6)
 
 
 class TestOddFormula:
     def test_n3_triangle(self):
-        c = color_shared_odd(3, all_pairs(3))
+        c = color_shared(build_maximal(3))
         assert c.palette_size == 3
-        assert c.colors == {
+        assert pair_colors(3, all_pairs(3)) == c.colors == {
             SharedVertex(1, 2): 3,
             SharedVertex(1, 3): 1,
             SharedVertex(2, 3): 2,
@@ -95,21 +97,21 @@ class TestOddFormula:
         assert brute_force_proper(build_maximal(3), c.colors)
 
     def test_published_g9_values(self):
-        c = color_shared_odd(9, all_pairs(9))
-        assert c.colors[SharedVertex(1, 8)] == 9
-        assert c.colors[SharedVertex(4, 5)] == 9
+        assert pair_color(9, 1, 8) == 9
+        assert pair_color(9, 4, 5) == 9
 
     def test_n5_values_and_nonadjacent_repeat(self):
-        c = color_shared_odd(5, all_pairs(5))
-        assert c.colors[SharedVertex(2, 3)] == 5
-        assert c.colors[SharedVertex(1, 4)] == 5
-        assert c.colors[SharedVertex(2, 4)] == 1
+        colors = pair_colors(5, all_pairs(5))
+        assert colors[SharedVertex(2, 3)] == 5
+        assert colors[SharedVertex(1, 4)] == 5
+        assert colors[SharedVertex(2, 4)] == 1
         # (2,3) and (1,4) share a color but no clique index, so no conflict
-        assert brute_force_proper(build_maximal(5), c.colors)
+        assert brute_force_proper(build_maximal(5), colors)
 
-    def test_rejects_even_n(self):
-        with pytest.raises(ValueError, match="color_shared_even"):
-            color_shared_odd(4, [(1, 2)])
+    def test_rejects_unordered_pair(self):
+        for i, j in ((3, 2), (2, 2)):
+            with pytest.raises(ValueError, match="out of range for n=5"):
+                pair_color(5, i, j)
 
 
 class TestColorShared:

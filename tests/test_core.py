@@ -1,3 +1,6 @@
+import random
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,6 +18,10 @@ from eflcolor.core import (
     validate,
     vertex_key,
 )
+from eflcolor.decomposition import decomposition_to_efl
+from eflcolor.serialize import dumps, graph_to_json
+from eflcolor.solver import enumerate_two_r_decompositions
+from helpers import reference_graph_to_json, reference_validate
 
 
 def expected_vertex_count(n, shared):
@@ -118,6 +125,11 @@ class TestBuildFromPairs:
             build_from_pairs(4, [(1, 2), (1, 2)])
         with pytest.raises(ValueError):
             build_from_pairs(1, [])
+        # the first bad pair in input order is the one reported
+        with pytest.raises(ValueError, match=r"^duplicate shared pair"):
+            build_from_pairs(4, [(1, 2), (3, 4), (1, 2), (1, 5)])
+        with pytest.raises(ValueError, match=r"^pair \(1, 5\) out of range"):
+            build_from_pairs(4, [(1, 2), (1, 5), (1, 2)])
 
     def test_accepts_shared_vertex_objects(self):
         assert build_from_pairs(4, [SharedVertex(1, 2)]) == build_from_pairs(4, [(1, 2)])
@@ -235,3 +247,75 @@ class TestGraphBasics:
             ix = g.membership[v]
             assert ix == tuple(sorted(ix))
             assert ix == (v.i, v.j)
+
+
+def _perturbed(rng, cliques, n):
+    """A clique list with one random defect, or none."""
+    qs = [set(q) for q in cliques]
+    kind = rng.randrange(6)
+    a = rng.randrange(len(qs))
+    if kind == 1:  # a member moved in from another clique
+        b = rng.randrange(len(qs))
+        qs[a].discard(rng.choice(sorted(qs[a], key=vertex_key)))
+        qs[a].add(rng.choice(sorted(qs[b], key=vertex_key)))
+    elif kind == 2:  # a member renamed
+        qs[a].discard(rng.choice(sorted(qs[a], key=vertex_key)))
+        qs[a].add(_random_vertex(rng, n))
+    elif kind == 3:  # two cliques swapped
+        b = rng.randrange(len(qs))
+        qs[a], qs[b] = qs[b], qs[a]
+    elif kind == 4:  # a member added or dropped
+        if rng.random() < 0.5:
+            qs[a].add(_random_vertex(rng, n))
+        else:
+            qs[a].discard(rng.choice(sorted(qs[a], key=vertex_key)))
+    return qs
+
+
+def _random_vertex(rng, n):
+    kind = rng.randrange(3)
+    if kind == 0:
+        i = rng.randrange(1, n + 1)
+        return SharedVertex(i, rng.randrange(i + 1, n + 2))
+    if kind == 1:
+        return UnsharedVertex(rng.randrange(1, n + 1), rng.randrange(1, n + 1))
+    return GeneralVertex(rng.randrange(2 * n))
+
+
+def _random_clique_lists(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 7)
+        source = rng.randrange(3)
+        if source == 0:  # a valid two-clique graph
+            pairs = [
+                p for p in combinations(range(1, n + 1), 2)
+                if rng.random() < 0.5
+            ]
+            yield n, _perturbed(rng, build_from_pairs(n, pairs).cliques, n)
+        elif source == 1 and n >= 3:  # a valid graph with general vertices
+            d = rng.choice(_triangle_decompositions(n))
+            yield n, _perturbed(rng, decomposition_to_efl(d).cliques, n)
+        else:  # a soup of random identities
+            sizes = [n + rng.choice((0, 0, 1)) for _ in range(n)]
+            yield n, [
+                {_random_vertex(rng, n) for _ in range(size)} for size in sizes
+            ]
+
+
+@lru_cache(maxsize=None)
+def _triangle_decompositions(n):
+    return [i.decomposition for i in enumerate_two_r_decompositions(n, 3)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_and_graph_to_json_match_the_pairwise_oracles(seed):
+    graphs = 0
+    for n, cliques in _random_clique_lists(seed, 1000):
+        got = validate(cliques, n)
+        assert got == reference_validate(cliques, n), cliques
+        if isinstance(got, Rejection):
+            continue
+        graphs += 1
+        assert dumps(graph_to_json(got)) == dumps(reference_graph_to_json(got))
+    assert graphs > 0

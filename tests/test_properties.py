@@ -15,9 +15,8 @@ from eflcolor.coloring import (
     SharedColoring,
     check_proper,
     color_shared,
-    color_shared_even,
-    color_shared_odd,
     extend_to_full,
+    pair_color,
     round_robin_edge_coloring,
 )
 from eflcolor.core import (
@@ -98,9 +97,9 @@ def test_maximal_extension_uses_exactly_n_colors(n):
 def test_odd_formula_is_even_formula_of_next_order_restricted(k):
     n = 2 * k + 1
     pairs = list(combinations(range(1, n + 1), 2))
-    odd = color_shared_odd(n, pairs)
-    even = color_shared_even(n + 1, pairs)
-    assert all(odd.colors[v] == even.colors[v] for v in odd.colors)
+    assert all(
+        pair_color(n, i, j) == pair_color(n + 1, i, j) for i, j in pairs
+    )
 
 
 # the two-pair overlap patterns split the even-n properness argument;
@@ -147,10 +146,7 @@ def test_even_formula_separates_every_overlap_pattern(data):
         )
     )
     n, a, b = _draw_case(data.draw, case)
-    c = color_shared_even(n, [a, b])
-    assert c.colors[SharedVertex(*a)] != c.colors[SharedVertex(*b)], (
-        case, n, a, b,
-    )
+    assert pair_color(n, *a) != pair_color(n, *b), (case, n, a, b)
 
 
 @given(st.integers(2, 40))

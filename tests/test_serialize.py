@@ -87,6 +87,24 @@ class TestGraphJson:
         assert data["shared_pairs"] == []
         assert graph_from_json(data) == g
 
+    def test_general_vertex_in_two_cliques_keeps_explicit_cliques(self):
+        # the pairs alone would rebuild the vertex as SharedVertex(1, 2)
+        g = validate(
+            [
+                {GeneralVertex(7), UnsharedVertex(1, 1), UnsharedVertex(1, 2)},
+                {GeneralVertex(7), UnsharedVertex(2, 1), UnsharedVertex(2, 2)},
+                {UnsharedVertex(3, s) for s in (1, 2, 3)},
+            ],
+            3,
+        )
+        assert g.is_two_clique
+        data = graph_to_json(g)
+        assert data["shared_pairs"] == [[1, 2]]
+        assert data["cliques"][0] == [
+            ["unshared", 1, 1], ["unshared", 1, 2], ["general", 7]
+        ]
+        assert graph_from_json(data) == g
+
     def test_invalid_cliques_rejected(self):
         data = {
             "n": 3,

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from eflcolor import solver
 from eflcolor.coloring import check_proper, color_shared, extend_to_full
 from eflcolor.core import GeneralVertex, build_maximal, validate
 from eflcolor.decomposition import (
@@ -131,6 +132,17 @@ class TestColorDecomposition:
             out = color_decomposition(d, needs - 1)
             assert out.status is Status.NOT_COLORABLE
 
+    @pytest.mark.parametrize("palette", [4, 5, 9])
+    def test_improper_certificate_never_returned(self, palette, monkeypatch):
+        # a faulty engine claiming one color for every edge of K_4
+        def stub(nb, palette, preset, node_limit, progress, interval):
+            return True, [1] * len(nb), 1
+
+        monkeypatch.setattr(solver, "_search", stub)
+        d = two_clique_decomposition(4)
+        with pytest.raises(AssertionError, match="cliques 1 and 2 share"):
+            color_decomposition(d, palette)
+
     def test_empty_decomposition_trivially_colorable(self):
         d = validate_decomposition(
             complete_host(2).__class__(3, frozenset()), []
@@ -220,10 +232,15 @@ class TestEnumeration:
         ]
 
     def test_instances_validate_and_use_only_allowed_sizes(self):
-        for inst in enumerate_two_r_decompositions(5, 4):
-            sizes = {len(c) for c in inst.decomposition.cliques}
-            assert sizes <= {2, 4}
-            assert inst.decomposition.host.is_complete
+        for n in range(3, 8):
+            for r in range(3, n + 1):
+                for inst in enumerate_two_r_decompositions(n, r):
+                    d = inst.decomposition
+                    assert {len(c) for c in d.cliques} <= {2, r}
+                    assert d.host.is_complete
+                    # the enumerator builds each instance valid and in
+                    # canonical order, with no re-check of its own
+                    assert validate_decomposition(d.host, d.cliques) == d
 
 
 class TestSweep:
