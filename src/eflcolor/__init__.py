@@ -6,7 +6,6 @@ from .core import (
     GeneralVertex,
     Rejection,
     SharedVertex,
-    TwoCliqueEflGraph,
     UnsharedVertex,
     adjacency,
     build_from_pairs,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EflGraph, TwoCliqueEflGraph, vertex_key
+from .core import EflGraph, vertex_key
 
 __all__ = [
     "SharedColoring",
@@ -90,12 +90,12 @@ def color_shared(g: EflGraph) -> SharedColoring:
     some shared vertex lies in three or more cliques.
     """
     n = g.n
-    if not isinstance(g, TwoCliqueEflGraph) and not g.is_two_clique:
+    if not g.is_two_clique:
         raise ValueError(
             "graph has a shared vertex in three or more defining cliques; "
             "translate to a clique decomposition and search instead"
         )
-    cmap = {v: pair_color(n, *g.clique_pair_of(v)) for v in g.shared}
+    cmap = {v: pair_color(n, *g.cliques_of(v)) for v in g.shared}
     return SharedColoring(n if n % 2 else n - 1, cmap)
 
 

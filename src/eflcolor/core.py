@@ -29,7 +29,6 @@ __all__ = [
     "vertex_key",
     "Rejection",
     "EflGraph",
-    "TwoCliqueEflGraph",
     "build_maximal",
     "build_from_pairs",
     "validate",
@@ -94,6 +93,16 @@ def vertex_key(v) -> tuple:
     return (4, repr(v))
 
 
+def _named_cliques(v):
+    """The cliques a SharedVertex or UnsharedVertex identity names, or None
+    for any other vertex."""
+    if isinstance(v, SharedVertex):
+        return (v.i, v.j)
+    if isinstance(v, UnsharedVertex):
+        return (v.clique,)
+    return None
+
+
 @dataclass(frozen=True)
 class Rejection:
     """Structured validation failure naming the first violated invariant.
@@ -156,33 +165,19 @@ class EflGraph:
     @cached_property
     def is_two_clique(self) -> bool:
         """True when every shared vertex lies in exactly two cliques."""
-        return all(len(self.membership[v]) == 2 for v in self.shared)
+        return all(len(self.cliques_of(v)) == 2 for v in self.shared)
 
-    def clique_pair_of(self, v) -> tuple:
-        """The two defining cliques containing shared vertex ``v``.
+    def cliques_of(self, v) -> tuple:
+        """Ascending indices of the defining cliques containing vertex v.
 
-        Raises ValueError when ``v`` lies in three or more cliques.
+        A pair or slot identity names them, since validated graphs keep
+        those identities true to membership; any other vertex is looked up
+        in :attr:`membership`.
         """
-        if isinstance(v, SharedVertex):
-            # identity matches membership on every validated graph
-            return (v.i, v.j)
-        ix = self.membership[v]
-        if len(ix) != 2:
-            raise ValueError(f"vertex {v!r} lies in {len(ix)} cliques, not 2")
-        return ix
+        return _named_cliques(v) or self.membership[v]
 
 
-@dataclass(frozen=True, eq=False)
-class TwoCliqueEflGraph(EflGraph):
-    """EFL graph whose shared vertices each lie in exactly two cliques."""
-
-    @cached_property
-    def shared_pairs(self) -> tuple:
-        """Sorted clique-index pairs, one per shared vertex."""
-        return tuple(sorted(self.clique_pair_of(v) for v in self.shared))
-
-
-def build_maximal(n: int) -> TwoCliqueEflGraph:
+def build_maximal(n: int) -> EflGraph:
     """The maximal instance G_n: every two defining cliques share a vertex.
 
     G_n has C(n, 2) shared vertices and n^2 - C(n, 2) vertices in total;
@@ -191,7 +186,7 @@ def build_maximal(n: int) -> TwoCliqueEflGraph:
     return build_from_pairs(n, combinations(range(1, n + 1), 2))
 
 
-def build_from_pairs(n: int, pairs: Iterable) -> TwoCliqueEflGraph:
+def build_from_pairs(n: int, pairs: Iterable) -> EflGraph:
     """EFL graph of order n whose shared vertices are exactly ``pairs``.
 
     Each pair (i, j) with 1 <= i < j <= n names one vertex shared by
@@ -218,20 +213,20 @@ def build_from_pairs(n: int, pairs: Iterable) -> TwoCliqueEflGraph:
         pad = n - len(ms)
         ms.extend(UnsharedVertex(i, s) for s in range(1, pad + 1))
         cliques.append(frozenset(ms))
-    return TwoCliqueEflGraph(n, tuple(cliques), frozenset(shared))
+    return EflGraph(n, tuple(cliques), frozenset(shared))
 
 
 def validate(cliques: Iterable, n: int):
     """Check the EFL invariants over an arbitrary clique list.
 
-    Returns a validated graph (a :class:`TwoCliqueEflGraph` when every
-    shared vertex lies in exactly two cliques) or a :class:`Rejection`
-    naming the first violated invariant.  The scan order is fixed so the
-    report is deterministic: order n, clique count, clique sizes by
-    ascending index, the lexicographically first pair of cliques sharing
-    two or more vertices, then identity consistency (named identities
-    must match actual membership, and unshared slots must fit the
-    clique's free capacity).
+    Returns a validated graph or a :class:`Rejection` naming the first
+    violated invariant.  The scan order is fixed so the report is
+    deterministic: order n, clique count, clique sizes by ascending index,
+    the lexicographically first pair of cliques sharing two or more
+    vertices, then identity consistency (named identities must match
+    actual membership, the least offender by :func:`vertex_key` in the
+    first clique holding one, and unshared slots must fit the clique's
+    free capacity).
     """
     if n < 2:
         return Rejection("order", f"n must be >= 2, got {n}")
@@ -267,21 +262,18 @@ def validate(cliques: Iterable, n: int):
         )
 
     for idx, q in enumerate(qs, start=1):
-        for v in sorted(q, key=vertex_key):
-            if isinstance(v, SharedVertex) and membership[v] != (v.i, v.j):
-                return Rejection(
-                    "identity",
-                    f"vertex {v!r} lies in cliques {membership[v]}, "
-                    f"not ({v.i}, {v.j})",
-                    (idx,),
-                )
-            if isinstance(v, UnsharedVertex) and membership[v] != (v.clique,):
-                return Rejection(
-                    "identity",
-                    f"vertex {v!r} lies in cliques {membership[v]}, "
-                    f"not ({v.clique},)",
-                    (idx,),
-                )
+        # a named identity that disagrees with membership
+        wrong = [
+            v for v in q if _named_cliques(v) not in (None, membership[v])
+        ]
+        if wrong:
+            v = min(wrong, key=vertex_key)
+            return Rejection(
+                "identity",
+                f"vertex {v!r} lies in cliques {membership[v]}, "
+                f"not {_named_cliques(v)}",
+                (idx,),
+            )
     for idx, q in enumerate(qs, start=1):
         slots = [v.slot for v in q if isinstance(v, UnsharedVertex)]
         free = n - (len(q) - len(slots))
@@ -295,9 +287,7 @@ def validate(cliques: Iterable, n: int):
             )
 
     shared = frozenset(v for v, ix in membership.items() if len(ix) >= 2)
-    two = all(len(membership[v]) == 2 for v in shared)
-    cls = TwoCliqueEflGraph if two else EflGraph
-    g = cls(n, tuple(qs), shared)
+    g = EflGraph(n, tuple(qs), shared)
     g.__dict__["membership"] = membership
     return g
 
@@ -309,4 +299,4 @@ def adjacency(g: EflGraph, u, v) -> bool:
             raise ValueError(f"unknown vertex {w!r}")
     if u == v:
         return False
-    return not set(g.membership[u]).isdisjoint(g.membership[v])
+    return not set(g.cliques_of(u)).isdisjoint(g.cliques_of(v))

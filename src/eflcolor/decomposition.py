@@ -12,6 +12,7 @@ back to a proper coloring of the shared vertices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -23,7 +24,6 @@ from .core import (
     GeneralVertex,
     Rejection,
     SharedVertex,
-    TwoCliqueEflGraph,
     UnsharedVertex,
 )
 
@@ -105,6 +105,11 @@ class DecompositionColoring:
     colors: dict
 
 
+def _canonical_order(cliques) -> list:
+    """Cliques by size, then lexicographically: the size sort is stable."""
+    return sorted(sorted(cliques), key=len)
+
+
 def validate_decomposition(host: HostGraph, cliques: Iterable):
     """Check the edge-partition and clique-completeness invariants.
 
@@ -122,7 +127,7 @@ def validate_decomposition(host: HostGraph, cliques: Iterable):
                 "clique-vertices", f"clique {c} repeats a vertex", (c,)
             )
         canon.append(tuple(sorted(c)))
-    canon.sort(key=lambda c: (len(c), c))
+    canon = _canonical_order(canon)
     covered = set()
     for t, c in enumerate(canon, start=1):
         if len(c) < 2:
@@ -227,19 +232,15 @@ def efl_to_decomposition(g: EflGraph) -> CliqueDecomposition:
     Host vertex i stands for defining clique Q_i; {i, j} is a host edge
     iff Q_i and Q_j intersect; every shared vertex contributes the clique
     of the indices containing it.  Works for any EFL graph, including
-    shared vertices in three or more cliques.
+    shared vertices in three or more cliques.  The EFL invariants make
+    this a valid decomposition, with cliques in canonical order.
     """
-    cliques = [g.membership[v] for v in g.shared]
+    cliques = _canonical_order(map(g.cliques_of, g.shared))
     edges = set()
     for c in cliques:
         edges.update(combinations(c, 2))
     host = HostGraph(g.n, frozenset(edges))
-    d = validate_decomposition(host, cliques)
-    if isinstance(d, Rejection):
-        raise AssertionError(
-            f"EFL invariants should guarantee a valid decomposition: {d.message}"
-        )
-    return d
+    return CliqueDecomposition(host, tuple(cliques))
 
 
 def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:
@@ -248,10 +249,10 @@ def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:
     Decomposition clique D_t becomes one shared vertex placed in the
     defining cliques its host vertices index: a SharedVertex for a
     2-clique, a GeneralVertex labeled t otherwise.  Defining cliques are
-    padded to order n with slot-numbered unshared vertices.  Raises
-    CliqueCapacityError when a host vertex lies in more than n cliques
-    (impossible for a validated decomposition of a simple host, whose
-    vertex degrees bound the clique count, but guarded for direct input).
+    padded to order n with slot-numbered unshared vertices.  Two guards
+    catch unvalidated input, which a validated decomposition of a simple
+    host never trips: CliqueCapacityError when a host vertex lies in more
+    than n cliques, then ValueError naming the first repeated clique.
     """
     n = d.host.vertex_count
     if n < 2:
@@ -274,9 +275,10 @@ def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:
         pad = n - len(ms)
         ms.extend(UnsharedVertex(i, s) for s in range(1, pad + 1))
         cliques.append(frozenset(ms))
-    two = all(len(c) == 2 for c in d.cliques)
-    cls = TwoCliqueEflGraph if two else EflGraph
-    return cls(n, tuple(cliques), frozenset(shared))
+    repeated = [c for c, k in Counter(d.cliques).items() if k > 1]
+    if repeated:
+        raise ValueError(f"duplicate clique {repeated[0]}")
+    return EflGraph(n, tuple(cliques), frozenset(shared))
 
 
 def check_decomposition_coloring(
@@ -340,6 +342,6 @@ def transport_coloring(
         raise ValueError(f"invalid decomposition coloring: {chk.reason}")
     index_of = {c: t for t, c in enumerate(d.cliques, start=1)}
     out = {
-        v: coloring.colors[index_of[g.membership[v]]] for v in g.shared
+        v: coloring.colors[index_of[g.cliques_of(v)]] for v in g.shared
     }
     return SharedColoring(coloring.palette_size, out)

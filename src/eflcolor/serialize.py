@@ -95,11 +95,7 @@ def graph_to_json(g: EflGraph) -> dict:
         isinstance(v, (SharedVertex, UnsharedVertex))
         for q in g.cliques for v in q
     )
-    if named:
-        pairs = sorted((v.i, v.j) for v in g.shared)
-    else:
-        member = g.membership
-        pairs = sorted(member[v] for v in g.shared if len(member[v]) == 2)
+    pairs = sorted(c for c in map(g.cliques_of, g.shared) if len(c) == 2)
     out = {"n": g.n, "shared_pairs": [list(p) for p in pairs]}
     if not named:
         out["cliques"] = [
@@ -114,7 +110,9 @@ def graph_from_json(data) -> EflGraph:
         raise FormatError('graph JSON needs an integer "n"')
     n = data["n"]
     if "cliques" in data and data["cliques"] is not None:
-        if not isinstance(data["cliques"], list):
+        if not isinstance(data["cliques"], list) or not all(
+            isinstance(q, list) for q in data["cliques"]
+        ):
             raise FormatError('"cliques" must be a list of vertex lists')
         cliques = [
             frozenset(vertex_from_json(v) for v in q) for q in data["cliques"]
@@ -193,9 +191,11 @@ def decomposition_from_json(data) -> CliqueDecomposition:
         raise FormatError(f"invalid host: {e}") from None
     if not isinstance(data.get("cliques"), list):
         raise FormatError('decomposition JSON needs a "cliques" list')
-    d = validate_decomposition(
-        host, [tuple(int(v) for v in c) for c in data["cliques"]]
-    )
+    try:
+        cliques = [tuple(int(v) for v in c) for c in data["cliques"]]
+    except (ValueError, TypeError) as e:
+        raise FormatError(f"invalid decomposition clique: {e}") from None
+    d = validate_decomposition(host, cliques)
     if isinstance(d, Rejection):
         raise FormatError(f"invalid decomposition: {d.message}")
     return d

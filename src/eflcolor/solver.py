@@ -67,14 +67,12 @@ class Status(Enum):
 class SearchConfig:
     """Search knobs.
 
-    node_limit bounds the number of color placements tried;
-    symmetry_fixing pre-colors a clique (always sound, usually decisive).
+    node_limit bounds the number of color placements tried.
     progress, when set, is called with the running node count every
     progress_interval placements.
     """
 
     node_limit: int = 10**8
-    symmetry_fixing: bool = True
     progress: Optional[Callable[[int], None]] = field(
         default=None, compare=False
     )
@@ -234,9 +232,9 @@ def chromatic_number(
     """Exact chromatic number of a small EFL graph, with a witness.
 
     The defining clique Q_1 forces chi >= n, so palettes are tried upward
-    from n; the first success is exact.  With symmetry fixing Q_1 is
-    pre-colored 1..n in vertex order, which is sound because any proper
-    coloring permutes onto such an assignment.  Raises BudgetExhausted
+    from n; the first success is exact.  Symmetry fixing pre-colors Q_1
+    1..n in vertex order, which is sound because any proper coloring
+    permutes onto such an assignment.  Raises BudgetExhausted
     when the cumulative node budget runs out.
     """
     t0 = perf_counter()
@@ -248,10 +246,8 @@ def chromatic_number(
         mask = sum(1 << i for i in qi)
         for i in qi:
             nb[i] |= mask ^ (1 << i)
-    preset = []
-    if cfg.symmetry_fixing:
-        q1 = sorted(g.cliques[0], key=vertex_key)
-        preset = [(index[v], c) for c, v in enumerate(q1, start=1)]
+    q1 = sorted(g.cliques[0], key=vertex_key)
+    preset = [(index[v], c) for c, v in enumerate(q1, start=1)]
     total_nodes = 0
     k = g.n
     while True:
@@ -287,18 +283,16 @@ def color_decomposition(
 ) -> SearchOutcome:
     """Search for a coloring of d's cliques within the given palette.
 
-    Branches on the intersection graph with fail-first ordering.  With
-    symmetry fixing, a greedily grown clique of the intersection graph is
-    pre-colored 1, 2, ...; when that clique alone exceeds the palette the
+    Branches on the intersection graph with fail-first ordering.  Symmetry
+    fixing pre-colors a greedily grown clique of the intersection graph
+    1, 2, ...; when that clique alone exceeds the palette the
     space is exhausted with no search.  COLORABLE certificates are
     re-checked for properness before returning.
     """
     t0 = perf_counter()
     k = len(d.cliques)
     nb = intersection_masks(d)
-    preset = []
-    if cfg.symmetry_fixing and k:
-        preset = [(v, c) for c, v in enumerate(_greedy_clique(nb), start=1)]
+    preset = [(v, c) for c, v in enumerate(_greedy_clique(nb), start=1)]
     try:
         found, colors, nodes = _search(
             nb,

@@ -10,8 +10,9 @@ from itertools import combinations, product
 from eflcolor.core import (
     EflGraph,
     Rejection,
+    SharedVertex,
+    UnsharedVertex,
     build_from_pairs,
-    validate,
     vertex_key,
 )
 from eflcolor.serialize import vertex_to_json
@@ -73,23 +74,67 @@ def family_to_clique_list(n: int, family) -> list:
 
 
 def reference_validate(cliques, n):
-    """validate, with the pairwise-intersection rule decided by intersecting
-    every two cliques in lexicographic index order.
-
-    The scan runs only where validate would reach that rule (n >= 2, n
-    cliques of n vertices each); every other rule is validate's own.
+    """An independent copy of validate: the same rules, scan order and
+    messages, with the pairwise-intersection rule decided by intersecting
+    every two cliques in lexicographic index order and the identity rule
+    by scanning each clique in vertex_key order, one branch per identity
+    kind.  The accepted graph is built directly, never through validate.
     """
+    if n < 2:
+        return Rejection("order", f"n must be >= 2, got {n}")
     qs = [frozenset(q) for q in cliques]
-    if n >= 2 and len(qs) == n and all(len(q) == n for q in qs):
-        for a, b in combinations(range(1, n + 1), 2):
-            common = qs[a - 1] & qs[b - 1]
-            if len(common) > 1:
+    if len(qs) != n:
+        return Rejection(
+            "clique-count", f"expected {n} cliques, got {len(qs)}", (len(qs),)
+        )
+    for idx, q in enumerate(qs, start=1):
+        if len(q) != n:
+            return Rejection(
+                "clique-order",
+                f"clique {idx} has {len(q)} vertices, expected {n}",
+                (idx,),
+            )
+    for a, b in combinations(range(1, n + 1), 2):
+        common = qs[a - 1] & qs[b - 1]
+        if len(common) > 1:
+            return Rejection(
+                "pairwise-intersection",
+                f"cliques {a} and {b} share {len(common)} vertices",
+                (a, b),
+            )
+    membership = {
+        v: tuple(idx for idx, q in enumerate(qs, start=1) if v in q)
+        for q in qs for v in q
+    }
+    for idx, q in enumerate(qs, start=1):
+        for v in sorted(q, key=vertex_key):
+            if isinstance(v, SharedVertex) and membership[v] != (v.i, v.j):
                 return Rejection(
-                    "pairwise-intersection",
-                    f"cliques {a} and {b} share {len(common)} vertices",
-                    (a, b),
+                    "identity",
+                    f"vertex {v!r} lies in cliques {membership[v]}, "
+                    f"not ({v.i}, {v.j})",
+                    (idx,),
                 )
-    return validate(qs, n)
+            if isinstance(v, UnsharedVertex) and membership[v] != (v.clique,):
+                return Rejection(
+                    "identity",
+                    f"vertex {v!r} lies in cliques {membership[v]}, "
+                    f"not ({v.clique},)",
+                    (idx,),
+                )
+    for idx, q in enumerate(qs, start=1):
+        slots = [v.slot for v in q if isinstance(v, UnsharedVertex)]
+        free = n - (len(q) - len(slots))
+        bad = sorted(s for s in slots if s > free)
+        if bad:
+            return Rejection(
+                "slot-range",
+                f"clique {idx} has unshared slot {bad[0]} but only "
+                f"{free} unshared places",
+                (idx, bad[0]),
+            )
+    shared = frozenset(v for v, ix in membership.items() if len(ix) >= 2)
+    return EflGraph(n, tuple(qs), shared)
 
 
 def reference_graph_to_json(g: EflGraph) -> dict:

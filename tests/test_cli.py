@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from eflcolor.cli import main
 from eflcolor.core import build_from_pairs, build_maximal
 from eflcolor.coloring import color_shared
@@ -259,3 +261,40 @@ class TestRoundTrips:
         main(["color", "--in", graph, "--out", coloring])
         reparsed = read_json(coloring)
         assert reparsed == coloring_to_json(color_shared(g))
+
+
+BAD_GRAPH = {"n": 3, "cliques": [5, 6, 7]}
+BAD_DECOMPOSITIONS = [
+    {"n": 3, "host_edges": "complete", "cliques": [5]},
+    {"n": 3, "host_edges": "complete", "cliques": [[1, None]]},
+]
+
+
+def _malformed_argv(tmp_path, command, data):
+    infile = write(tmp_path, "in.json", data)
+    if command == "verify":
+        coloring = write(tmp_path, "c.json", {"palette": 3, "assignments": []})
+        return ["verify", "--graph", infile, "--coloring", coloring]
+    return [command, "--in", infile]
+
+
+class TestMalformedCliqueEntries:
+    """A clique entry that is not a list of vertices is an input error
+    (exit 2), never a crash read as "improper" (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "command", ["color", "decompose", "verify", "chromatic", "export-dot"]
+    )
+    def test_graph_exits_2(self, tmp_path, capsys, command):
+        assert main(_malformed_argv(tmp_path, command, BAD_GRAPH)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+
+    @pytest.mark.parametrize("data", BAD_DECOMPOSITIONS)
+    @pytest.mark.parametrize("command", ["to-efl", "export-dot", "verify"])
+    def test_decomposition_exits_2(self, tmp_path, capsys, command, data):
+        assert main(_malformed_argv(tmp_path, command, data)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")

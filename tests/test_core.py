@@ -10,7 +10,6 @@ from eflcolor.core import (
     GeneralVertex,
     Rejection,
     SharedVertex,
-    TwoCliqueEflGraph,
     UnsharedVertex,
     adjacency,
     build_from_pairs,
@@ -18,7 +17,11 @@ from eflcolor.core import (
     validate,
     vertex_key,
 )
-from eflcolor.decomposition import decomposition_to_efl
+from eflcolor.decomposition import (
+    decomposition_to_efl,
+    efl_to_decomposition,
+    validate_decomposition,
+)
 from eflcolor.serialize import dumps, graph_to_json
 from eflcolor.solver import enumerate_two_r_decompositions
 from helpers import reference_graph_to_json, reference_validate
@@ -89,7 +92,7 @@ class TestBuildMaximal:
     def test_validates_with_expected_shared_structure(self, n):
         g = build_maximal(n)
         checked = validate(g.cliques, n)
-        assert isinstance(checked, TwoCliqueEflGraph)
+        assert checked.is_two_clique
         assert checked == g
         assert len(g.shared) == comb(n, 2)
         assert all(len(g.membership[v]) == 2 for v in g.shared)
@@ -183,6 +186,25 @@ class TestValidate:
         rej = validate(cliques, 3)
         assert isinstance(rej, Rejection)
         assert rej.rule == "identity"
+        # clique 1 holds two misnamed vertices; the vertex_key-least one
+        # is reported, in the same words for either identity kind
+        g = build_from_pairs(4, [(1, 2), (1, 3)])
+        cliques = [set(q) for q in g.cliques]
+        cliques[0] -= {UnsharedVertex(1, 1), UnsharedVertex(1, 2)}
+        cliques[0] |= {UnsharedVertex(3, 4), SharedVertex(2, 4)}
+        assert validate(cliques, 4) == Rejection(
+            "identity",
+            "vertex SharedVertex(i=2, j=4) lies in cliques (1,), not (2, 4)",
+            (1,),
+        )
+        cliques[0] -= {SharedVertex(2, 4)}
+        cliques[0] |= {UnsharedVertex(1, 1)}
+        assert validate(cliques, 4) == Rejection(
+            "identity",
+            "vertex UnsharedVertex(clique=3, slot=4) lies in cliques (1,), "
+            "not (3,)",
+            (1,),
+        )
 
     def test_rejects_out_of_range_slot(self):
         g = build_maximal(3)
@@ -201,7 +223,7 @@ class TestValidate:
         ]
         g = validate(cliques, 3)
         assert isinstance(g, EflGraph)
-        assert not isinstance(g, TwoCliqueEflGraph)
+        assert g.cliques_of(hub) == (1, 2, 3)
         assert g.shared == {hub}
         assert not g.is_two_clique
 
@@ -239,7 +261,8 @@ class TestGraphBasics:
 
     def test_shared_pairs_sorted(self):
         g = build_from_pairs(5, [(3, 4), (1, 2)])
-        assert g.shared_pairs == ((1, 2), (3, 4))
+        assert g.is_two_clique
+        assert sorted(map(g.cliques_of, g.shared)) == [(1, 2), (3, 4)]
 
     def test_membership_is_ascending(self):
         g = build_maximal(5)
@@ -313,9 +336,23 @@ def test_validate_and_graph_to_json_match_the_pairwise_oracles(seed):
     graphs = 0
     for n, cliques in _random_clique_lists(seed, 1000):
         got = validate(cliques, n)
-        assert got == reference_validate(cliques, n), cliques
+        want = reference_validate(cliques, n)
+        assert got == want, cliques
         if isinstance(got, Rejection):
             continue
         graphs += 1
+        assert got.shared == want.shared
         assert dumps(graph_to_json(got)) == dumps(reference_graph_to_json(got))
+        # membership recomputed from the cliques, not taken from validate
+        member = {
+            v: tuple(i for i, q in enumerate(got.cliques, start=1) if v in q)
+            for v in got.vertex_set
+        }
+        assert got.membership == member
+        assert all(got.cliques_of(v) == member[v] for v in member)
+        assert got.is_two_clique == all(
+            len(member[v]) == 2 for v in got.shared
+        )
+        d = efl_to_decomposition(got)
+        assert validate_decomposition(d.host, d.cliques) == d
     assert graphs > 0

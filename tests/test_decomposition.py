@@ -8,7 +8,6 @@ from eflcolor.core import (
     GeneralVertex,
     Rejection,
     SharedVertex,
-    TwoCliqueEflGraph,
     UnsharedVertex,
     build_from_pairs,
     build_maximal,
@@ -170,7 +169,7 @@ class TestEflToDecomposition:
 class TestDecompositionToEfl:
     def test_triangle_clique_gives_hub_graph(self):
         g = decomposition_to_efl(decomposition(3, [(1, 2, 3)]))
-        assert not isinstance(g, TwoCliqueEflGraph)
+        assert not g.is_two_clique
         (hub,) = g.shared
         assert hub == GeneralVertex(1)
         assert all(hub in q for q in g.cliques)
@@ -194,8 +193,8 @@ class TestDecompositionToEfl:
         for pairs in [[(1, 2)], [(1, 2), (3, 4)], [(1, 4), (2, 4), (2, 3)]]:
             g = build_from_pairs(5, pairs)
             back = decomposition_to_efl(efl_to_decomposition(g))
-            assert isinstance(back, TwoCliqueEflGraph)
-            assert back.shared_pairs == g.shared_pairs
+            assert back.is_two_clique
+            assert sorted(map(back.cliques_of, back.shared)) == sorted(pairs)
             assert back == g
 
     def test_round_trip_from_decomposition_side(self):
@@ -211,6 +210,18 @@ class TestDecompositionToEfl:
             complete_host(3), ((1, 2), (1, 2), (1, 3), (1, 3))
         )
         with pytest.raises(CliqueCapacityError):
+            decomposition_to_efl(bogus)
+
+    def test_rejects_repeated_clique_on_unchecked_input(self):
+        # bypasses validate_decomposition: a repeated 2-clique would name
+        # one shared vertex twice and leave cliques 1 and 2 short
+        bogus = CliqueDecomposition(complete_host(3), ((1, 2), (1, 2)))
+        with pytest.raises(ValueError, match=r"^duplicate clique \(1, 2\)$"):
+            decomposition_to_efl(bogus)
+        bogus = CliqueDecomposition(
+            complete_host(4), ((1, 4), (1, 2, 3), (2, 4), (1, 2, 3))
+        )
+        with pytest.raises(ValueError, match=r"^duplicate clique \(1, 2, 3\)"):
             decomposition_to_efl(bogus)
 
     def test_rejects_tiny_host(self):

@@ -21,7 +21,6 @@ from eflcolor.coloring import (
 )
 from eflcolor.core import (
     SharedVertex,
-    TwoCliqueEflGraph,
     adjacency,
     build_from_pairs,
     build_maximal,
@@ -187,9 +186,9 @@ def test_two_clique_round_trip_is_exact(np):
     n, pairs = np
     g = build_from_pairs(n, pairs)
     back = decomposition_to_efl(efl_to_decomposition(g))
-    assert isinstance(back, TwoCliqueEflGraph)
+    assert back.is_two_clique
     assert back == g
-    assert back.shared_pairs == g.shared_pairs
+    assert sorted(map(back.cliques_of, back.shared)) == sorted(pairs)
 
 
 @given(order_and_pairs(max_n=7), st.data())

@@ -4,12 +4,13 @@ import pytest
 
 from eflcolor import solver
 from eflcolor.coloring import check_proper, color_shared, extend_to_full
-from eflcolor.core import GeneralVertex, build_maximal, validate
+from eflcolor.core import GeneralVertex, adjacency, build_maximal, validate
 from eflcolor.decomposition import (
     CliqueDecomposition,
     check_decomposition_coloring,
     complete_host,
     intersection_graph,
+    intersection_masks,
     validate_decomposition,
 )
 from eflcolor.solver import (
@@ -80,10 +81,23 @@ class TestChromaticNumber:
 
     def test_symmetry_fixing_matches_plain_search(self):
         g = build_maximal(4)
-        fixed = chromatic_number(g, SearchConfig(symmetry_fixing=True))
-        plain = chromatic_number(g, SearchConfig(symmetry_fixing=False))
-        assert fixed.value == plain.value == 4
-        assert fixed.nodes <= plain.nodes
+        fixed = chromatic_number(g)
+        # plain search: the same engine with no preset, palettes upward
+        # from n as chromatic_number tries them
+        verts = g.vertices
+        nb = [
+            sum(1 << i for i, u in enumerate(verts) if adjacency(g, u, v))
+            for v in verts
+        ]
+        palette, plain_nodes = g.n, 0
+        while True:
+            found, _, nodes = solver._search(nb, palette, [], 10**8)
+            plain_nodes += nodes
+            if found:
+                break
+            palette += 1
+        assert fixed.value == palette == 4
+        assert fixed.nodes <= plain_nodes
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExhausted):
@@ -165,10 +179,15 @@ class TestColorDecomposition:
         assert a.certificate == b.certificate
 
     def test_without_symmetry_fixing_same_verdicts(self):
-        cfg = SearchConfig(symmetry_fixing=False)
         d = fano_decomposition()
-        assert color_decomposition(d, 7, cfg).status is Status.COLORABLE
-        assert color_decomposition(d, 6, cfg).status is Status.NOT_COLORABLE
+        nb = intersection_masks(d)
+        verdicts = [(7, Status.COLORABLE), (6, Status.NOT_COLORABLE)]
+        for palette, status in verdicts:
+            fixed = color_decomposition(d, palette)
+            found, _, nodes = solver._search(nb, palette, [], 10**8)
+            assert fixed.status is status
+            assert found == (status is Status.COLORABLE)
+            assert fixed.nodes <= nodes
 
 
 class TestEnumeration:
