@@ -64,23 +64,12 @@ def _config(args) -> SearchConfig:
 
 
 def _cmd_gen(args) -> int:
+    # out-of-range orders and pairs raise ValueError: exit 2 from main
     if args.pairs == "all":
-        try:
-            g = build_maximal(args.n)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_INPUT
+        g = build_maximal(args.n)
     else:
-        data = _read_json(args.pairs)
-        if not isinstance(data, list):
-            raise FormatError(f"{args.pairs} must hold a JSON list of pairs")
-        try:
-            g = build_from_pairs(
-                args.n, [(int(p[0]), int(p[1])) for p in data]
-            )
-        except (ValueError, TypeError, IndexError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_INPUT
+        pairs = serialize.pairs_from_json(_read_json(args.pairs), "--pairs")
+        g = build_from_pairs(args.n, pairs)
     _emit(serialize.dumps(serialize.graph_to_json(g)), args.out)
     return EXIT_OK
 
@@ -102,7 +91,7 @@ def _cmd_color(args) -> int:
         print(f"internal error: coloring failed re-verification: "
               f"{chk.reason}", file=sys.stderr)
         return EXIT_IMPROPER
-    _emit(serialize.dumps(serialize.coloring_to_json(coloring)), args.out)
+    _emit(serialize.coloring_text(coloring), args.out)
     return EXIT_OK
 
 
@@ -154,10 +143,7 @@ def _cmd_chromatic(args) -> int:
     print(result.value)
     print(f"nodes explored: {result.nodes}", file=sys.stderr)
     if args.out:
-        _emit(
-            serialize.dumps(serialize.coloring_to_json(result.witness)),
-            args.out,
-        )
+        _emit(serialize.coloring_text(result.witness), args.out)
     return EXIT_OK
 
 

@@ -4,7 +4,9 @@ Vertex identities are encoded as tagged lists: ["shared", i, j],
 ["unshared", clique, slot], ["general", label].  Graphs round-trip as
 {"n", "shared_pairs", "cliques"?}: the explicit clique lists appear only
 when the shared pairs alone do not reconstruct the graph.  Emitted
-collections are always sorted so output is byte-stable.
+collections are always sorted so output is byte-stable.  Readers take an
+index, order, palette or color only when it is a JSON integer: a string,
+float or boolean is a FormatError, never coerced.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ __all__ = [
     "vertex_from_json",
     "graph_to_json",
     "graph_from_json",
+    "pairs_from_json",
     "coloring_to_json",
+    "coloring_text",
     "vertex_coloring_from_json",
     "decomposition_to_json",
     "decomposition_from_json",
@@ -56,6 +60,18 @@ def dumps(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: Python's bool is an int subclass, so test the type."""
+    return type(x) is int
+
+
+_VERTEX_TYPES = {
+    "shared": SharedVertex,
+    "unshared": UnsharedVertex,
+    "general": GeneralVertex,
+}
+
+
 def vertex_to_json(v) -> list:
     if isinstance(v, SharedVertex):
         return ["shared", v.i, v.j]
@@ -70,17 +86,14 @@ def vertex_from_json(obj):
     if not isinstance(obj, list) or not obj or not isinstance(obj[0], str):
         raise FormatError(f"bad vertex encoding: {obj!r}")
     tag, *rest = obj
+    if tag not in _VERTEX_TYPES:
+        raise FormatError(f"unknown vertex tag {tag!r}")
+    if not all(map(_is_int, rest)):
+        raise FormatError(f"bad vertex encoding {obj!r}: not an integer")
     try:
-        if tag == "shared":
-            return SharedVertex(*map(int, rest))
-        if tag == "unshared":
-            return UnsharedVertex(*map(int, rest))
-        if tag == "general":
-            (label,) = rest
-            return GeneralVertex(int(label))
+        return _VERTEX_TYPES[tag](*rest)
     except (TypeError, ValueError) as e:
         raise FormatError(f"bad vertex encoding {obj!r}: {e}") from None
-    raise FormatError(f"unknown vertex tag {tag!r}")
 
 
 def graph_to_json(g: EflGraph) -> dict:
@@ -105,8 +118,21 @@ def graph_to_json(g: EflGraph) -> dict:
     return out
 
 
+def pairs_from_json(pairs, what: str) -> list:
+    """A JSON list of [i, j] integer pairs as tuples; FormatError naming
+    the first entry that is not one."""
+    if not isinstance(pairs, list):
+        raise FormatError(f"{what} must be a list of [i, j] pairs")
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))):
+            raise FormatError(
+                f"{what} entries must be [i, j] integer pairs, got {p!r}"
+            )
+    return [tuple(p) for p in pairs]
+
+
 def graph_from_json(data) -> EflGraph:
-    if not isinstance(data, dict) or not isinstance(data.get("n"), int):
+    if not isinstance(data, dict) or not _is_int(data.get("n")):
         raise FormatError('graph JSON needs an integer "n"')
     n = data["n"]
     if "cliques" in data and data["cliques"] is not None:
@@ -124,11 +150,10 @@ def graph_from_json(data) -> EflGraph:
     pairs = data.get("shared_pairs")
     if not isinstance(pairs, list):
         raise FormatError('graph JSON needs "shared_pairs" or "cliques"')
-    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise FormatError('"shared_pairs" entries must be [i, j] pairs')
+    pairs = pairs_from_json(pairs, '"shared_pairs"')
     try:
-        return build_from_pairs(n, [(int(i), int(j)) for i, j in pairs])
-    except (ValueError, TypeError) as e:
+        return build_from_pairs(n, pairs)
+    except ValueError as e:
         raise FormatError(f"invalid graph: {e}") from None
 
 
@@ -142,9 +167,35 @@ def coloring_to_json(coloring) -> dict:
     }
 
 
+def coloring_text(coloring) -> str:
+    """``dumps(coloring_to_json(coloring))``, written straight from the
+    sorted items with no intermediate dicts and no JSON encoder."""
+    items = sorted(coloring.colors.items(), key=lambda kv: vertex_key(kv[0]))
+    head = f'{{\n  "palette": {coloring.palette_size},\n  "assignments": '
+    if not items:
+        return head + "[]\n}\n"
+    out = [head, "["]
+    sep = "\n"
+    for v, c in items:
+        if isinstance(v, SharedVertex):
+            fields = f'"shared",\n        {v.i},\n        {v.j}'
+        elif isinstance(v, UnsharedVertex):
+            fields = f'"unshared",\n        {v.clique},\n        {v.slot}'
+        else:
+            tag, label = vertex_to_json(v)
+            fields = f'"{tag}",\n        {json.dumps(label)}'
+        out.append(
+            f'{sep}    {{\n      "vertex": [\n        {fields}\n      ],'
+            f'\n      "color": {c}\n    }}'
+        )
+        sep = ",\n"
+    out.append("\n  ]\n}\n")
+    return "".join(out)
+
+
 def vertex_coloring_from_json(data) -> tuple:
     """Returns (palette, {vertex: color}); the caller decides shared vs full."""
-    if not isinstance(data, dict) or not isinstance(data.get("palette"), int):
+    if not isinstance(data, dict) or not _is_int(data.get("palette")):
         raise FormatError('coloring JSON needs an integer "palette"')
     if not isinstance(data.get("assignments"), list):
         raise FormatError('coloring JSON needs an "assignments" list')
@@ -152,7 +203,7 @@ def vertex_coloring_from_json(data) -> tuple:
     for entry in data["assignments"]:
         if not isinstance(entry, dict) or "vertex" not in entry:
             raise FormatError(f"bad assignment entry: {entry!r}")
-        if not isinstance(entry.get("color"), int):
+        if not _is_int(entry.get("color")):
             raise FormatError(f"bad color in entry: {entry!r}")
         colors[vertex_from_json(entry["vertex"])] = entry["color"]
     return data["palette"], colors
@@ -172,30 +223,31 @@ def decomposition_to_json(d: CliqueDecomposition) -> dict:
 
 
 def decomposition_from_json(data) -> CliqueDecomposition:
-    if not isinstance(data, dict) or not isinstance(data.get("n"), int):
+    if not isinstance(data, dict) or not _is_int(data.get("n")):
         raise FormatError('decomposition JSON needs an integer "n"')
     n = data["n"]
     raw = data.get("host_edges")
+    if raw == "complete":
+        edges = None
+    elif isinstance(raw, list):
+        edges = pairs_from_json(raw, '"host_edges"')
+    else:
+        raise FormatError('"host_edges" must be "complete" or a list of pairs')
     try:
-        if raw == "complete":
+        if edges is None:
             host = complete_host(n)
-        elif isinstance(raw, list):
-            host = HostGraph.from_edges(
-                n, [(int(e[0]), int(e[1])) for e in raw]
-            )
         else:
-            raise FormatError(
-                '"host_edges" must be "complete" or a list of pairs'
-            )
-    except (ValueError, TypeError, IndexError) as e:
+            host = HostGraph.from_edges(n, edges)
+    except ValueError as e:
         raise FormatError(f"invalid host: {e}") from None
     if not isinstance(data.get("cliques"), list):
         raise FormatError('decomposition JSON needs a "cliques" list')
-    try:
-        cliques = [tuple(int(v) for v in c) for c in data["cliques"]]
-    except (ValueError, TypeError) as e:
-        raise FormatError(f"invalid decomposition clique: {e}") from None
-    d = validate_decomposition(host, cliques)
+    for c in data["cliques"]:
+        if not (isinstance(c, list) and all(map(_is_int, c))):
+            raise FormatError(
+                f"invalid decomposition clique {c!r}: not a list of integers"
+            )
+    d = validate_decomposition(host, data["cliques"])
     if isinstance(d, Rejection):
         raise FormatError(f"invalid decomposition: {d.message}")
     return d
@@ -211,7 +263,7 @@ def decomposition_coloring_to_json(c: DecompositionColoring) -> dict:
 
 
 def decomposition_coloring_from_json(data) -> DecompositionColoring:
-    if not isinstance(data, dict) or not isinstance(data.get("palette"), int):
+    if not isinstance(data, dict) or not _is_int(data.get("palette")):
         raise FormatError('coloring JSON needs an integer "palette"')
     if not isinstance(data.get("assignments"), list):
         raise FormatError('coloring JSON needs an "assignments" list')
@@ -219,8 +271,8 @@ def decomposition_coloring_from_json(data) -> DecompositionColoring:
     for entry in data["assignments"]:
         if (
             not isinstance(entry, dict)
-            or not isinstance(entry.get("clique"), int)
-            or not isinstance(entry.get("color"), int)
+            or not _is_int(entry.get("clique"))
+            or not _is_int(entry.get("color"))
         ):
             raise FormatError(f"bad assignment entry: {entry!r}")
         colors[entry["clique"]] = entry["color"]

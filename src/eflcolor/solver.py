@@ -1,18 +1,22 @@
-"""Exact backtracking searches at desk scale.
+"""Exact answers at desk scale: a checked certificate or a counting proof
+first, backtracking search only when neither settles the question.
 
 Three engines: the chromatic number of a small EFL graph, palette-limited
 coloring of a clique decomposition, and exhaustive enumeration of the
 decompositions of K_n whose cliques all have size 2 or size r, swept for
-n-colorability.  Searches are deterministic: fail-first branching (fewest
-feasible colors, ties to the lowest index, colors in ascending order),
-with symmetry fixing that pre-colors one clique to collapse color
+n-colorability.  The chromatic number of a two-clique EFL graph is n,
+certified by the checked closed-form coloring; a palette whose color
+classes cannot cover a decomposition's clique-vertex incidences is
+refuted by counting.  Searches are deterministic: fail-first branching
+(fewest feasible colors, ties to the lowest index, colors in ascending
+order), with symmetry fixing that pre-colors one clique to collapse color
 permutations.  The engine is iterative and bit-parallel: an explicit
 stack instead of recursion, so there is no recursion-depth limit, and
 graphs and color domains held as int bitmasks.  Its branching order, and
 so every node count, verdict and witness, is that of the recursive engine
 it replaced.  A negative answer is reported only after the search space
-is exhausted; running out of node budget is a distinct outcome, never
-conflated with a proof.
+is exhausted or the counting bound refutes the palette; running out of
+node budget is a distinct outcome, never conflated with a proof.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
+from math import gcd
 from time import perf_counter
 from typing import Callable, Iterator, Optional
 
-from .coloring import FullColoring, check_proper
+from .coloring import FullColoring, check_proper, color_shared, extend_to_full
 from .core import EflGraph, vertex_key
 from .decomposition import (
     CliqueDecomposition,
@@ -92,7 +97,8 @@ class SearchOutcome:
     A COLORABLE certificate gives intersecting cliques distinct colors
     within the palette, checked before returning whatever the palette
     (check_decomposition_coloring also fails a palette above the host
-    order); NOT_COLORABLE means the space was exhausted.
+    order); NOT_COLORABLE means the space was exhausted or the capacity
+    bound refuted the palette (0 nodes).
     """
 
     status: Status
@@ -226,16 +232,50 @@ def _greedy_clique(nb):
     return sorted(clique)
 
 
+def _checked_witness(g: EflGraph, witness: FullColoring) -> FullColoring:
+    """witness, once check_proper passes it; AssertionError otherwise."""
+    chk = check_proper(g, witness)
+    if not chk:
+        raise AssertionError(
+            f"solver produced an improper witness: {chk.reason}"
+        )
+    return witness
+
+
 def chromatic_number(
     g: EflGraph, cfg: SearchConfig = SearchConfig()
 ) -> ChromaticResult:
-    """Exact chromatic number of a small EFL graph, with a witness.
+    """Exact chromatic number of an EFL graph, with a verified witness.
 
-    The defining clique Q_1 forces chi >= n, so palettes are tried upward
-    from n; the first success is exact.  Symmetry fixing pre-colors Q_1
-    1..n in vertex order, which is sound because any proper coloring
-    permutes onto such an assignment.  Raises BudgetExhausted
-    when the cumulative node budget runs out.
+    The defining clique Q_1 forces chi >= n.  When every shared vertex
+    lies in exactly two defining cliques, the closed-form coloring
+    extended to all vertices uses n colors; once it passes check_proper it
+    certifies chi = n with no search (0 nodes).  Any other graph goes to
+    the palette search of :func:`_chromatic_search`.  Raises
+    AssertionError when a witness fails its check, and BudgetExhausted
+    when the search's node budget runs out.
+    """
+    if not g.is_two_clique:
+        return _chromatic_search(g, cfg)
+    t0 = perf_counter()
+    try:
+        witness = extend_to_full(g, color_shared(g))
+    except ValueError as e:  # the shared coloring repeats a color
+        raise AssertionError(
+            f"closed form produced an improper coloring: {e}"
+        ) from None
+    return ChromaticResult(
+        g.n, _checked_witness(g, witness), 0, perf_counter() - t0
+    )
+
+
+def _chromatic_search(g: EflGraph, cfg: SearchConfig) -> ChromaticResult:
+    """Chromatic number by search, palettes tried upward from n.
+
+    Q_1 forces chi >= n, so the first success is exact.  Symmetry fixing
+    pre-colors Q_1 1..n in vertex order, which is sound because any
+    proper coloring permutes onto such an assignment.  Raises
+    BudgetExhausted when the cumulative node budget runs out.
     """
     t0 = perf_counter()
     verts = g.vertices
@@ -267,19 +307,47 @@ def chromatic_number(
             witness = FullColoring(
                 k, {verts[i]: c for i, c in enumerate(colors)}
             )
-            chk = check_proper(g, witness)
-            if not chk:
-                raise AssertionError(
-                    f"solver produced an improper witness: {chk.reason}"
-                )
             return ChromaticResult(
-                k, witness, total_nodes, perf_counter() - t0
+                k, _checked_witness(g, witness), total_nodes,
+                perf_counter() - t0,
             )
         k += 1
 
 
+def _refuted_by_capacity(d: CliqueDecomposition, palette: int) -> bool:
+    """True when palette colors cannot cover d's clique-vertex incidences.
+
+    A color class is a set of pairwise vertex-disjoint cliques, so it
+    covers at most N host vertices, and a multiple of g of them, where g
+    is the gcd of the clique sizes: at most N - N % g.  More incidences
+    than palette such classes can hold means no coloring exists.
+    """
+    if not d.cliques:
+        return False
+    sizes = [len(c) for c in d.cliques]
+    n = d.host.vertex_count
+    return sum(sizes) > palette * (n - n % gcd(*sizes))
+
+
 def color_decomposition(
     d: CliqueDecomposition, palette: int, cfg: SearchConfig = SearchConfig()
+) -> SearchOutcome:
+    """Color d's cliques within the given palette, or prove it impossible.
+
+    A palette that fails the color-class capacity bound is NOT_COLORABLE
+    at 0 nodes; any other goes to the search of
+    :func:`_decomposition_search`.
+    """
+    t0 = perf_counter()
+    if _refuted_by_capacity(d, max(palette, 0)):
+        return SearchOutcome(
+            Status.NOT_COLORABLE, None, 0, perf_counter() - t0
+        )
+    return _decomposition_search(d, palette, cfg)
+
+
+def _decomposition_search(
+    d: CliqueDecomposition, palette: int, cfg: SearchConfig
 ) -> SearchOutcome:
     """Search for a coloring of d's cliques within the given palette.
 

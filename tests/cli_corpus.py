@@ -98,6 +98,19 @@ CASES = [
     ("sweep_6_3_min_palettes",
      ["sweep", "--n", "6", "--r", "3", "--min-palettes"]),
     ("sweep_6_4", ["sweep", "--n", "6", "--r", "4"]),
+    # indices that are strings, floats or booleans are input errors
+    ("color_coerced_pairs", ["color", "--in", "@inputs/pairs_coerced.json"]),
+    ("color_string_vertex",
+     ["color", "--in", "@inputs/cliques_string_vertex.json"]),
+    ("gen_pairs_bool",
+     ["gen", "--n", "3", "--pairs", "@inputs/pairs_bool.json"]),
+    ("to_efl_string_clique",
+     ["to-efl", "--in", "@inputs/decomposition_string_clique.json"]),
+    ("to_efl_float_edge",
+     ["to-efl", "--in", "@inputs/decomposition_float_edge.json"]),
+    ("verify_bool_color",
+     ["verify", "--graph", "@gen_all_3.stdout",
+      "--coloring", "@inputs/g3_coloring_bool.json"]),
 ]
 
 

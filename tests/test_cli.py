@@ -1,10 +1,11 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from eflcolor.cli import main
-from eflcolor.core import build_from_pairs, build_maximal
+from eflcolor.core import build_maximal
 from eflcolor.coloring import color_shared
 from eflcolor.serialize import (
     coloring_to_json,
@@ -12,7 +13,14 @@ from eflcolor.serialize import (
     dumps,
     graph_to_json,
 )
-from eflcolor.decomposition import efl_to_decomposition
+from eflcolor.decomposition import (
+    HostGraph,
+    complete_host,
+    decomposition_to_efl,
+    efl_to_decomposition,
+    validate_decomposition,
+)
+from helpers import FANO_TRIANGLES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -187,20 +195,28 @@ class TestChromatic:
         assert main(["verify", "--graph", graph, "--coloring", witness]) == 0
 
     def test_budget_exits_4(self, tmp_path, capsys):
-        graph = write(tmp_path, "g.json", graph_to_json(build_maximal(5)))
+        # the Fano EFL graph is not two-clique, so it is searched
+        fano = validate_decomposition(complete_host(7), FANO_TRIANGLES)
+        g = decomposition_to_efl(fano)
+        graph = write(tmp_path, "g.json", graph_to_json(g))
         assert main([
             "chromatic", "--in", graph, "--node-limit", "2"
         ]) == 4
 
     def test_search_deeper_than_recursion_limit(self, tmp_path, capsys):
-        # 1,597 vertices, one node each: the recursive engine raised
-        # RecursionError here
-        g = build_from_pairs(40, [(1, 2), (2, 3), (3, 4)])
+        # 1,595 vertices, one node each, and host vertices 5, 6, 7 share
+        # one vertex, so the graph is searched: the recursive engine
+        # raised RecursionError here
+        cliques = [(1, 2), (2, 3), (3, 4), (5, 6, 7)]
+        edges = [e for c in cliques for e in combinations(c, 2)]
+        d = validate_decomposition(HostGraph.from_edges(40, edges), cliques)
+        g = decomposition_to_efl(d)
+        assert len(g.vertex_set) == 1595
         graph = write(tmp_path, "g.json", graph_to_json(g))
         assert main(["chromatic", "--in", graph]) == 0
         out = capsys.readouterr()
         assert out.out == "40\n"
-        assert "nodes explored: 1597" in out.err
+        assert "nodes explored: 1595" in out.err
 
 
 class TestDecomposeAndBack:

@@ -8,8 +8,12 @@ from itertools import combinations
 import pytest
 
 from eflcolor import solver
-from eflcolor.core import build_maximal
-from eflcolor.decomposition import complete_host, validate_decomposition
+from eflcolor.core import GeneralVertex, build_maximal, validate, vertex_key
+from eflcolor.decomposition import (
+    complete_host,
+    decomposition_to_efl,
+    validate_decomposition,
+)
 from eflcolor.solver import (
     BudgetExhausted,
     SearchConfig,
@@ -97,11 +101,46 @@ def test_sweep_instances_match_reference(reference_solver):
 
 
 def test_chromatic_numbers_match_reference(reference_solver):
+    # the search behind chromatic_number, which certifies these two-clique
+    # graphs by the closed form without searching
     graphs = [build_maximal(n) for n in range(2, 9)]
+    cfg = SearchConfig()
+    got = [solver._chromatic_search(g, cfg) for g in graphs]
+    reference_solver()
+    want = [solver._chromatic_search(g, cfg) for g in graphs]
+    for a, b in zip(got, want):
+        assert (a.value, a.nodes, a.witness) == (b.value, b.nodes, b.witness)
+
+
+def test_chromatic_search_on_three_clique_graphs_matches_reference(
+    reference_solver,
+):
+    # graphs with a shared vertex in three defining cliques, which
+    # chromatic_number answers by search
+    hub = GeneralVertex(0)
+    graphs = [
+        decomposition_to_efl(
+            validate_decomposition(complete_host(7), FANO_TRIANGLES)
+        ),
+        validate(
+            [{hub, GeneralVertex(1), GeneralVertex(2)},
+             {hub, GeneralVertex(3), GeneralVertex(4)},
+             {hub, GeneralVertex(5), GeneralVertex(6)}],
+            3,
+        ),
+    ]
+    graphs += [
+        decomposition_to_efl(inst.decomposition)
+        for n in range(3, 8)
+        for inst in enumerate_two_r_decompositions(n, 3)
+        if any(len(c) == 3 for c in inst.decomposition.cliques)
+    ]
+    assert not any(g.is_two_clique for g in graphs)
     got = [chromatic_number(g) for g in graphs]
     reference_solver()
     want = [chromatic_number(g) for g in graphs]
-    for a, b in zip(got, want):
+    for g, a, b in zip(graphs, got, want):
+        assert a.value == g.n
         assert (a.value, a.nodes, a.witness) == (b.value, b.nodes, b.witness)
 
 
@@ -117,7 +156,7 @@ class TestNodeCeilings:
 
     @pytest.mark.parametrize("n,ceiling", [(7, 305), (8, 36)])
     def test_chromatic(self, n, ceiling):
-        result = chromatic_number(build_maximal(n))
+        result = solver._chromatic_search(build_maximal(n), SearchConfig())
         assert result.value == n
         assert result.nodes <= ceiling
 
@@ -146,10 +185,27 @@ class TestNodeCeilings:
         assert report.max_nodes <= 262
 
 
+def clique_masks(g):
+    """Neighbor bitmasks over g.vertices, and Q_1 pre-colored 1..n in
+    vertex order, as the chromatic search sets them up."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nb = [0] * len(index)
+    for q in g.cliques:
+        for u in q:
+            for w in q:
+                if u != w:
+                    nb[index[u]] |= 1 << index[w]
+    q1 = sorted(g.cliques[0], key=vertex_key)
+    return nb, [(index[v], c) for c, v in enumerate(q1, start=1)]
+
+
 def test_budget_past_recursion_limit():
-    # 1,081 vertices: the recursive engine raised RecursionError here
+    # G_46's 1,081 vertices at palette 46 with Q_1 pre-colored, as the
+    # chromatic search starts: the recursive engine raised RecursionError
+    g = build_maximal(46)
+    nb, preset = clique_masks(g)
     with pytest.raises(BudgetExhausted) as info:
-        chromatic_number(build_maximal(46), SearchConfig(node_limit=100000))
+        solver._search(nb, 46, preset, 100000)
     assert info.value.nodes == 100001
 
 

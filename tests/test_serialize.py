@@ -2,7 +2,12 @@ from itertools import combinations
 
 import pytest
 
-from eflcolor.coloring import color_shared, extend_to_full
+from eflcolor.coloring import (
+    FullColoring,
+    SharedColoring,
+    color_shared,
+    extend_to_full,
+)
 from eflcolor.core import (
     GeneralVertex,
     SharedVertex,
@@ -20,15 +25,18 @@ from eflcolor.decomposition import (
 )
 from eflcolor.serialize import (
     FormatError,
+    coloring_text,
     coloring_to_json,
     decomposition_coloring_from_json,
     decomposition_coloring_to_json,
     decomposition_from_json,
     decomposition_to_json,
+    dumps,
     graph_from_json,
     graph_to_json,
     host_dot,
     intersection_dot,
+    pairs_from_json,
     vertex_coloring_from_json,
     vertex_from_json,
     vertex_to_json,
@@ -159,6 +167,99 @@ class TestColoringJson:
                 {"palette": 3,
                  "assignments": [{"vertex": ["shared", 1, 2], "color": "x"}]}
             )
+
+
+class TestColoringText:
+    """The schema-specific writer against the generic encoder."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_shared_and_full_colorings_of_g_n(self, n):
+        g = build_maximal(n)
+        shared = color_shared(g)
+        for c in (shared, extend_to_full(g, shared)):
+            assert coloring_text(c) == dumps(coloring_to_json(c))
+
+    @pytest.mark.parametrize("kind", [SharedColoring, FullColoring])
+    def test_empty_coloring(self, kind):
+        c = kind(4, {})
+        assert coloring_text(c) == dumps(coloring_to_json(c))
+
+    def test_general_vertex_keys(self):
+        c = FullColoring(5, {
+            GeneralVertex(12): 2,
+            UnsharedVertex(2, 1): 5,
+            GeneralVertex(3): 1,
+            SharedVertex(1, 2): 4,
+        })
+        assert coloring_text(c) == dumps(coloring_to_json(c))
+
+    def test_vertex_without_encoding_rejected(self):
+        with pytest.raises(FormatError):
+            coloring_text(FullColoring(1, {42: 1}))
+
+
+NOT_INTEGERS = ["1", 2.5, 2.0, True, None, [1]]
+
+
+class TestStrictIntegers:
+    """An index is read only from a JSON integer, never coerced."""
+
+    @pytest.mark.parametrize("x", NOT_INTEGERS)
+    def test_vertex_fields(self, x):
+        for tag, rest in (("shared", [x, 2]), ("unshared", [1, x]),
+                          ("general", [x])):
+            with pytest.raises(FormatError, match="not an integer"):
+                vertex_from_json([tag, *rest])
+
+    @pytest.mark.parametrize("x", NOT_INTEGERS)
+    def test_pairs(self, x):
+        with pytest.raises(FormatError, match="integer pairs"):
+            pairs_from_json([[1, 2], [x, 3]], "pairs")
+        with pytest.raises(FormatError, match="integer pairs"):
+            graph_from_json({"n": 3, "shared_pairs": [[1, x]]})
+
+    @pytest.mark.parametrize("x", NOT_INTEGERS)
+    def test_orders(self, x):
+        with pytest.raises(FormatError, match='integer "n"'):
+            graph_from_json({"n": x, "shared_pairs": []})
+        with pytest.raises(FormatError, match='integer "n"'):
+            decomposition_from_json(
+                {"n": x, "host_edges": "complete", "cliques": []}
+            )
+
+    @pytest.mark.parametrize("x", NOT_INTEGERS)
+    def test_decomposition_edges_and_cliques(self, x):
+        with pytest.raises(FormatError, match="integer pairs"):
+            decomposition_from_json(
+                {"n": 3, "host_edges": [[1, x]], "cliques": [[1, 2]]}
+            )
+        with pytest.raises(FormatError, match="not a list of integers"):
+            decomposition_from_json(
+                {"n": 3, "host_edges": "complete",
+                 "cliques": [[1, 2], [1, 3], [2, x]]}
+            )
+
+    def test_string_clique_is_not_split(self):
+        with pytest.raises(FormatError, match="not a list of integers"):
+            decomposition_from_json(
+                {"n": 3, "host_edges": "complete",
+                 "cliques": ["12", [1, 3], [2, 3]]}
+            )
+
+    @pytest.mark.parametrize("x", NOT_INTEGERS)
+    def test_palettes_colors_and_clique_keys(self, x):
+        entry = {"vertex": ["shared", 1, 2], "color": 1}
+        with pytest.raises(FormatError):
+            vertex_coloring_from_json({"palette": x, "assignments": [entry]})
+        with pytest.raises(FormatError):
+            vertex_coloring_from_json(
+                {"palette": 3, "assignments": [dict(entry, color=x)]}
+            )
+        for bad in ({"palette": x, "assignments": []},
+                    {"palette": 3, "assignments": [{"clique": x, "color": 1}]},
+                    {"palette": 3, "assignments": [{"clique": 1, "color": x}]}):
+            with pytest.raises(FormatError):
+                decomposition_coloring_from_json(bad)
 
 
 class TestDecompositionJson:

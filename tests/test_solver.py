@@ -9,6 +9,7 @@ from eflcolor.decomposition import (
     CliqueDecomposition,
     check_decomposition_coloring,
     complete_host,
+    decomposition_to_efl,
     intersection_graph,
     intersection_masks,
     validate_decomposition,
@@ -81,9 +82,11 @@ class TestChromaticNumber:
 
     def test_symmetry_fixing_matches_plain_search(self):
         g = build_maximal(4)
-        fixed = chromatic_number(g)
+        # the search behind chromatic_number, which certifies G_4 by the
+        # closed form without searching
+        fixed = solver._chromatic_search(g, SearchConfig())
         # plain search: the same engine with no preset, palettes upward
-        # from n as chromatic_number tries them
+        # from n as the chromatic search tries them
         verts = g.vertices
         nb = [
             sum(1 << i for i, u in enumerate(verts) if adjacency(g, u, v))
@@ -100,11 +103,13 @@ class TestChromaticNumber:
         assert fixed.nodes <= plain_nodes
 
     def test_budget_exhaustion_raises(self):
+        # the Fano EFL graph is not two-clique, so it is searched
+        g = decomposition_to_efl(fano_decomposition())
         with pytest.raises(BudgetExhausted):
-            chromatic_number(build_maximal(5), SearchConfig(node_limit=3))
+            chromatic_number(g, SearchConfig(node_limit=3))
 
     def test_deterministic_node_counts(self):
-        g = build_maximal(5)
+        g = decomposition_to_efl(fano_decomposition())  # searched
         a = chromatic_number(g)
         b = chromatic_number(g)
         assert a.value == b.value
@@ -166,8 +171,9 @@ class TestColorDecomposition:
         assert out.certificate.colors == {}
 
     def test_budget_outcome_not_conflated_with_proof(self):
+        # colorable, so the capacity bound cannot settle it
         d = two_clique_decomposition(7)
-        out = color_decomposition(d, 6, SearchConfig(node_limit=2))
+        out = color_decomposition(d, 7, SearchConfig(node_limit=2))
         assert out.status is Status.BUDGET_EXHAUSTED
         assert out.certificate is None
 
