@@ -22,7 +22,6 @@ from .coloring import (
     color_shared,
     extend_to_full,
     pair_color,
-    round_robin_edge_coloring,
 )
 from .decomposition import (
     CliqueCapacityError,

@@ -2,7 +2,10 @@
 
 Subcommands: gen, color, verify, chromatic, decompose, to-efl, sweep,
 export-dot.  Exit codes are stable: 0 success, 1 negative verification,
-2 input error, 3 unsupported structure, 4 node budget exhausted.
+2 input error, 3 unsupported structure, 4 node budget exhausted, 5
+internal error (a result that failed its own check, or any other
+unexpected exception), reported as one "internal error: <Type>:
+<message>" line on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ EXIT_IMPROPER = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 def _read_json(path: str):
@@ -85,12 +89,17 @@ def _cmd_color(args) -> int:
         return EXIT_UNSUPPORTED
     coloring = color_shared(g)
     if args.extend:
-        coloring = extend_to_full(g, coloring)
+        try:
+            coloring = extend_to_full(g, coloring)
+        except ValueError as e:  # it rejects the shared coloring
+            raise AssertionError(
+                f"closed form produced an improper coloring: {e}"
+            ) from None
     chk = check_proper(g, coloring)
     if not chk:
-        print(f"internal error: coloring failed re-verification: "
-              f"{chk.reason}", file=sys.stderr)
-        return EXIT_IMPROPER
+        raise AssertionError(
+            f"coloring failed re-verification: {chk.reason}"
+        )
     _emit(serialize.coloring_text(coloring), args.out)
     return EXIT_OK
 
@@ -301,6 +310,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,9 +9,7 @@ every shared vertex gets i + j (mod n).
 
 A proper shared coloring extends to a proper n-coloring of the whole
 graph: inside each defining clique the unshared vertices take the colors
-its shared vertices do not use.  An independent route to the same bound
-colors the edges of K_n with a round-robin schedule and transports edge
-colors to shared vertices; both are provided so each can check the other.
+its shared vertices do not use.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ __all__ = [
     "color_shared",
     "clique_color_sets",
     "extend_to_full",
-    "round_robin_edge_coloring",
     "check_proper",
 ]
 
@@ -153,31 +150,6 @@ def extend_to_full(g: EflGraph, shared: SharedColoring) -> FullColoring:
         for v, c in zip(rest, free):
             full[v] = c
     return FullColoring(n, full)
-
-
-def round_robin_edge_coloring(n: int) -> dict:
-    """Proper edge coloring of K_n by the classical circle method.
-
-    Vertex n stays fixed; vertices 1..n-1 rotate.  Round r (color r) pairs
-    r with the fixed vertex and matches r-k with r+k around the circle.
-    Uses n - 1 colors for even n; odd n is scheduled with a dummy partner
-    whose pairings are dropped, giving n colors with one vertex idle per
-    round.  Returns a map from sorted vertex pairs to colors.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if n % 2:
-        full = round_robin_edge_coloring(n + 1)
-        return {e: c for e, c in full.items() if e[1] <= n}
-    m = n - 1
-    colors = {}
-    for r in range(1, m + 1):
-        colors[(r, n)] = r
-        for k in range(1, (n - 2) // 2 + 1):
-            a = _mod1(r - k, m)
-            b = _mod1(r + k, m)
-            colors[(a, b) if a < b else (b, a)] = r
-    return colors
 
 
 def check_proper(g: EflGraph, coloring) -> ProperCheck:

@@ -221,7 +221,8 @@ def _greedy_clique(nb):
     lowest index), grow by the smallest common neighbor."""
     if not nb:
         return []
-    seed = max(range(len(nb)), key=lambda v: (nb[v].bit_count(), -v))
+    degs = [x.bit_count() for x in nb]
+    seed = degs.index(max(degs))
     clique = [seed]
     cands = nb[seed]
     while cands:
@@ -358,7 +359,6 @@ def _decomposition_search(
     re-checked for properness before returning.
     """
     t0 = perf_counter()
-    k = len(d.cliques)
     nb = intersection_masks(d)
     preset = [(v, c) for c, v in enumerate(_greedy_clique(nb), start=1)]
     try:
@@ -385,9 +385,7 @@ def _decomposition_search(
             f"solver certificate failed verification: cliques {s} and {t} "
             f"share a vertex and color {colors[s - 1]}"
         )
-    cert = DecompositionColoring(
-        palette, {t + 1: colors[t] for t in range(k)}
-    )
+    cert = DecompositionColoring(palette, dict(enumerate(colors, 1)))
     return SearchOutcome(Status.COLORABLE, cert, nodes, perf_counter() - t0)
 
 
@@ -410,47 +408,74 @@ def enumerate_two_r_decompositions(n: int, r: int) -> Iterator[SweepInstance]:
     first instance yielded is therefore the greedy lexicographic r-clique
     packing.  Labeled level only: no isomorph rejection.  r may equal n
     (the whole of K_n is then one admissible clique).
+
+    The enumeration is iterative over edge bitmasks: edges are numbered
+    lexicographically, the covered edges are one int, the next edge to
+    branch on is the lowest bit of the uncovered ones, and each choice is
+    one frame on an explicit stack.
     """
     if not 3 <= r <= n:
         raise ValueError(f"need 3 <= r <= n, got r={r}, n={n}")
     host = complete_host(n)
     edges = sorted(host.edges)
-    covered = set()
+    bit = {e: 1 << t for t, e in enumerate(edges)}
+    # options[t]: the cliques that may cover edge t, each with its edge
+    # mask: the r-cliques through it in lexicographic order, then the
+    # edge itself as a 2-clique, which is always free when t is branched on
+    options = []
+    for i, j in edges:
+        others = [v for v in range(1, n + 1) if v != i and v != j]
+        opts = []
+        for extra in combinations(others, r - 2):
+            cand = tuple(sorted((i, j) + extra))
+            opts.append((cand, sum(bit[f] for f in combinations(cand, 2))))
+        opts.append(((i, j), bit[i, j]))
+        options.append(opts)
+    full = (1 << len(edges)) - 1
+    covered = 0
     twos = []  # the edges settled as 2-cliques
     chosen = []  # the r-cliques
-
-    def rec():
-        e = next((f for f in edges if f not in covered), None)
-        if e is None:
+    # (edge, index of its option in force, that option's mask, the list
+    # holding the option's clique)
+    frames = []
+    e = k = 0  # the edge to cover and the first of its options to try
+    while True:
+        opts = options[e]
+        while k < len(opts) and opts[k][1] & covered:
+            k += 1
+        if k < len(opts):
+            clique, mask = opts[k]
+            placed = twos if len(clique) == 2 else chosen
+            placed.append(clique)
+            covered |= mask
+            frames.append((e, k, mask, placed))
+            free = full ^ covered
+            if free:
+                e = (free & -free).bit_length() - 1
+                k = 0
+                continue
             # both lists grow in lexicographic order, so this is the
             # canonical (size, lexicographic) order
             cliques = tuple(twos) + tuple(chosen)
             yield SweepInstance(n, r, CliqueDecomposition(host, cliques))
+        # undo the deepest choice and go on with the option after it
+        if not frames:
             return
-        i, j = e
-        others = [v for v in range(1, n + 1) if v != i and v != j]
-        for extra in combinations(others, r - 2):
-            cand = tuple(sorted((i, j) + extra))
-            cand_edges = list(combinations(cand, 2))
-            if any(f in covered for f in cand_edges):
-                continue
-            covered.update(cand_edges)
-            chosen.append(cand)
-            yield from rec()
-            chosen.pop()
-            covered.difference_update(cand_edges)
-        covered.add(e)
-        twos.append(e)
-        yield from rec()
-        twos.pop()
-        covered.discard(e)
-
-    yield from rec()
+        e, k, mask, placed = frames.pop()
+        covered ^= mask
+        placed.pop()
+        k += 1
 
 
 @dataclass
 class SweepReport:
-    """Aggregate of one colorability sweep, keyed by canonical clique lists."""
+    """Aggregate of one colorability sweep, keyed by canonical clique lists.
+
+    budget_exhausted lists every instance whose search ran out of budget:
+    at palette n, or, with minimum palettes, on a downward probe.  Such a
+    probe settles no minimum, so the instance is counted colorable (the
+    palette n search succeeded) but has no min_palettes entry.
+    """
 
     n: int
     r: int
@@ -476,6 +501,11 @@ class SweepReport:
         return out
 
 
+def _clique_lists(d: CliqueDecomposition) -> list:
+    """d's cliques as JSON lists: the key a sweep report lists d by."""
+    return [list(c) for c in d.cliques]
+
+
 def sweep_two_r_decompositions(
     n: int,
     r: int,
@@ -489,7 +519,9 @@ def sweep_two_r_decompositions(
     claim for complete-host decompositions and is listed by its canonical
     clique list; budget exhaustions are listed separately, never dropped.
     With minimum_palettes, each colorable instance is probed downward for
-    the least sufficient palette.
+    the least sufficient palette, which is reported only once a probe
+    proves the palette below it NOT_COLORABLE; a probe that exhausts the
+    budget lists the instance under budget_exhausted instead.
     """
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
@@ -498,21 +530,25 @@ def sweep_two_r_decompositions(
         out = color_decomposition(d, n, cfg)
         total += 1
         max_nodes = max(max_nodes, out.nodes)
-        key = [list(c) for c in d.cliques]
         if out.status is Status.COLORABLE:
             colorable += 1
             if minimum_palettes:
                 p = n
                 while p > 0:
-                    probe = color_decomposition(d, p - 1, cfg)
-                    if probe.status is not Status.COLORABLE:
+                    probe = color_decomposition(d, p - 1, cfg).status
+                    if probe is not Status.COLORABLE:
                         break
                     p -= 1
-                minimums.append({"cliques": key, "min_palette": p})
+                if probe is Status.BUDGET_EXHAUSTED:
+                    budget.append(_clique_lists(d))
+                else:
+                    minimums.append(
+                        {"cliques": _clique_lists(d), "min_palette": p}
+                    )
         elif out.status is Status.NOT_COLORABLE:
-            not_col.append(key)
+            not_col.append(_clique_lists(d))
         else:
-            budget.append(key)
+            budget.append(_clique_lists(d))
     not_col.sort()
     budget.sort()
     minimums.sort(key=lambda entry: entry["cliques"])

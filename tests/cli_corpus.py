@@ -98,6 +98,10 @@ CASES = [
     ("sweep_6_3_min_palettes",
      ["sweep", "--n", "6", "--r", "3", "--min-palettes"]),
     ("sweep_6_4", ["sweep", "--n", "6", "--r", "4"]),
+    # a downward probe that runs out of budget settles no minimum: exit 4
+    ("sweep_6_3_min_palettes_budget",
+     ["sweep", "--n", "6", "--r", "3", "--min-palettes",
+      "--node-limit", "13"]),
     # indices that are strings, floats or booleans are input errors
     ("color_coerced_pairs", ["color", "--in", "@inputs/pairs_coerced.json"]),
     ("color_string_vertex",

@@ -1,8 +1,9 @@
 """Independent brute-force oracles shared across the test modules.
 
 Everything here recomputes answers from first principles (pairwise scans,
-exhaustive enumeration, graph rebuilds, the recursive search engine) so
-the library's own fast paths are never trusted to check themselves.
+exhaustive enumeration, graph rebuilds, the recursive search engine and
+enumerator, the round-robin edge coloring) so the library's own fast
+paths are never trusted to check themselves.
 """
 
 from itertools import combinations, product
@@ -15,8 +16,9 @@ from eflcolor.core import (
     build_from_pairs,
     vertex_key,
 )
+from eflcolor.decomposition import CliqueDecomposition, complete_host
 from eflcolor.serialize import vertex_to_json
-from eflcolor.solver import BudgetExhausted
+from eflcolor.solver import BudgetExhausted, SweepInstance
 
 
 def brute_force_proper(g: EflGraph, colors: dict) -> bool:
@@ -247,3 +249,83 @@ def reference_search(neighbors, palette, preset, node_limit, progress=None,
 
     found = extend()
     return found, (color[:] if found else None), state["nodes"]
+
+
+def reference_enumerate_two_r(n, r):
+    """Yield every labeled decomposition of K_n into 2-cliques and r-cliques.
+
+    The recursive enumerator that eflcolor.solver's bitmask enumerator
+    replaced, kept as the oracle its instance order is compared against.
+
+    Backtracks on the lexicographically smallest uncovered edge, trying
+    the r-cliques through it in lexicographic order before settling for a
+    2-clique, so every decomposition appears exactly once (the clique
+    covering the smallest undecided edge is forced at each step).  The
+    first instance yielded is therefore the greedy lexicographic r-clique
+    packing.  Labeled level only: no isomorph rejection.  r may equal n
+    (the whole of K_n is then one admissible clique).
+    """
+    if not 3 <= r <= n:
+        raise ValueError(f"need 3 <= r <= n, got r={r}, n={n}")
+    host = complete_host(n)
+    edges = sorted(host.edges)
+    covered = set()
+    twos = []  # the edges settled as 2-cliques
+    chosen = []  # the r-cliques
+
+    def rec():
+        e = next((f for f in edges if f not in covered), None)
+        if e is None:
+            # both lists grow in lexicographic order, so this is the
+            # canonical (size, lexicographic) order
+            cliques = tuple(twos) + tuple(chosen)
+            yield SweepInstance(n, r, CliqueDecomposition(host, cliques))
+            return
+        i, j = e
+        others = [v for v in range(1, n + 1) if v != i and v != j]
+        for extra in combinations(others, r - 2):
+            cand = tuple(sorted((i, j) + extra))
+            cand_edges = list(combinations(cand, 2))
+            if any(f in covered for f in cand_edges):
+                continue
+            covered.update(cand_edges)
+            chosen.append(cand)
+            yield from rec()
+            chosen.pop()
+            covered.difference_update(cand_edges)
+        covered.add(e)
+        twos.append(e)
+        yield from rec()
+        twos.pop()
+        covered.discard(e)
+
+    yield from rec()
+
+
+def round_robin_edge_coloring(n: int) -> dict:
+    """Proper edge coloring of K_n by the classical circle method.
+
+    An independent route to the closed-form bound: transported to shared
+    vertices it must agree with eflcolor.coloring.pair_color on palette
+    and color classes.
+
+    Vertex n stays fixed; vertices 1..n-1 rotate.  Round r (color r) pairs
+    r with the fixed vertex and matches r-k with r+k around the circle.
+    Uses n - 1 colors for even n; odd n is scheduled with a dummy partner
+    whose pairings are dropped, giving n colors with one vertex idle per
+    round.  Returns a map from sorted vertex pairs to colors.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if n % 2:
+        full = round_robin_edge_coloring(n + 1)
+        return {e: c for e, c in full.items() if e[1] <= n}
+    m = n - 1
+    colors = {}
+    for r in range(1, m + 1):
+        colors[(r, n)] = r
+        for k in range(1, (n - 2) // 2 + 1):
+            a = (r - k - 1) % m + 1
+            b = (r + k - 1) % m + 1
+            colors[(a, b) if a < b else (b, a)] = r
+    return colors

@@ -18,7 +18,6 @@ from eflcolor.coloring import (
     color_shared,
     extend_to_full,
     pair_color,
-    round_robin_edge_coloring,
 )
 from eflcolor.core import SharedVertex, build_from_pairs, build_maximal
 from eflcolor.decomposition import (
@@ -42,6 +41,7 @@ from helpers import (
     FANO_TRIANGLES,
     edge_disjoint_r_families,
     family_to_clique_list,
+    round_robin_edge_coloring,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"

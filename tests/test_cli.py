@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from eflcolor import cli, coloring, solver
 from eflcolor.cli import main
 from eflcolor.core import build_maximal
-from eflcolor.coloring import color_shared
+from eflcolor.coloring import FullColoring, color_shared
 from eflcolor.serialize import (
     coloring_to_json,
     decomposition_to_json,
@@ -248,6 +249,56 @@ class TestSweep:
         ]) == 4
         data = json.loads(capsys.readouterr().out)
         assert data["budget_exhausted"]
+
+
+class TestInternalError:
+    """A result that fails eflcolor's own check, or any other unexpected
+    exception, exits 5 with one stderr line, never 1 or a traceback."""
+
+    @pytest.fixture
+    def graph(self, tmp_path):
+        return write(tmp_path, "g.json", graph_to_json(build_maximal(5)))
+
+    def expect_internal(self, argv, capsys, kind):
+        assert main(argv) == 5
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"internal error: {kind}: ")
+        assert out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["color"], ["color", "--extend"], ["chromatic"]]
+    )
+    def test_broken_pair_color(self, graph, monkeypatch, capsys, argv):
+        monkeypatch.setattr(coloring, "pair_color", lambda n, i, j: 1)
+        self.expect_internal(
+            [argv[0], "--in", graph, *argv[1:]], capsys, "AssertionError"
+        )
+
+    @pytest.mark.parametrize(
+        "module,argv",
+        [(cli, ["color", "--extend"]), (solver, ["chromatic"])],
+        ids=["color", "chromatic"],
+    )
+    def test_monochromatic_extension(
+        self, graph, monkeypatch, capsys, module, argv
+    ):
+        def monochromatic(g, shared):
+            return FullColoring(g.n, {v: 1 for v in g.vertex_set})
+
+        monkeypatch.setattr(module, "extend_to_full", monochromatic)
+        self.expect_internal(
+            [argv[0], "--in", graph, *argv[1:]], capsys, "AssertionError"
+        )
+
+    def test_unexpected_exception(self, graph, monkeypatch, capsys):
+        def broken(g):
+            raise KeyError("lost clique")
+
+        monkeypatch.setattr(cli, "efl_to_decomposition", broken)
+        self.expect_internal(
+            ["decompose", "--in", graph], capsys, "KeyError"
+        )
 
 
 class TestExportDot:

@@ -13,7 +13,6 @@ from eflcolor.coloring import (
     color_shared,
     extend_to_full,
     pair_color,
-    round_robin_edge_coloring,
 )
 from eflcolor.core import (
     SharedVertex,
@@ -23,7 +22,7 @@ from eflcolor.core import (
     validate,
     GeneralVertex,
 )
-from helpers import brute_force_proper
+from helpers import brute_force_proper, round_robin_edge_coloring
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -26,8 +26,11 @@ from eflcolor.decomposition import (
     transport_coloring,
     validate_decomposition,
 )
-from eflcolor.coloring import round_robin_edge_coloring
-from helpers import FANO_TRIANGLES, family_to_clique_list
+from helpers import (
+    FANO_TRIANGLES,
+    family_to_clique_list,
+    round_robin_edge_coloring,
+)
 
 
 def decomposition(n, cliques, host=None):

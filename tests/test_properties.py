@@ -17,7 +17,6 @@ from eflcolor.coloring import (
     color_shared,
     extend_to_full,
     pair_color,
-    round_robin_edge_coloring,
 )
 from eflcolor.core import (
     SharedVertex,
@@ -32,7 +31,7 @@ from eflcolor.decomposition import (
     decomposition_to_efl,
     efl_to_decomposition,
 )
-from helpers import brute_force_proper
+from helpers import brute_force_proper, round_robin_edge_coloring
 
 
 @st.composite

@@ -1,9 +1,10 @@
 """The iterative bit-parallel search engine against the recursive one it
 replaced, the node counts it must not exceed, and instances deeper than
-the interpreter's recursion limit."""
+the interpreter's recursion limit; the bitmask (2, r) enumerator against
+the recursive one it replaced."""
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -23,7 +24,11 @@ from eflcolor.solver import (
     enumerate_two_r_decompositions,
     sweep_two_r_decompositions,
 )
-from helpers import FANO_TRIANGLES, reference_search
+from helpers import (
+    FANO_TRIANGLES,
+    reference_enumerate_two_r,
+    reference_search,
+)
 
 
 def reference_engine(nb, palette, preset, node_limit, progress=None,
@@ -71,6 +76,53 @@ def test_random_graphs_match_reference(seed):
     for _ in range(400):
         args = random_instance(rng)
         assert run(solver._search, *args) == run(reference_engine, *args), args
+
+
+def reference_greedy_clique(nb):
+    """_greedy_clique with its seed picked by the rule it had before:
+    a key per vertex, most neighbors first, ties to the lowest index."""
+    if not nb:
+        return []
+    seed = max(range(len(nb)), key=lambda v: (nb[v].bit_count(), -v))
+    clique = [seed]
+    cands = nb[seed]
+    while cands:
+        low = cands & -cands
+        v = low.bit_length() - 1
+        clique.append(v)
+        cands &= nb[v]
+    return sorted(clique)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_clique_matches_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(400):
+        nb = random_instance(rng)[0]
+        assert solver._greedy_clique(nb) == reference_greedy_clique(nb), nb
+
+
+@pytest.mark.parametrize(
+    "n,r",
+    [
+        (n, r)
+        for n in range(3, 9)
+        for r in range(3, n + 1)
+        if (n, r) != (8, 3)
+    ],
+)
+def test_enumeration_matches_reference(n, r):
+    got = list(enumerate_two_r_decompositions(n, r))
+    assert got == list(reference_enumerate_two_r(n, r))
+
+
+def test_enumeration_8_3_prefix_and_count():
+    # the whole reference stream takes about 15 s, so (8, 3) is compared
+    # on its first 20,000 instances and its labeled total
+    got = enumerate_two_r_decompositions(8, 3)
+    want = reference_enumerate_two_r(8, 3)
+    assert list(islice(got, 20000)) == list(islice(want, 20000))
+    assert 20000 + sum(1 for _ in got) == 231577
 
 
 @pytest.fixture

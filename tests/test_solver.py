@@ -302,6 +302,46 @@ class TestSweep:
         all_two = tuple(combinations(range(1, 5), 2))
         assert by_cliques[all_two] == 3
 
+    @pytest.mark.parametrize("node_limit", [13, 10**8])
+    def test_minimum_palettes_are_proven(self, node_limit):
+        # a probe that runs out of budget proves nothing: at node_limit 13
+        # such instances were once reported with the last palette that
+        # succeeded (65 at min_palette 6 instead of the true 20)
+        cfg = SearchConfig(node_limit=node_limit)
+        report = sweep_two_r_decompositions(6, 3, cfg, minimum_palettes=True)
+        host = complete_host(6)
+        for entry in report.min_palettes:
+            d = validate_decomposition(host, entry["cliques"])
+            p = entry["min_palette"]
+            assert color_decomposition(d, p).status is Status.COLORABLE
+            assert color_decomposition(d, p - 1).status is (
+                Status.NOT_COLORABLE
+            ), entry
+        # every instance is settled or listed as unsettled, and colorable
+        # counts each one the palette 6 search colored
+        decomps = [
+            inst.decomposition
+            for inst in enumerate_two_r_decompositions(6, 3)
+        ]
+        listed = [e["cliques"] for e in report.min_palettes]
+        assert sorted(listed + report.budget_exhausted) == sorted(
+            [list(c) for c in d.cliques] for d in decomps
+        )
+        at_six = [color_decomposition(d, 6, cfg).status for d in decomps]
+        assert report.colorable == at_six.count(Status.COLORABLE)
+
+    def test_budget_on_a_downward_probe_is_reported(self):
+        # colorable at palette 5, but the probe needs more than 13 nodes
+        cliques = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [2, 5], [2, 6],
+                   [3, 5], [4, 5], [1, 5, 6], [3, 4, 6]]
+        d = validate_decomposition(complete_host(6), cliques)
+        assert color_decomposition(d, 5).status is Status.COLORABLE
+        report = sweep_two_r_decompositions(
+            6, 3, SearchConfig(node_limit=13), minimum_palettes=True
+        )
+        assert cliques in report.budget_exhausted
+        assert all(e["cliques"] != cliques for e in report.min_palettes)
+
     def test_budget_entries_are_reported(self):
         report = sweep_two_r_decompositions(4, 3, SearchConfig(node_limit=1))
         assert report.instances == 5
