@@ -2,10 +2,12 @@
 
 Subcommands: gen, color, verify, chromatic, decompose, to-efl, sweep,
 export-dot.  Exit codes are stable: 0 success, 1 negative verification,
-2 input error, 3 unsupported structure, 4 node budget exhausted, 5
-internal error (a result that failed its own check, or any other
-unexpected exception), reported as one "internal error: <Type>:
-<message>" line on stderr.
+2 input error (an order above core.MAX_ORDER = 2048 among them, refused
+before anything is built), 3 unsupported structure, 4 node budget
+exhausted, 5 internal error (a result that failed its own check, or any
+other unexpected exception), reported as one "internal error: <Type>:
+<message>" line on stderr, and 130 on Ctrl-C (SIGINT), reported as one
+"interrupted" line on stderr once every sweep worker is reaped.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
+EXIT_INTERRUPTED = 130
 
 
 def _read_json(path: str):
@@ -159,7 +162,7 @@ def _cmd_chromatic(args) -> int:
 def _cmd_decompose(args) -> int:
     g = serialize.graph_from_json(_read_json(args.infile))
     d = efl_to_decomposition(g)
-    _emit(serialize.dumps(serialize.decomposition_to_json(d)), args.out)
+    _emit(serialize.decomposition_text(d), args.out)
     return EXIT_OK
 
 
@@ -313,6 +316,9 @@ def main(argv=None) -> int:
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ __all__ = [
     "vertex_key",
     "Rejection",
     "EflGraph",
+    "MAX_ORDER",
     "build_maximal",
     "build_from_pairs",
     "validate",
@@ -177,12 +178,30 @@ class EflGraph:
         return _named_cliques(v) or self.membership[v]
 
 
+# the largest order built or read: G_n has about n^2 / 2 vertices, so an
+# order far above the working sizes of the closed form (n = 600) is
+# refused before anything is allocated
+MAX_ORDER = 2048
+
+
+def _order_error(n: int):
+    """Why no EFL graph of order n is built, or None when one may be."""
+    if n < 2:
+        return f"n must be >= 2, got {n}"
+    if n > MAX_ORDER:
+        return f"n must be <= {MAX_ORDER}, got {n}"
+    return None
+
+
 def build_maximal(n: int) -> EflGraph:
     """The maximal instance G_n: every two defining cliques share a vertex.
 
     G_n has C(n, 2) shared vertices and n^2 - C(n, 2) vertices in total;
     each defining clique carries exactly one unshared vertex.
     """
+    why = _order_error(n)  # before combinations() copies its pool
+    if why:
+        raise ValueError(why)
     return build_from_pairs(n, combinations(range(1, n + 1), 2))
 
 
@@ -191,10 +210,12 @@ def build_from_pairs(n: int, pairs: Iterable) -> EflGraph:
 
     Each pair (i, j) with 1 <= i < j <= n names one vertex shared by
     cliques Q_i and Q_j; every defining clique is padded with unshared
-    vertices up to order n.  Rejects out-of-range and duplicate pairs.
+    vertices up to order n.  Rejects an order outside 2..MAX_ORDER, and
+    out-of-range and duplicate pairs.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    why = _order_error(n)
+    if why:
+        raise ValueError(why)
     members: list = [[] for _ in range(n + 1)]
     shared = set()
     for p in pairs:
@@ -221,15 +242,16 @@ def validate(cliques: Iterable, n: int):
 
     Returns a validated graph or a :class:`Rejection` naming the first
     violated invariant.  The scan order is fixed so the report is
-    deterministic: order n, clique count, clique sizes by ascending index,
-    the lexicographically first pair of cliques sharing two or more
-    vertices, then identity consistency (named identities must match
+    deterministic: order n (2..MAX_ORDER), clique count, clique sizes by
+    ascending index, the lexicographically first pair of cliques sharing
+    two or more vertices, then identity consistency (named identities must match
     actual membership, the least offender by :func:`vertex_key` in the
     first clique holding one, and unshared slots must fit the clique's
     free capacity).
     """
-    if n < 2:
-        return Rejection("order", f"n must be >= 2, got {n}")
+    why = _order_error(n)
+    if why:
+        return Rejection("order", why)
     qs = [frozenset(q) for q in cliques]
     if len(qs) != n:
         return Rejection(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 
 from .core import (
+    MAX_ORDER,
     EflGraph,
     GeneralVertex,
     Rejection,
@@ -43,6 +44,7 @@ __all__ = [
     "coloring_text",
     "vertex_coloring_from_json",
     "decomposition_to_json",
+    "decomposition_text",
     "decomposition_from_json",
     "decomposition_coloring_to_json",
     "decomposition_coloring_from_json",
@@ -222,10 +224,38 @@ def decomposition_to_json(d: CliqueDecomposition) -> dict:
     }
 
 
+def _int_lists(rows) -> str:
+    """A list of integer lists as ``dumps`` writes it as an object's value."""
+    if not rows:
+        return "[]"
+    items = ",\n".join(
+        "    [\n      " + ",\n      ".join(map(str, row)) + "\n    ]"
+        if row else "    []"
+        for row in rows
+    )
+    return f"[\n{items}\n  ]"
+
+
+def decomposition_text(d: CliqueDecomposition) -> str:
+    """``dumps(decomposition_to_json(d))``, written straight from the host
+    edges and cliques with no intermediate lists and no JSON encoder."""
+    host = (
+        '"complete"'
+        if d.host.is_complete
+        else _int_lists(sorted(d.host.edges))
+    )
+    return (
+        f'{{\n  "n": {d.host.vertex_count},\n  "host_edges": {host},\n'
+        f'  "cliques": {_int_lists(d.cliques)}\n}}\n'
+    )
+
+
 def decomposition_from_json(data) -> CliqueDecomposition:
     if not isinstance(data, dict) or not _is_int(data.get("n")):
         raise FormatError('decomposition JSON needs an integer "n"')
     n = data["n"]
+    if n > MAX_ORDER:  # before K_n, or the EFL graph of order n, is built
+        raise FormatError(f"invalid host: n must be <= {MAX_ORDER}, got {n}")
     raw = data.get("host_edges")
     if raw == "complete":
         edges = None

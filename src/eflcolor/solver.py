@@ -17,17 +17,22 @@ so every node count, verdict and witness, is that of the recursive engine
 it replaced.  A negative answer is reported only after the search space
 is exhausted or the counting bound refutes the palette; running out of
 node budget is a distinct outcome, never conflated with a proof.
+Sweeps split their instance stream into deterministic shards, one per
+usable CPU, swept in forked workers; the merged report is the same
+whatever the CPU count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 from math import gcd
 from time import perf_counter
 from typing import Callable, Iterator, Optional
 
+from . import shards as _shards
 from .coloring import FullColoring, check_proper, color_shared, extend_to_full
 from .core import EflGraph, vertex_key
 from .decomposition import (
@@ -398,7 +403,19 @@ class SweepInstance:
     decomposition: CliqueDecomposition
 
 
-def enumerate_two_r_decompositions(n: int, r: int) -> Iterator[SweepInstance]:
+def _check_two_r(n: int, r: int):
+    if not 3 <= r <= n:
+        raise ValueError(f"need 3 <= r <= n, got r={r}, n={n}")
+
+
+# the depth of a shard's prefixes: deep enough that (8, 3) has thousands
+# of them, so dealing them out round robin balances the shards
+SHARD_DEPTH = 12
+
+
+def enumerate_two_r_decompositions(
+    n: int, r: int, shard: int = 0, shards: int = 1
+) -> Iterator[SweepInstance]:
     """Yield every labeled decomposition of K_n into 2-cliques and r-cliques.
 
     Backtracks on the lexicographically smallest uncovered edge, trying
@@ -413,9 +430,15 @@ def enumerate_two_r_decompositions(n: int, r: int) -> Iterator[SweepInstance]:
     lexicographically, the covered edges are one int, the next edge to
     branch on is the lowest bit of the uncovered ones, and each choice is
     one frame on an explicit stack.
+
+    shard i of k yields the instances below the search prefixes of
+    SHARD_DEPTH choices whose index in search order is i modulo k; a leaf
+    shallower than that is its own prefix.  The k shards partition the
+    stream, and each keeps its order.
     """
-    if not 3 <= r <= n:
-        raise ValueError(f"need 3 <= r <= n, got r={r}, n={n}")
+    _check_two_r(n, r)
+    if not 0 <= shard < shards:
+        raise ValueError(f"need 0 <= shard < shards, got {shard}/{shards}")
     host = complete_host(n)
     edges = sorted(host.edges)
     bit = {e: 1 << t for t, e in enumerate(edges)}
@@ -439,6 +462,7 @@ def enumerate_two_r_decompositions(n: int, r: int) -> Iterator[SweepInstance]:
     # holding the option's clique)
     frames = []
     e = k = 0  # the edge to cover and the first of its options to try
+    prefix = 0  # the search-order index of the next prefix
     while True:
         opts = options[e]
         while k < len(opts) and opts[k][1] & covered:
@@ -450,14 +474,20 @@ def enumerate_two_r_decompositions(n: int, r: int) -> Iterator[SweepInstance]:
             covered |= mask
             frames.append((e, k, mask, placed))
             free = full ^ covered
-            if free:
+            ours = True
+            depth = len(frames)
+            if depth == SHARD_DEPTH or (not free and depth < SHARD_DEPTH):
+                ours = prefix % shards == shard
+                prefix += 1
+            if ours and free:
                 e = (free & -free).bit_length() - 1
                 k = 0
                 continue
-            # both lists grow in lexicographic order, so this is the
-            # canonical (size, lexicographic) order
-            cliques = tuple(twos) + tuple(chosen)
-            yield SweepInstance(n, r, CliqueDecomposition(host, cliques))
+            if ours:
+                # both lists grow in lexicographic order, so this is the
+                # canonical (size, lexicographic) order
+                cliques = tuple(twos) + tuple(chosen)
+                yield SweepInstance(n, r, CliqueDecomposition(host, cliques))
         # undo the deepest choice and go on with the option after it
         if not frames:
             return
@@ -506,26 +536,13 @@ def _clique_lists(d: CliqueDecomposition) -> list:
     return [list(c) for c in d.cliques]
 
 
-def sweep_two_r_decompositions(
-    n: int,
-    r: int,
-    cfg: SearchConfig = SearchConfig(),
-    minimum_palettes: bool = False,
-) -> SweepReport:
-    """Color every decomposition of K_n with clique sizes {2, r} using
-    palette n and report the totals.
-
-    An instance that is not n-colorable would contradict the n-coloring
-    claim for complete-host decompositions and is listed by its canonical
-    clique list; budget exhaustions are listed separately, never dropped.
-    With minimum_palettes, each colorable instance is probed downward for
-    the least sufficient palette, which is reported only once a probe
-    proves the palette below it NOT_COLORABLE; a probe that exhausts the
-    budget lists the instance under budget_exhausted instead.
-    """
+def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
+    """The sweep of one shard of the (2, r) stream, its lists unsorted:
+    (instances, colorable, max_nodes, not_colorable, budget_exhausted,
+    min_palettes)."""
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
-    for inst in enumerate_two_r_decompositions(n, r):
+    for inst in enumerate_two_r_decompositions(n, r, shard, shards):
         d = inst.decomposition
         out = color_decomposition(d, n, cfg)
         total += 1
@@ -549,18 +566,49 @@ def sweep_two_r_decompositions(
             not_col.append(_clique_lists(d))
         else:
             budget.append(_clique_lists(d))
-    not_col.sort()
-    budget.sort()
-    minimums.sort(key=lambda entry: entry["cliques"])
+    return total, colorable, max_nodes, not_col, budget, minimums
+
+
+def sweep_two_r_decompositions(
+    n: int,
+    r: int,
+    cfg: SearchConfig = SearchConfig(),
+    minimum_palettes: bool = False,
+) -> SweepReport:
+    """Color every decomposition of K_n with clique sizes {2, r} using
+    palette n and report the totals.
+
+    An instance that is not n-colorable would contradict the n-coloring
+    claim for complete-host decompositions and is listed by its canonical
+    clique list; budget exhaustions are listed separately, never dropped.
+    With minimum_palettes, each colorable instance is probed downward for
+    the least sufficient palette, which is reported only once a probe
+    proves the palette below it NOT_COLORABLE; a probe that exhausts the
+    budget lists the instance under budget_exhausted instead.
+
+    The stream is swept in one shard per usable CPU, each but the first
+    in a forked worker (:func:`eflcolor.shards.run`).  The shards
+    partition the stream; their totals are summed and their lists merged
+    and sorted, so the report does not depend on the CPU count.
+    """
+    _check_two_r(n, r)
+    parts = _shards.run(
+        partial(_sweep_shard, n, r, cfg, minimum_palettes),
+        _shards.usable_cpus(),
+    )
+    totals, colorables, maxes, not_cols, budgets, minimums = zip(*parts)
     return SweepReport(
         n,
         r,
-        total,
-        colorable,
-        not_col,
-        budget,
-        max_nodes,
-        minimums if minimum_palettes else None,
+        sum(totals),
+        sum(colorables),
+        sorted(chain.from_iterable(not_cols)),
+        sorted(chain.from_iterable(budgets)),
+        max(maxes),
+        sorted(
+            chain.from_iterable(minimums),
+            key=lambda entry: entry["cliques"],
+        ) if minimum_palettes else None,
     )
 
 

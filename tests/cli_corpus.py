@@ -115,6 +115,19 @@ CASES = [
     ("verify_bool_color",
      ["verify", "--graph", "@gen_all_3.stdout",
       "--coloring", "@inputs/g3_coloring_bool.json"]),
+    # orders above the limit are input errors, refused before building
+    ("gen_order_above_limit", ["gen", "--n", "2049", "--pairs", "all"]),
+    ("color_order_above_limit",
+     ["color", "--in", "@inputs/graph_order_above_limit.json"]),
+    ("chromatic_cliques_order_above_limit",
+     ["chromatic", "--in", "@inputs/cliques_order_above_limit.json"]),
+    ("to_efl_order_above_limit",
+     ["to-efl", "--in", "@inputs/decomposition_order_above_limit.json"]),
+    ("export_dot_sparse_order_above_limit",
+     ["export-dot", "--in",
+      "@inputs/decomposition_sparse_order_above_limit.json"]),
+    # the sweep checks its order before forking any worker
+    ("sweep_order_2", ["sweep", "--n", "2", "--r", "3"]),
 ]
 
 

@@ -2,8 +2,8 @@
 
 Everything here recomputes answers from first principles (pairwise scans,
 exhaustive enumeration, graph rebuilds, the recursive search engine and
-enumerator, the round-robin edge coloring) so the library's own fast
-paths are never trusted to check themselves.
+enumerator, the serial sweep, the round-robin edge coloring) so the
+library's own fast paths are never trusted to check themselves.
 """
 
 from itertools import combinations, product
@@ -18,7 +18,13 @@ from eflcolor.core import (
 )
 from eflcolor.decomposition import CliqueDecomposition, complete_host
 from eflcolor.serialize import vertex_to_json
-from eflcolor.solver import BudgetExhausted, SweepInstance
+from eflcolor.solver import (
+    BudgetExhausted,
+    Status,
+    SweepInstance,
+    SweepReport,
+    color_decomposition,
+)
 
 
 def brute_force_proper(g: EflGraph, colors: dict) -> bool:
@@ -84,6 +90,8 @@ def reference_validate(cliques, n):
     """
     if n < 2:
         return Rejection("order", f"n must be >= 2, got {n}")
+    if n > 2048:
+        return Rejection("order", f"n must be <= 2048, got {n}")
     qs = [frozenset(q) for q in cliques]
     if len(qs) != n:
         return Rejection(
@@ -300,6 +308,42 @@ def reference_enumerate_two_r(n, r):
         covered.discard(e)
 
     yield from rec()
+
+
+def reference_sweep(n, r, cfg, minimum_palettes=False):
+    """The sweep as one serial loop over reference_enumerate_two_r: the
+    report that eflcolor.solver's sharded sweep must reproduce."""
+    total = colorable = max_nodes = 0
+    not_col, budget, minimums = [], [], []
+    for inst in reference_enumerate_two_r(n, r):
+        d = inst.decomposition
+        cliques = [list(c) for c in d.cliques]
+        out = color_decomposition(d, n, cfg)
+        total += 1
+        max_nodes = max(max_nodes, out.nodes)
+        if out.status is Status.NOT_COLORABLE:
+            not_col.append(cliques)
+        elif out.status is Status.BUDGET_EXHAUSTED:
+            budget.append(cliques)
+        else:
+            colorable += 1
+            if minimum_palettes:
+                p = n
+                probe = Status.NOT_COLORABLE
+                while p > 0:
+                    probe = color_decomposition(d, p - 1, cfg).status
+                    if probe is not Status.COLORABLE:
+                        break
+                    p -= 1
+                if probe is Status.BUDGET_EXHAUSTED:
+                    budget.append(cliques)
+                else:
+                    minimums.append({"cliques": cliques, "min_palette": p})
+    return SweepReport(
+        n, r, total, colorable, sorted(not_col), sorted(budget), max_nodes,
+        sorted(minimums, key=lambda e: e["cliques"])
+        if minimum_palettes else None,
+    )
 
 
 def round_robin_edge_coloring(n: int) -> dict:

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from eflcolor.core import (
+    MAX_ORDER,
     EflGraph,
     GeneralVertex,
     Rejection,
@@ -87,6 +88,17 @@ class TestBuildMaximal:
             build_maximal(1)
         with pytest.raises(ValueError):
             build_maximal(0)
+
+    def test_rejects_order_above_the_limit_before_building(self):
+        def pairs():  # never read: the order is refused first
+            raise AssertionError("pairs read")
+            yield
+
+        for n in (MAX_ORDER + 1, 10**12):
+            with pytest.raises(ValueError, match=f"n must be <= {MAX_ORDER}"):
+                build_from_pairs(n, pairs())
+            with pytest.raises(ValueError, match=f"n must be <= {MAX_ORDER}"):
+                build_maximal(n)
 
     @pytest.mark.parametrize("n", range(2, 51))
     def test_validates_with_expected_shared_structure(self, n):
@@ -174,6 +186,12 @@ class TestValidate:
         rej = validate([], 1)
         assert isinstance(rej, Rejection)
         assert rej.rule == "order"
+
+    def test_rejects_order_above_the_limit(self):
+        rej = validate([], MAX_ORDER + 1)
+        assert rej == Rejection(
+            "order", f"n must be <= {MAX_ORDER}, got {MAX_ORDER + 1}"
+        )
 
     def test_rejects_misplaced_shared_identity(self):
         # the vertex named (1, 2) actually lives in cliques 2 and 3

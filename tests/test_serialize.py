@@ -9,6 +9,7 @@ from eflcolor.coloring import (
     extend_to_full,
 )
 from eflcolor.core import (
+    MAX_ORDER,
     GeneralVertex,
     SharedVertex,
     UnsharedVertex,
@@ -17,6 +18,7 @@ from eflcolor.core import (
     validate,
 )
 from eflcolor.decomposition import (
+    CliqueDecomposition,
     DecompositionColoring,
     HostGraph,
     complete_host,
@@ -30,6 +32,7 @@ from eflcolor.serialize import (
     decomposition_coloring_from_json,
     decomposition_coloring_to_json,
     decomposition_from_json,
+    decomposition_text,
     decomposition_to_json,
     dumps,
     graph_from_json,
@@ -286,6 +289,61 @@ class TestDecompositionJson:
         assert decomposition_coloring_from_json(
             decomposition_coloring_to_json(c)
         ) == c
+
+
+class TestDecompositionText:
+    """decomposition_text writes dumps(decomposition_to_json(d))."""
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    def test_complete_hosts(self, n):
+        d = efl_to_decomposition(build_maximal(n))
+        assert d.host.is_complete
+        assert decomposition_text(d) == dumps(decomposition_to_json(d))
+
+    def test_mixed_clique_sizes(self):
+        d = validate_decomposition(
+            complete_host(5),
+            [(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 5), (4, 5),
+             (2, 3, 4)],
+        )
+        assert decomposition_text(d) == dumps(decomposition_to_json(d))
+
+    def test_explicit_host(self):
+        host = HostGraph.from_edges(5, [(1, 2), (2, 3), (4, 5), (3, 4)])
+        d = validate_decomposition(host, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        assert not d.host.is_complete
+        assert decomposition_text(d) == dumps(decomposition_to_json(d))
+
+    @pytest.mark.parametrize("host", [
+        complete_host(0), complete_host(1), HostGraph(3, frozenset()),
+    ])
+    def test_empty_clique_list(self, host):
+        d = CliqueDecomposition(host, ())
+        assert decomposition_text(d) == dumps(decomposition_to_json(d))
+
+
+class TestOrderLimit:
+    """An order above MAX_ORDER is refused before anything is built."""
+
+    def test_limit_is_far_above_the_working_sizes(self):
+        assert MAX_ORDER == 2048
+
+    @pytest.mark.parametrize("n", [MAX_ORDER + 1, 10**12])
+    def test_graph_readers(self, n):
+        message = f"n must be <= {MAX_ORDER}, got {n}"
+        with pytest.raises(FormatError, match=message):
+            graph_from_json({"n": n, "shared_pairs": []})
+        with pytest.raises(FormatError, match=message):
+            graph_from_json({"n": n, "cliques": []})
+
+    @pytest.mark.parametrize("n", [MAX_ORDER + 1, 10**12])
+    def test_decomposition_readers(self, n):
+        message = f"invalid host: n must be <= {MAX_ORDER}, got {n}"
+        for host in ("complete", [[1, 2]]):
+            with pytest.raises(FormatError, match=message):
+                decomposition_from_json(
+                    {"n": n, "host_edges": host, "cliques": [[1, 2]]}
+                )
 
 
 class TestDot:
