@@ -2,8 +2,9 @@
 
 Subcommands: gen, color, verify, chromatic, decompose, to-efl, sweep,
 export-dot.  Exit codes are stable: 0 success, 1 negative verification,
-2 input error (an order above core.MAX_ORDER = 2048 among them, refused
-before anything is built), 3 unsupported structure, 4 node budget
+2 input error (an order above core.MAX_ORDER = 2048, or a sweep order
+above solver.MAX_SWEEP_ORDER = 12, among them, refused before anything
+is built or forked), 3 unsupported structure, 4 node budget
 exhausted, 5 internal error (a result that failed its own check, or any
 other unexpected exception), reported as one "internal error: <Type>:
 <message>" line on stderr, and 130 on Ctrl-C (SIGINT), reported as one
@@ -77,7 +78,7 @@ def _cmd_gen(args) -> int:
     else:
         pairs = serialize.pairs_from_json(_read_json(args.pairs), "--pairs")
         g = build_from_pairs(args.n, pairs)
-    _emit(serialize.dumps(serialize.graph_to_json(g)), args.out)
+    _emit(serialize.graph_text(g), args.out)
     return EXIT_OK
 
 
@@ -173,7 +174,7 @@ def _cmd_to_efl(args) -> int:
     except CliqueCapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    _emit(serialize.dumps(serialize.graph_to_json(g)), args.out)
+    _emit(serialize.graph_text(g), args.out)
     return EXIT_OK
 
 
@@ -181,7 +182,7 @@ def _cmd_sweep(args) -> int:
     report = sweep_two_r_decompositions(
         args.n, args.r, _config(args), minimum_palettes=args.min_palettes
     )
-    _emit(serialize.dumps(report.to_json()), args.out)
+    _emit(serialize.sweep_text(report), args.out)
     if report.budget_exhausted:
         return EXIT_BUDGET
     if report.not_colorable:

@@ -38,6 +38,7 @@ __all__ = [
     "vertex_to_json",
     "vertex_from_json",
     "graph_to_json",
+    "graph_text",
     "graph_from_json",
     "pairs_from_json",
     "coloring_to_json",
@@ -48,6 +49,7 @@ __all__ = [
     "decomposition_from_json",
     "decomposition_coloring_to_json",
     "decomposition_coloring_from_json",
+    "sweep_text",
     "host_dot",
     "intersection_dot",
     "dumps",
@@ -106,11 +108,7 @@ def graph_to_json(g: EflGraph) -> dict:
     validated graphs keep those identities true to membership and fill
     each clique's slots 1..free, as :func:`build_from_pairs` does.
     """
-    named = all(
-        isinstance(v, (SharedVertex, UnsharedVertex))
-        for q in g.cliques for v in q
-    )
-    pairs = sorted(c for c in map(g.cliques_of, g.shared) if len(c) == 2)
+    pairs, named = _pairs_and_named(g)
     out = {"n": g.n, "shared_pairs": [list(p) for p in pairs]}
     if not named:
         out["cliques"] = [
@@ -118,6 +116,47 @@ def graph_to_json(g: EflGraph) -> dict:
             for q in g.cliques
         ]
     return out
+
+
+def _pairs_and_named(g: EflGraph) -> tuple:
+    """g's sorted shared pairs, and whether they alone rebuild g."""
+    named = all(
+        isinstance(v, (SharedVertex, UnsharedVertex))
+        for q in g.cliques for v in q
+    )
+    pairs = sorted(c for c in map(g.cliques_of, g.shared) if len(c) == 2)
+    return pairs, named
+
+
+def _vertex_text(v) -> str:
+    """A vertex's JSON list as ``dumps`` writes it three levels deep: in a
+    clique of a graph's "cliques", or as a coloring entry's "vertex"."""
+    if isinstance(v, SharedVertex):
+        fields = f'"shared",\n        {v.i},\n        {v.j}'
+    elif isinstance(v, UnsharedVertex):
+        fields = f'"unshared",\n        {v.clique},\n        {v.slot}'
+    elif isinstance(v, GeneralVertex) and type(v.label) is int:
+        fields = f'"general",\n        {v.label}'
+    else:  # FormatError for a vertex with no encoding
+        tag, label = vertex_to_json(v)
+        fields = f'"{tag}",\n        {json.dumps(label)}'
+    return f"[\n        {fields}\n      ]"
+
+
+def graph_text(g: EflGraph) -> str:
+    """``dumps(graph_to_json(g))``, written straight from the pairs and
+    cliques with no intermediate lists and no JSON encoder."""
+    pairs, named = _pairs_and_named(g)
+    head = f'{{\n  "n": {g.n},\n  "shared_pairs": {_int_lists(pairs)}'
+    if named:
+        return head + "\n}\n"
+    cliques = ",\n".join([
+        "    [\n      "
+        + ",\n      ".join(map(_vertex_text, sorted(q, key=vertex_key)))
+        + "\n    ]"
+        for q in g.cliques
+    ])
+    return f'{head},\n  "cliques": [\n{cliques}\n  ]\n}}\n'
 
 
 def pairs_from_json(pairs, what: str) -> list:
@@ -179,15 +218,8 @@ def coloring_text(coloring) -> str:
     out = [head, "["]
     sep = "\n"
     for v, c in items:
-        if isinstance(v, SharedVertex):
-            fields = f'"shared",\n        {v.i},\n        {v.j}'
-        elif isinstance(v, UnsharedVertex):
-            fields = f'"unshared",\n        {v.clique},\n        {v.slot}'
-        else:
-            tag, label = vertex_to_json(v)
-            fields = f'"{tag}",\n        {json.dumps(label)}'
         out.append(
-            f'{sep}    {{\n      "vertex": [\n        {fields}\n      ],'
+            f'{sep}    {{\n      "vertex": {_vertex_text(v)},'
             f'\n      "color": {c}\n    }}'
         )
         sep = ",\n"
@@ -207,7 +239,12 @@ def vertex_coloring_from_json(data) -> tuple:
             raise FormatError(f"bad assignment entry: {entry!r}")
         if not _is_int(entry.get("color")):
             raise FormatError(f"bad color in entry: {entry!r}")
-        colors[vertex_from_json(entry["vertex"])] = entry["color"]
+        v = vertex_from_json(entry["vertex"])
+        if v in colors:
+            raise FormatError(
+                f"vertex {entry['vertex']!r} is assigned twice"
+            )
+        colors[v] = entry["color"]
     return data["palette"], colors
 
 
@@ -224,16 +261,22 @@ def decomposition_to_json(d: CliqueDecomposition) -> dict:
     }
 
 
-def _int_lists(rows) -> str:
-    """A list of integer lists as ``dumps`` writes it as an object's value."""
+def _int_lists(rows, indent: str = "  ") -> str:
+    """A list of integer lists as ``dumps`` writes it with its closing
+    bracket at ``indent``: by default, as a top-level object's value."""
     if not rows:
         return "[]"
-    items = ",\n".join(
-        "    [\n      " + ",\n      ".join(map(str, row)) + "\n    ]"
-        if row else "    []"
+    row_in = indent + "  "
+    head, sep = f"{row_in}[\n{row_in}  ", f",\n{row_in}  "
+    tail = f"\n{row_in}]"
+    # pairs, the bulk of every output, skip the join
+    items = ",\n".join([
+        f"{head}{row[0]}{sep}{row[1]}{tail}" if len(row) == 2
+        else head + sep.join(map(str, row)) + tail if row
+        else row_in + "[]"
         for row in rows
-    )
-    return f"[\n{items}\n  ]"
+    ])
+    return f"[\n{items}\n{indent}]"
 
 
 def decomposition_text(d: CliqueDecomposition) -> str:
@@ -305,8 +348,42 @@ def decomposition_coloring_from_json(data) -> DecompositionColoring:
             or not _is_int(entry.get("color"))
         ):
             raise FormatError(f"bad assignment entry: {entry!r}")
+        if entry["clique"] in colors:
+            raise FormatError(f"clique {entry['clique']} is assigned twice")
         colors[entry["clique"]] = entry["color"]
     return DecompositionColoring(data["palette"], colors)
+
+
+def _clique_lists_text(entries) -> str:
+    """A list of clique lists, such as a sweep report's "not_colorable",
+    as ``dumps`` writes it as a top-level object's value."""
+    if not entries:
+        return "[]"
+    items = ",\n".join("    " + _int_lists(e, "    ") for e in entries)
+    return f"[\n{items}\n  ]"
+
+
+def sweep_text(report) -> str:
+    """``dumps(report.to_json())`` for a :class:`eflcolor.solver.SweepReport`,
+    written straight from its fields with no JSON encoder."""
+    out = (
+        f'{{\n  "n": {report.n},\n  "r": {report.r},'
+        f'\n  "instances": {report.instances},'
+        f'\n  "colorable": {report.colorable},'
+        f'\n  "not_colorable": {_clique_lists_text(report.not_colorable)},'
+        f'\n  "budget_exhausted": '
+        f'{_clique_lists_text(report.budget_exhausted)},'
+        f'\n  "max_nodes": {report.max_nodes}'
+    )
+    if report.min_palettes is None:
+        return out + "\n}\n"
+    items = ",\n".join(
+        f'    {{\n      "cliques": {_int_lists(m["cliques"], "      ")},'
+        f'\n      "min_palette": {m["min_palette"]}\n    }}'
+        for m in report.min_palettes
+    )
+    minimums = f"[\n{items}\n  ]" if items else "[]"
+    return f'{out},\n  "min_palettes": {minimums}\n}}\n'
 
 
 def host_dot(host: HostGraph, name: str = "host") -> str:

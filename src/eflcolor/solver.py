@@ -52,6 +52,7 @@ __all__ = [
     "chromatic_number",
     "color_decomposition",
     "SweepInstance",
+    "MAX_SWEEP_ORDER",
     "enumerate_two_r_decompositions",
     "SweepReport",
     "sweep_two_r_decompositions",
@@ -403,9 +404,21 @@ class SweepInstance:
     decomposition: CliqueDecomposition
 
 
+# the largest order a sweep accepts.  The enumerator builds its table of
+# C(n, 2) * C(n - 2, r - 2) candidate cliques, each with a C(n, 2)-bit
+# edge mask, before it yields anything: at n = 12 that is at most 16,632
+# cliques (r = 7), 0.1 s and 3 MiB, while n = 16, r = 9 already takes
+# 2.6 s and 90 MiB, and sweep --n 1000 --r 3 would exhaust memory
+MAX_SWEEP_ORDER = 12
+
+
 def _check_two_r(n: int, r: int):
     if not 3 <= r <= n:
         raise ValueError(f"need 3 <= r <= n, got r={r}, n={n}")
+    if n > MAX_SWEEP_ORDER:
+        raise ValueError(
+            f"sweep order must be <= {MAX_SWEEP_ORDER}, got n={n}"
+        )
 
 
 # the depth of a shard's prefixes: deep enough that (8, 3) has thousands

@@ -128,6 +128,15 @@ CASES = [
       "@inputs/decomposition_sparse_order_above_limit.json"]),
     # the sweep checks its order before forking any worker
     ("sweep_order_2", ["sweep", "--n", "2", "--r", "3"]),
+    # ... and refuses an order above MAX_SWEEP_ORDER before enumerating
+    ("sweep_order_above_limit", ["sweep", "--n", "1000", "--r", "3"]),
+    # a vertex or clique assigned twice is an input error, not overwritten
+    ("verify_repeated_vertex",
+     ["verify", "--graph", "@gen_all_3.stdout",
+      "--coloring", "@inputs/g3_coloring_repeated_vertex.json"]),
+    ("verify_k4_repeated_clique",
+     ["verify", "--graph", "@decompose_4.stdout",
+      "--coloring", "@inputs/k4_coloring_repeated_clique.json"]),
 ]
 
 

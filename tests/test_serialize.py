@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from eflcolor.decomposition import (
     DecompositionColoring,
     HostGraph,
     complete_host,
+    decomposition_to_efl,
     efl_to_decomposition,
     validate_decomposition,
 )
@@ -36,13 +38,21 @@ from eflcolor.serialize import (
     decomposition_to_json,
     dumps,
     graph_from_json,
+    graph_text,
     graph_to_json,
     host_dot,
     intersection_dot,
     pairs_from_json,
+    sweep_text,
     vertex_coloring_from_json,
     vertex_from_json,
     vertex_to_json,
+)
+from eflcolor.solver import (
+    SearchConfig,
+    SweepReport,
+    enumerate_two_r_decompositions,
+    sweep_two_r_decompositions,
 )
 
 
@@ -67,6 +77,19 @@ class TestVertexEncoding:
     def test_raw_id_has_no_encoding(self):
         with pytest.raises(FormatError):
             vertex_to_json(42)
+
+
+def general_pair_graph():
+    """A validated two-clique graph whose one shared vertex is a
+    GeneralVertex, so its JSON keeps the explicit cliques."""
+    return validate(
+        [
+            {GeneralVertex(7), UnsharedVertex(1, 1), UnsharedVertex(1, 2)},
+            {GeneralVertex(7), UnsharedVertex(2, 1), UnsharedVertex(2, 2)},
+            {UnsharedVertex(3, s) for s in (1, 2, 3)},
+        ],
+        3,
+    )
 
 
 class TestGraphJson:
@@ -100,14 +123,7 @@ class TestGraphJson:
 
     def test_general_vertex_in_two_cliques_keeps_explicit_cliques(self):
         # the pairs alone would rebuild the vertex as SharedVertex(1, 2)
-        g = validate(
-            [
-                {GeneralVertex(7), UnsharedVertex(1, 1), UnsharedVertex(1, 2)},
-                {GeneralVertex(7), UnsharedVertex(2, 1), UnsharedVertex(2, 2)},
-                {UnsharedVertex(3, s) for s in (1, 2, 3)},
-            ],
-            3,
-        )
+        g = general_pair_graph()
         assert g.is_two_clique
         data = graph_to_json(g)
         assert data["shared_pairs"] == [[1, 2]]
@@ -199,6 +215,128 @@ class TestColoringText:
     def test_vertex_without_encoding_rejected(self):
         with pytest.raises(FormatError):
             coloring_text(FullColoring(1, {42: 1}))
+
+
+class TestGraphText:
+    """graph_text writes dumps(graph_to_json(g))."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_maximal_graphs(self, n):
+        g = build_maximal(n)
+        assert graph_text(g) == dumps(graph_to_json(g))
+
+    def test_random_pair_subsets(self):
+        rng = random.Random(20261018)
+        subsets = [(2, [])]
+        while len(subsets) < 200:
+            n = rng.randrange(2, 13)
+            pairs = [p for p in combinations(range(1, n + 1), 2)
+                     if rng.random() < rng.random()]
+            subsets.append((n, pairs))
+        for n, pairs in subsets:
+            g = build_from_pairs(n, pairs)
+            assert graph_text(g) == dumps(graph_to_json(g))
+
+    def test_translated_sweep_instances(self):
+        count = 0
+        for n in range(3, 7):
+            for r in range(3, n + 1):
+                for inst in enumerate_two_r_decompositions(n, r):
+                    g = decomposition_to_efl(inst.decomposition)
+                    assert graph_text(g) == dumps(graph_to_json(g))
+                    count += 1
+        assert count == 339
+
+    def test_triangle_packing_of_k30(self):
+        # the greedy lexicographic triangle packing, completed with edges
+        free = set(combinations(range(1, 31), 2))
+        triangles = []
+        for t in combinations(range(1, 31), 3):
+            if free.issuperset(combinations(t, 2)):
+                free.difference_update(combinations(t, 2))
+                triangles.append(t)
+        d = validate_decomposition(complete_host(30), triangles + sorted(free))
+        assert len(triangles) > 100
+        g = decomposition_to_efl(d)
+        assert "cliques" in graph_to_json(g)
+        assert graph_text(g) == dumps(graph_to_json(g))
+
+    def test_general_vertex_in_two_cliques(self):
+        g = general_pair_graph()
+        assert "cliques" in graph_to_json(g)
+        assert graph_text(g) == dumps(graph_to_json(g))
+
+    def test_general_labels_that_are_not_integers(self):
+        hub = GeneralVertex("hub")
+        g = validate(
+            [
+                {hub, GeneralVertex("a"), GeneralVertex("b")},
+                {hub, GeneralVertex("c"), GeneralVertex("d\u00e9")},
+                {hub, GeneralVertex("e"), GeneralVertex('f"')},
+            ],
+            3,
+        )
+        assert graph_text(g) == dumps(graph_to_json(g))
+
+    def test_vertex_without_encoding_rejected_alike(self):
+        g = validate([{1, 2, 3}, {1, 4, 5}, {6, 7, 8}], 3)
+        with pytest.raises(FormatError) as expected:
+            graph_to_json(g)
+        with pytest.raises(FormatError) as got:
+            graph_text(g)
+        assert str(got.value) == str(expected.value)
+
+
+class TestSweepText:
+    """sweep_text writes dumps(report.to_json())."""
+
+    @pytest.mark.parametrize("n, r, node_limit, minimum", [
+        (5, 3, 10**8, False),
+        (6, 4, 10**8, True),
+        (6, 3, 13, True),  # budget exhaustions listed, minimums missing
+    ])
+    def test_swept_reports(self, n, r, node_limit, minimum):
+        report = sweep_two_r_decompositions(
+            n, r, SearchConfig(node_limit=node_limit), minimum
+        )
+        assert (report.min_palettes is not None) == minimum
+        assert sweep_text(report) == dumps(report.to_json())
+
+    @pytest.mark.parametrize("min_palettes", [
+        None,
+        [],
+        [{"cliques": [[1, 2, 3], [1, 4], [2, 4], [3, 4]], "min_palette": 3},
+         {"cliques": [[1, 2], [1, 3]], "min_palette": 2}],
+    ])
+    def test_listed_instances(self, min_palettes):
+        report = SweepReport(
+            4, 3, 9, 7,
+            [[[1, 2, 3], [1, 4], [2, 4], [3, 4]]],
+            [[[1, 2], [1, 3], [1, 4]], [[2, 3, 4], [1, 2]]],
+            12, min_palettes,
+        )
+        assert sweep_text(report) == dumps(report.to_json())
+
+
+class TestRepeatedKeys:
+    """A coloring names each vertex or clique once; a repeat is an input
+    error, never a silent overwrite."""
+
+    def test_repeated_vertex(self):
+        entry = {"vertex": ["shared", 1, 2], "color": 1}
+        with pytest.raises(FormatError, match="assigned twice"):
+            vertex_coloring_from_json(
+                {"palette": 3, "assignments": [entry, dict(entry, color=3)]}
+            )
+
+    def test_repeated_clique(self):
+        with pytest.raises(FormatError, match="clique 2 is assigned twice"):
+            decomposition_coloring_from_json(
+                {"palette": 3, "assignments": [
+                    {"clique": 2, "color": 1}, {"clique": 1, "color": 2},
+                    {"clique": 2, "color": 1},
+                ]}
+            )
 
 
 NOT_INTEGERS = ["1", 2.5, 2.0, True, None, [1]]

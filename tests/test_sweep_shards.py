@@ -119,6 +119,30 @@ class TestMergedReport:
             "error: need 3 <= r <= n, got r=3, n=2\n"
         )
 
+    @pytest.mark.parametrize("n", [solver.MAX_SWEEP_ORDER + 1, 1000, 10**12])
+    def test_order_above_limit_is_refused_before_building(
+        self, cpus, monkeypatch, capsys, n
+    ):
+        cpus(2)
+        monkeypatch.setattr(os, "fork", None)  # any fork would crash
+
+        def no_host(n):
+            raise AssertionError("the enumerator began building")
+
+        monkeypatch.setattr(solver, "complete_host", no_host)
+        assert cli.main(["sweep", "--n", str(n), "--r", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep order must be <= 12, got n={n}\n"
+        )
+        with pytest.raises(ValueError, match="sweep order must be <= 12"):
+            next(enumerate_two_r_decompositions(n, 3))
+
+    @pytest.mark.parametrize("n, r", [(8, 3), (9, 4), (10, 3), (10, 4),
+                                      (12, 7), (12, 12)])
+    def test_orders_up_to_the_limit_are_accepted(self, n, r):
+        first = next(enumerate_two_r_decompositions(n, r))
+        assert first.decomposition.host.vertex_count == n
+
 
 class TestWorkerFailures:
     def test_worker_exception_is_raised_in_the_parent(self, cpus,
