@@ -4,7 +4,8 @@ Subcommands: gen, color, verify, chromatic, decompose, to-efl, sweep,
 export-dot.  Exit codes are stable: 0 success, 1 negative verification,
 2 input error (an order above core.MAX_ORDER = 2048, or a sweep order
 above solver.MAX_SWEEP_ORDER = 12, among them, refused before anything
-is built or forked), 3 unsupported structure, 4 node budget
+is built or forked, and an --in file that cannot be read or an --out
+file that cannot be written), 3 unsupported structure, 4 node budget
 exhausted, 5 internal error (a result that failed its own check, or any
 other unexpected exception), reported as one "internal error: <Type>:
 <message>" line on stderr, and 130 on Ctrl-C (SIGINT), reported as one
@@ -43,22 +44,26 @@ EXIT_INTERNAL = 5
 EXIT_INTERRUPTED = 130
 
 
-def _read_json(path: str):
+def _read_json(path: str, object_hook=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{path} is not valid JSON: {e}") from None
 
 
-def _emit(text: str, out: str | None):
+def _emit(chunks, out: str | None):
+    """Write a writer's chunks to the --out file, or to stdout."""
     if out is None:
-        sys.stdout.write(text)
-    else:
+        sys.stdout.writelines(chunks)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+    except OSError as e:
+        raise FormatError(f"cannot write {out}: {e}") from None
 
 
 def _progress(nodes: int):
@@ -108,15 +113,36 @@ def _cmd_color(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    gdata = _read_json(args.graph)
-    cdata = _read_json(args.coloring)
+def _clique_keyed(cdata) -> bool:
+    """Whether every assignment of a coloring document names a clique."""
     entries = cdata.get("assignments") if isinstance(cdata, dict) else None
-    clique_keyed = bool(entries) and all(
+    return bool(entries) and all(
         isinstance(e, dict) and "clique" in e for e in entries
     )
-    if isinstance(gdata, dict) and "host_edges" in gdata:
-        d = serialize.decomposition_from_json(gdata)
+
+
+def _cmd_verify(args) -> int:
+    # The graph document is converted and dropped before the coloring is
+    # read; a conversion error waits until the coloring file has been
+    # read, so an unreadable coloring is still reported first.
+    gdata = _read_json(args.graph)
+    is_decomposition = isinstance(gdata, dict) and "host_edges" in gdata
+    convert = (
+        serialize.decomposition_from_json
+        if is_decomposition
+        else serialize.graph_from_json
+    )
+    graph = error = None
+    try:
+        graph = convert(gdata)
+    except Exception as e:  # re-raised below
+        error = e
+    del gdata
+    cdata = _read_json(args.coloring, serialize.fold_assignment)
+    if error is not None:
+        raise error
+    clique_keyed = _clique_keyed(cdata)
+    if is_decomposition:
         if not clique_keyed:
             raise FormatError(
                 "a decomposition needs a clique-keyed coloring "
@@ -124,23 +150,23 @@ def _cmd_verify(args) -> int:
             )
         coloring = serialize.decomposition_coloring_from_json(cdata)
         try:
-            chk = check_decomposition_coloring(d, coloring)
+            chk = check_decomposition_coloring(graph, coloring)
         except ValueError as e:
             raise FormatError(str(e)) from None
     else:
-        g = serialize.graph_from_json(gdata)
         if clique_keyed:
             raise FormatError(
                 "an EFL graph needs a vertex-keyed coloring "
                 '(assignments with "vertex" entries)'
             )
         palette, colors = serialize.vertex_coloring_from_json(cdata)
-        if colors.keys() == set(g.vertex_set):
+        del cdata
+        if colors.keys() == graph.vertex_set:
             coloring = FullColoring(palette, colors)
         else:
             coloring = SharedColoring(palette, colors)
         try:
-            chk = check_proper(g, coloring)
+            chk = check_proper(graph, coloring)
         except ValueError as e:
             raise FormatError(str(e)) from None
     if chk:
@@ -197,10 +223,10 @@ def _cmd_export_dot(args) -> int:
     else:
         d = efl_to_decomposition(serialize.graph_from_json(data))
     if args.view == "host":
-        text = serialize.host_dot(d.host)
+        chunks = serialize.host_dot(d.host)
     else:
-        text = serialize.intersection_dot(d)
-    _emit(text, args.out)
+        chunks = serialize.intersection_dot(d)
+    _emit(chunks, args.out)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EflGraph, vertex_key
+from .core import EflGraph, SharedVertex, vertex_key
 
 __all__ = [
     "SharedColoring",
@@ -92,7 +92,12 @@ def color_shared(g: EflGraph) -> SharedColoring:
             "graph has a shared vertex in three or more defining cliques; "
             "translate to a clique decomposition and search instead"
         )
-    cmap = {v: pair_color(n, *g.cliques_of(v)) for v in g.shared}
+    # a SharedVertex names its pair; only other vertices need cliques_of
+    cmap = {
+        v: pair_color(n, v.i, v.j) if type(v) is SharedVertex
+        else pair_color(n, *g.cliques_of(v))
+        for v in g.shared
+    }
     return SharedColoring(n if n % 2 else n - 1, cmap)
 
 
@@ -180,7 +185,7 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
     worst = None
     worst_key = None
     for q in g.cliques:
-        cols = [cmap[v] for v in q if v in cmap]
+        cols = [c for c in map(cmap.get, q) if c is not None]
         if len(set(cols)) == len(cols):
             continue
         by_color: dict = {}

@@ -223,9 +223,10 @@ def build_from_pairs(n: int, pairs: Iterable) -> EflGraph:
         if not (1 <= i < j <= n):
             raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
         v = SharedVertex(i, j)
-        if v in shared:
+        before = len(shared)
+        shared.add(v)  # one hash: a repeat leaves the size unchanged
+        if len(shared) == before:
             raise ValueError(f"duplicate shared pair ({i}, {j})")
-        shared.add(v)
         members[i].append(v)
         members[j].append(v)
     cliques = []
@@ -268,7 +269,8 @@ def validate(cliques: Iterable, n: int):
     for idx, q in enumerate(qs, start=1):
         for v in q:
             membership.setdefault(v, []).append(idx)
-    membership = {v: tuple(ix) for v, ix in membership.items()}
+    for v, ix in membership.items():  # in place: no second dict
+        membership[v] = tuple(ix)
     # cliques a < b share one vertex per membership tuple holding both
     common = Counter(
         p for ix in membership.values() if len(ix) > 1

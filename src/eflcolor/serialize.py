@@ -7,6 +7,13 @@ when the shared pairs alone do not reconstruct the graph.  Emitted
 collections are always sorted so output is byte-stable.  Readers take an
 index, order, palette or color only when it is a JSON integer: a string,
 float or boolean is a FormatError, never coerced.
+
+The writers (``graph_text``, ``coloring_text``, ``decomposition_text``,
+``sweep_text`` and the DOT exports) yield their output in chunks, one per
+pair, clique, assignment or line, so no caller holds a whole document.
+A vertex coloring is read with :func:`fold_assignment` as ``json.load``'s
+object hook, which turns each well-formed entry into a compact pair the
+moment it is decoded.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
     "pairs_from_json",
     "coloring_to_json",
     "coloring_text",
+    "fold_assignment",
     "vertex_coloring_from_json",
     "decomposition_to_json",
     "decomposition_text",
@@ -119,13 +127,35 @@ def graph_to_json(g: EflGraph) -> dict:
 
 
 def _pairs_and_named(g: EflGraph) -> tuple:
-    """g's sorted shared pairs, and whether they alone rebuild g."""
+    """g's sorted shared pairs, and whether they alone rebuild g.
+
+    A SharedVertex names its pair.  Any other shared vertex is placed by
+    one scan of the cliques rather than by ``g.membership``, which would
+    index every vertex of g to place these few.
+    """
     named = all(
         isinstance(v, (SharedVertex, UnsharedVertex))
         for q in g.cliques for v in q
     )
-    pairs = sorted(c for c in map(g.cliques_of, g.shared) if len(c) == 2)
+    pairs = [(v.i, v.j) for v in g.shared if isinstance(v, SharedVertex)]
+    if not named:
+        found = {v: [] for v in g.shared if not isinstance(v, SharedVertex)}
+        for idx, q in enumerate(g.cliques, start=1):
+            for v in found.keys() & q:
+                found[v].append(idx)
+        pairs += [tuple(ix) for ix in found.values() if len(ix) == 2]
+    pairs.sort()
     return pairs, named
+
+
+def _json_list(items, indent: str = "  "):
+    """Yields a list of items already written as ``dumps`` writes them,
+    one item at a time, with the list's closing bracket at ``indent``."""
+    lead = "[\n"
+    for item in items:
+        yield lead + item
+        lead = ",\n"
+    yield "[]" if lead == "[\n" else f"\n{indent}]"
 
 
 def _vertex_text(v) -> str:
@@ -143,20 +173,21 @@ def _vertex_text(v) -> str:
     return f"[\n        {fields}\n      ]"
 
 
-def graph_text(g: EflGraph) -> str:
-    """``dumps(graph_to_json(g))``, written straight from the pairs and
-    cliques with no intermediate lists and no JSON encoder."""
+def graph_text(g: EflGraph):
+    """Yields ``dumps(graph_to_json(g))`` one shared pair or clique at a
+    time, written straight from g with no JSON encoder."""
     pairs, named = _pairs_and_named(g)
-    head = f'{{\n  "n": {g.n},\n  "shared_pairs": {_int_lists(pairs)}'
-    if named:
-        return head + "\n}\n"
-    cliques = ",\n".join([
-        "    [\n      "
-        + ",\n      ".join(map(_vertex_text, sorted(q, key=vertex_key)))
-        + "\n    ]"
-        for q in g.cliques
-    ])
-    return f'{head},\n  "cliques": [\n{cliques}\n  ]\n}}\n'
+    yield f'{{\n  "n": {g.n},\n  "shared_pairs": '
+    yield from _int_lists(pairs)
+    if not named:
+        yield ',\n  "cliques": '
+        yield from _json_list(
+            "    [\n      "
+            + ",\n      ".join(map(_vertex_text, sorted(q, key=vertex_key)))
+            + "\n    ]"
+            for q in g.cliques
+        )
+    yield "\n}\n"
 
 
 def pairs_from_json(pairs, what: str) -> list:
@@ -208,43 +239,85 @@ def coloring_to_json(coloring) -> dict:
     }
 
 
-def coloring_text(coloring) -> str:
-    """``dumps(coloring_to_json(coloring))``, written straight from the
-    sorted items with no intermediate dicts and no JSON encoder."""
-    items = sorted(coloring.colors.items(), key=lambda kv: vertex_key(kv[0]))
-    head = f'{{\n  "palette": {coloring.palette_size},\n  "assignments": '
-    if not items:
-        return head + "[]\n}\n"
-    out = [head, "["]
-    sep = "\n"
-    for v, c in items:
-        out.append(
-            f'{sep}    {{\n      "vertex": {_vertex_text(v)},'
-            f'\n      "color": {c}\n    }}'
-        )
-        sep = ",\n"
-    out.append("\n  ]\n}\n")
-    return "".join(out)
+def _in_key_order(vertices):
+    """The vertices sorted by :func:`vertex_key`, one group sharing the
+    key's first two fields (a pair's first clique, a slot's clique) at a
+    time, so the sort keys of a whole graph are never held at once."""
+    groups = {}
+    for v in vertices:
+        groups.setdefault(vertex_key(v)[:2], []).append(v)
+    for k in sorted(groups):
+        yield from sorted(groups.pop(k), key=vertex_key)
+
+
+def coloring_text(coloring):
+    """Yields ``dumps(coloring_to_json(coloring))`` one assignment at a
+    time, written straight from the colors with no JSON encoder."""
+    colors = coloring.colors
+    yield f'{{\n  "palette": {coloring.palette_size},\n  "assignments": '
+    yield from _json_list(
+        f'    {{\n      "vertex": {_vertex_text(v)},'
+        f'\n      "color": {colors[v]}\n    }}'
+        for v in _in_key_order(colors)
+    )
+    yield "\n}\n"
+
+
+class _Assignment(tuple):
+    """A coloring entry folded by :func:`fold_assignment` into
+    ``(vertex, color)``.  Its repr is that of the dict it was decoded
+    from, so an error naming an object that encloses it reads the same
+    as when nothing is folded."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return repr({"vertex": vertex_to_json(self[0]), "color": self[1]})
+
+
+def fold_assignment(obj: dict):
+    """``json.load``'s object hook for a vertex coloring.
+
+    An object whose keys are "vertex" then "color", with an integer color
+    and a vertex that :func:`vertex_from_json` accepts, becomes a compact
+    ``(vertex, color)`` entry as soon as it is decoded; any other object
+    stays a dict, for :func:`vertex_coloring_from_json` to reject or read.
+    """
+    if tuple(obj) != ("vertex", "color") or not _is_int(obj["color"]):
+        return obj
+    try:
+        v = vertex_from_json(obj["vertex"])
+    except FormatError:
+        return obj
+    return _Assignment((v, obj["color"]))
 
 
 def vertex_coloring_from_json(data) -> tuple:
-    """Returns (palette, {vertex: color}); the caller decides shared vs full."""
+    """Returns (palette, {vertex: color}); the caller decides shared vs full.
+
+    Entries may be dicts or entries folded by :func:`fold_assignment`;
+    the first bad one in document order is the FormatError.
+    """
     if not isinstance(data, dict) or not _is_int(data.get("palette")):
         raise FormatError('coloring JSON needs an integer "palette"')
     if not isinstance(data.get("assignments"), list):
         raise FormatError('coloring JSON needs an "assignments" list')
     colors = {}
     for entry in data["assignments"]:
-        if not isinstance(entry, dict) or "vertex" not in entry:
-            raise FormatError(f"bad assignment entry: {entry!r}")
-        if not _is_int(entry.get("color")):
-            raise FormatError(f"bad color in entry: {entry!r}")
-        v = vertex_from_json(entry["vertex"])
+        if type(entry) is _Assignment:
+            v, c = entry
+        else:
+            if not isinstance(entry, dict) or "vertex" not in entry:
+                raise FormatError(f"bad assignment entry: {entry!r}")
+            c = entry.get("color")
+            if not _is_int(c):
+                raise FormatError(f"bad color in entry: {entry!r}")
+            v = vertex_from_json(entry["vertex"])
         if v in colors:
             raise FormatError(
-                f"vertex {entry['vertex']!r} is assigned twice"
+                f"vertex {vertex_to_json(v)!r} is assigned twice"
             )
-        colors[v] = entry["color"]
+        colors[v] = c
     return data["palette"], colors
 
 
@@ -261,36 +334,33 @@ def decomposition_to_json(d: CliqueDecomposition) -> dict:
     }
 
 
-def _int_lists(rows, indent: str = "  ") -> str:
-    """A list of integer lists as ``dumps`` writes it with its closing
-    bracket at ``indent``: by default, as a top-level object's value."""
-    if not rows:
-        return "[]"
+def _int_lists(rows, indent: str = "  "):
+    """Yields a list of integer lists, one row at a time, as ``dumps``
+    writes it with its closing bracket at ``indent``: by default, as a
+    top-level object's value."""
     row_in = indent + "  "
     head, sep = f"{row_in}[\n{row_in}  ", f",\n{row_in}  "
     tail = f"\n{row_in}]"
     # pairs, the bulk of every output, skip the join
-    items = ",\n".join([
+    return _json_list((
         f"{head}{row[0]}{sep}{row[1]}{tail}" if len(row) == 2
         else head + sep.join(map(str, row)) + tail if row
         else row_in + "[]"
         for row in rows
-    ])
-    return f"[\n{items}\n{indent}]"
+    ), indent)
 
 
-def decomposition_text(d: CliqueDecomposition) -> str:
-    """``dumps(decomposition_to_json(d))``, written straight from the host
-    edges and cliques with no intermediate lists and no JSON encoder."""
-    host = (
-        '"complete"'
-        if d.host.is_complete
-        else _int_lists(sorted(d.host.edges))
-    )
-    return (
-        f'{{\n  "n": {d.host.vertex_count},\n  "host_edges": {host},\n'
-        f'  "cliques": {_int_lists(d.cliques)}\n}}\n'
-    )
+def decomposition_text(d: CliqueDecomposition):
+    """Yields ``dumps(decomposition_to_json(d))`` one host edge or clique
+    at a time, written straight from d with no JSON encoder."""
+    yield f'{{\n  "n": {d.host.vertex_count},\n  "host_edges": '
+    if d.host.is_complete:
+        yield '"complete"'
+    else:
+        yield from _int_lists(sorted(d.host.edges))
+    yield ',\n  "cliques": '
+    yield from _int_lists(d.cliques)
+    yield "\n}\n"
 
 
 def decomposition_from_json(data) -> CliqueDecomposition:
@@ -354,52 +424,55 @@ def decomposition_coloring_from_json(data) -> DecompositionColoring:
     return DecompositionColoring(data["palette"], colors)
 
 
-def _clique_lists_text(entries) -> str:
-    """A list of clique lists, such as a sweep report's "not_colorable",
-    as ``dumps`` writes it as a top-level object's value."""
-    if not entries:
-        return "[]"
-    items = ",\n".join("    " + _int_lists(e, "    ") for e in entries)
-    return f"[\n{items}\n  ]"
+def _clique_lists(entries):
+    """Yields a list of clique lists, such as a sweep report's
+    "not_colorable", one entry at a time, as ``dumps`` writes it as a
+    top-level object's value."""
+    return _json_list("    " + "".join(_int_lists(e, "    ")) for e in entries)
 
 
-def sweep_text(report) -> str:
-    """``dumps(report.to_json())`` for a :class:`eflcolor.solver.SweepReport`,
+def sweep_text(report):
+    """Yields ``dumps(report.to_json())`` for a
+    :class:`eflcolor.solver.SweepReport` one listed instance at a time,
     written straight from its fields with no JSON encoder."""
-    out = (
+    yield (
         f'{{\n  "n": {report.n},\n  "r": {report.r},'
         f'\n  "instances": {report.instances},'
         f'\n  "colorable": {report.colorable},'
-        f'\n  "not_colorable": {_clique_lists_text(report.not_colorable)},'
-        f'\n  "budget_exhausted": '
-        f'{_clique_lists_text(report.budget_exhausted)},'
-        f'\n  "max_nodes": {report.max_nodes}'
+        f'\n  "not_colorable": '
     )
-    if report.min_palettes is None:
-        return out + "\n}\n"
-    items = ",\n".join(
-        f'    {{\n      "cliques": {_int_lists(m["cliques"], "      ")},'
-        f'\n      "min_palette": {m["min_palette"]}\n    }}'
-        for m in report.min_palettes
-    )
-    minimums = f"[\n{items}\n  ]" if items else "[]"
-    return f'{out},\n  "min_palettes": {minimums}\n}}\n'
+    yield from _clique_lists(report.not_colorable)
+    yield ',\n  "budget_exhausted": '
+    yield from _clique_lists(report.budget_exhausted)
+    yield f',\n  "max_nodes": {report.max_nodes}'
+    if report.min_palettes is not None:
+        yield ',\n  "min_palettes": '
+        yield from _json_list(
+            f'    {{\n      "cliques": '
+            f'{"".join(_int_lists(m["cliques"], "      "))},'
+            f'\n      "min_palette": {m["min_palette"]}\n    }}'
+            for m in report.min_palettes
+        )
+    yield "\n}\n"
 
 
-def host_dot(host: HostGraph, name: str = "host") -> str:
-    lines = [f"graph {name} {{"]
-    lines.extend(f"  {v};" for v in range(1, host.vertex_count + 1))
-    lines.extend(f"  {i} -- {j};" for i, j in sorted(host.edges))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def host_dot(host: HostGraph, name: str = "host"):
+    """Yields the host graph in DOT, one line at a time."""
+    yield f"graph {name} {{\n"
+    for v in range(1, host.vertex_count + 1):
+        yield f"  {v};\n"
+    for i, j in sorted(host.edges):
+        yield f"  {i} -- {j};\n"
+    yield "}\n"
 
 
-def intersection_dot(d: CliqueDecomposition) -> str:
+def intersection_dot(d: CliqueDecomposition):
+    """Yields the intersection graph of d in DOT, one line at a time."""
     ig = intersection_graph(d)
-    lines = ["graph intersection {"]
+    yield "graph intersection {\n"
     for t, c in enumerate(d.cliques, start=1):
         label = ",".join(map(str, c))
-        lines.append(f'  {t} [label="D{t}: {label}"];')
-    lines.extend(f"  {s} -- {t};" for s, t in sorted(ig.edges))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  {t} [label="D{t}: {label}"];\n'
+    for s, t in sorted(ig.edges):
+        yield f"  {s} -- {t};\n"
+    yield "}\n"

@@ -137,6 +137,36 @@ CASES = [
     ("verify_k4_repeated_clique",
      ["verify", "--graph", "@decompose_4.stdout",
       "--coloring", "@inputs/k4_coloring_repeated_clique.json"]),
+    # verify reports, in this order: an unreadable graph, an unreadable
+    # coloring, an invalid graph, a graph and coloring of different kinds,
+    # then the first bad coloring entry in document order
+    ("verify_missing_graph_and_coloring",
+     ["verify", "--graph", "no/such/graph.json",
+      "--coloring", "no/such/coloring.json"]),
+    ("verify_invalid_graph_missing_coloring",
+     ["verify", "--graph", "@inputs/cliques_bad_identity.json",
+      "--coloring", "no/such/coloring.json"]),
+    ("verify_invalid_graph_clique_keyed",
+     ["verify", "--graph", "@inputs/cliques_bad_identity.json",
+      "--coloring", "@inputs/k4_coloring_proper.json"]),
+    ("verify_efl_clique_keyed",
+     ["verify", "--graph", "@gen_all_4.stdout",
+      "--coloring", "@inputs/k4_coloring_proper.json"]),
+    ("verify_k4_vertex_keyed",
+     ["verify", "--graph", "@decompose_4.stdout",
+      "--coloring", "@inputs/g4_coloring_all_ones.json"]),
+    ("verify_malformed_after_valid",
+     ["verify", "--graph", "@gen_all_3.stdout",
+      "--coloring", "@inputs/g3_coloring_malformed_after_valid.json"]),
+    ("verify_nested_entry",
+     ["verify", "--graph", "@gen_all_3.stdout",
+      "--coloring", "@inputs/g3_coloring_nested_entry.json"]),
+    ("verify_entry_shaped_coloring",
+     ["verify", "--graph", "@gen_all_3.stdout",
+      "--coloring", "@inputs/coloring_entry_shaped.json"]),
+    # an --out that cannot be written is an input error, like an --in
+    ("gen_out_unwritable",
+     ["gen", "--n", "3", "--pairs", "all", "--out", "/no/such/dir/x.json"]),
 ]
 
 

@@ -2,8 +2,9 @@
 
 Everything here recomputes answers from first principles (pairwise scans,
 exhaustive enumeration, graph rebuilds, the recursive search engine and
-enumerator, the serial sweep, the round-robin edge coloring) so the
-library's own fast paths are never trusted to check themselves.
+enumerator, the serial sweep, the round-robin edge coloring, the
+dict-at-a-time coloring reader) so the library's own fast paths are never
+trusted to check themselves.
 """
 
 from itertools import combinations, product
@@ -17,7 +18,7 @@ from eflcolor.core import (
     vertex_key,
 )
 from eflcolor.decomposition import CliqueDecomposition, complete_host
-from eflcolor.serialize import vertex_to_json
+from eflcolor.serialize import FormatError, vertex_from_json, vertex_to_json
 from eflcolor.solver import (
     BudgetExhausted,
     Status,
@@ -167,6 +168,29 @@ def reference_graph_to_json(g: EflGraph) -> dict:
             for q in g.cliques
         ]
     return out
+
+
+def reference_vertex_coloring_from_json(data) -> tuple:
+    """vertex_coloring_from_json over a document parsed with no object hook,
+    every entry still a dict: (palette, {vertex: color}), or the FormatError
+    for the first bad entry in document order."""
+    if not isinstance(data, dict) or type(data.get("palette")) is not int:
+        raise FormatError('coloring JSON needs an integer "palette"')
+    if not isinstance(data.get("assignments"), list):
+        raise FormatError('coloring JSON needs an "assignments" list')
+    colors = {}
+    for entry in data["assignments"]:
+        if not isinstance(entry, dict) or "vertex" not in entry:
+            raise FormatError(f"bad assignment entry: {entry!r}")
+        if type(entry.get("color")) is not int:
+            raise FormatError(f"bad color in entry: {entry!r}")
+        v = vertex_from_json(entry["vertex"])
+        if v in colors:
+            raise FormatError(
+                f"vertex {entry['vertex']!r} is assigned twice"
+            )
+        colors[v] = entry["color"]
+    return data["palette"], colors
 
 
 # lines of the unique triple system on 7 points, 1-based

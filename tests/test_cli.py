@@ -301,6 +301,59 @@ class TestInternalError:
         )
 
 
+class TestOutput:
+    """Output is streamed to --out or stdout; an --out that cannot be
+    opened or written is an input error, exit 2, like an unreadable --in."""
+
+    def test_missing_directory_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "no" / "such" / "x.json")
+        assert main(["gen", "--n", "3", "--pairs", "all", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        argv = ["sweep", "--n", "4", "--r", "3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {tmp_path}: "
+        )
+
+    @pytest.mark.skipif(
+        not Path("/dev/full").exists(), reason="needs a full device"
+    )
+    def test_full_device_mid_write_exits_2(self, capsys):
+        # opening succeeds; the writes fail with ENOSPC
+        argv = ["gen", "--n", "40", "--pairs", "all", "--out", "/dev/full"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write /dev/full: [Errno 28]"
+        )
+
+    @pytest.mark.parametrize("command", ["gen", "decompose", "color"])
+    def test_stdout_matches_the_out_file(self, tmp_path, capsys, command):
+        graph = write(tmp_path, "g.json", graph_to_json(build_maximal(9)))
+        argv = {
+            "gen": ["gen", "--n", "9", "--pairs", "all"],
+            "decompose": ["decompose", "--in", graph],
+            "color": ["color", "--in", graph, "--extend"],
+        }[command]
+        out = tmp_path / "out.json"
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == printed
+
+    def test_failed_recheck_opens_no_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        graph = write(tmp_path, "g.json", graph_to_json(build_maximal(5)))
+        monkeypatch.setattr(coloring, "pair_color", lambda n, i, j: 1)
+        out = tmp_path / "c.json"
+        assert main(["color", "--in", graph, "--out", str(out)]) == 5
+        assert not out.exists()
+
+
 class TestExportDot:
     def test_host_view_from_graph(self, tmp_path, capsys):
         graph = write(tmp_path, "g.json", graph_to_json(build_maximal(3)))

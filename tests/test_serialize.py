@@ -196,12 +196,12 @@ class TestColoringText:
         g = build_maximal(n)
         shared = color_shared(g)
         for c in (shared, extend_to_full(g, shared)):
-            assert coloring_text(c) == dumps(coloring_to_json(c))
+            assert "".join(coloring_text(c)) == dumps(coloring_to_json(c))
 
     @pytest.mark.parametrize("kind", [SharedColoring, FullColoring])
     def test_empty_coloring(self, kind):
         c = kind(4, {})
-        assert coloring_text(c) == dumps(coloring_to_json(c))
+        assert "".join(coloring_text(c)) == dumps(coloring_to_json(c))
 
     def test_general_vertex_keys(self):
         c = FullColoring(5, {
@@ -210,11 +210,11 @@ class TestColoringText:
             GeneralVertex(3): 1,
             SharedVertex(1, 2): 4,
         })
-        assert coloring_text(c) == dumps(coloring_to_json(c))
+        assert "".join(coloring_text(c)) == dumps(coloring_to_json(c))
 
     def test_vertex_without_encoding_rejected(self):
         with pytest.raises(FormatError):
-            coloring_text(FullColoring(1, {42: 1}))
+            "".join(coloring_text(FullColoring(1, {42: 1})))
 
 
 class TestGraphText:
@@ -223,7 +223,7 @@ class TestGraphText:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_maximal_graphs(self, n):
         g = build_maximal(n)
-        assert graph_text(g) == dumps(graph_to_json(g))
+        assert "".join(graph_text(g)) == dumps(graph_to_json(g))
 
     def test_random_pair_subsets(self):
         rng = random.Random(20261018)
@@ -235,7 +235,7 @@ class TestGraphText:
             subsets.append((n, pairs))
         for n, pairs in subsets:
             g = build_from_pairs(n, pairs)
-            assert graph_text(g) == dumps(graph_to_json(g))
+            assert "".join(graph_text(g)) == dumps(graph_to_json(g))
 
     def test_translated_sweep_instances(self):
         count = 0
@@ -243,7 +243,7 @@ class TestGraphText:
             for r in range(3, n + 1):
                 for inst in enumerate_two_r_decompositions(n, r):
                     g = decomposition_to_efl(inst.decomposition)
-                    assert graph_text(g) == dumps(graph_to_json(g))
+                    assert "".join(graph_text(g)) == dumps(graph_to_json(g))
                     count += 1
         assert count == 339
 
@@ -259,12 +259,12 @@ class TestGraphText:
         assert len(triangles) > 100
         g = decomposition_to_efl(d)
         assert "cliques" in graph_to_json(g)
-        assert graph_text(g) == dumps(graph_to_json(g))
+        assert "".join(graph_text(g)) == dumps(graph_to_json(g))
 
     def test_general_vertex_in_two_cliques(self):
         g = general_pair_graph()
         assert "cliques" in graph_to_json(g)
-        assert graph_text(g) == dumps(graph_to_json(g))
+        assert "".join(graph_text(g)) == dumps(graph_to_json(g))
 
     def test_general_labels_that_are_not_integers(self):
         hub = GeneralVertex("hub")
@@ -276,14 +276,14 @@ class TestGraphText:
             ],
             3,
         )
-        assert graph_text(g) == dumps(graph_to_json(g))
+        assert "".join(graph_text(g)) == dumps(graph_to_json(g))
 
     def test_vertex_without_encoding_rejected_alike(self):
         g = validate([{1, 2, 3}, {1, 4, 5}, {6, 7, 8}], 3)
         with pytest.raises(FormatError) as expected:
             graph_to_json(g)
         with pytest.raises(FormatError) as got:
-            graph_text(g)
+            "".join(graph_text(g))
         assert str(got.value) == str(expected.value)
 
 
@@ -300,7 +300,7 @@ class TestSweepText:
             n, r, SearchConfig(node_limit=node_limit), minimum
         )
         assert (report.min_palettes is not None) == minimum
-        assert sweep_text(report) == dumps(report.to_json())
+        assert "".join(sweep_text(report)) == dumps(report.to_json())
 
     @pytest.mark.parametrize("min_palettes", [
         None,
@@ -315,7 +315,7 @@ class TestSweepText:
             [[[1, 2], [1, 3], [1, 4]], [[2, 3, 4], [1, 2]]],
             12, min_palettes,
         )
-        assert sweep_text(report) == dumps(report.to_json())
+        assert "".join(sweep_text(report)) == dumps(report.to_json())
 
 
 class TestRepeatedKeys:
@@ -436,7 +436,9 @@ class TestDecompositionText:
     def test_complete_hosts(self, n):
         d = efl_to_decomposition(build_maximal(n))
         assert d.host.is_complete
-        assert decomposition_text(d) == dumps(decomposition_to_json(d))
+        assert "".join(decomposition_text(d)) == dumps(
+            decomposition_to_json(d)
+        )
 
     def test_mixed_clique_sizes(self):
         d = validate_decomposition(
@@ -444,20 +446,26 @@ class TestDecompositionText:
             [(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 5), (4, 5),
              (2, 3, 4)],
         )
-        assert decomposition_text(d) == dumps(decomposition_to_json(d))
+        assert "".join(decomposition_text(d)) == dumps(
+            decomposition_to_json(d)
+        )
 
     def test_explicit_host(self):
         host = HostGraph.from_edges(5, [(1, 2), (2, 3), (4, 5), (3, 4)])
         d = validate_decomposition(host, [(1, 2), (2, 3), (3, 4), (4, 5)])
         assert not d.host.is_complete
-        assert decomposition_text(d) == dumps(decomposition_to_json(d))
+        assert "".join(decomposition_text(d)) == dumps(
+            decomposition_to_json(d)
+        )
 
     @pytest.mark.parametrize("host", [
         complete_host(0), complete_host(1), HostGraph(3, frozenset()),
     ])
     def test_empty_clique_list(self, host):
         d = CliqueDecomposition(host, ())
-        assert decomposition_text(d) == dumps(decomposition_to_json(d))
+        assert "".join(decomposition_text(d)) == dumps(
+            decomposition_to_json(d)
+        )
 
 
 class TestOrderLimit:
@@ -486,7 +494,7 @@ class TestOrderLimit:
 
 class TestDot:
     def test_host_dot_lists_vertices_and_edges(self):
-        text = host_dot(complete_host(3))
+        text = "".join(host_dot(complete_host(3)))
         assert text.startswith("graph host {")
         assert "  1 -- 2;" in text
         assert "  2 -- 3;" in text
@@ -496,14 +504,14 @@ class TestDot:
         d = validate_decomposition(
             complete_host(3), [(1, 2), (1, 3), (2, 3)]
         )
-        text = intersection_dot(d)
+        text = "".join(intersection_dot(d))
         assert 'label="D1: 1,2"' in text
         assert "  1 -- 2;" in text
 
     def test_deterministic(self):
         d = efl_to_decomposition(build_maximal(4))
-        assert intersection_dot(d) == intersection_dot(d)
-        assert host_dot(d.host) == host_dot(d.host)
+        assert "".join(intersection_dot(d)) == "".join(intersection_dot(d))
+        assert "".join(host_dot(d.host)) == "".join(host_dot(d.host))
 
 
 class TestCanonicalization:
