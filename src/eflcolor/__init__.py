@@ -7,7 +7,6 @@ from .core import (
     Rejection,
     SharedVertex,
     UnsharedVertex,
-    adjacency,
     build_from_pairs,
     build_maximal,
     validate,
@@ -18,7 +17,6 @@ from .coloring import (
     ProperCheck,
     SharedColoring,
     check_proper,
-    clique_color_sets,
     color_shared,
     extend_to_full,
     pair_color,
@@ -42,12 +40,10 @@ from .solver import (
     SearchConfig,
     SearchOutcome,
     Status,
-    SweepInstance,
     SweepReport,
     chromatic_number,
     color_decomposition,
     enumerate_two_r_decompositions,
-    greedy_baseline,
     sweep_two_r_decompositions,
 )
 

@@ -114,9 +114,10 @@ def _cmd_color(args) -> int:
 
 
 def _clique_keyed(cdata) -> bool:
-    """Whether every assignment of a coloring document names a clique."""
+    """Whether every assignment of a coloring document names a clique,
+    vacuously so for an empty assignments list."""
     entries = cdata.get("assignments") if isinstance(cdata, dict) else None
-    return bool(entries) and all(
+    return isinstance(entries, list) and all(
         isinstance(e, dict) and "clique" in e for e in entries
     )
 
@@ -142,6 +143,8 @@ def _cmd_verify(args) -> int:
     if error is not None:
         raise error
     clique_keyed = _clique_keyed(cdata)
+    # both checkers raise ValueError for a coloring that does not fit its
+    # palette or the graph: exit 2 from main
     if is_decomposition:
         if not clique_keyed:
             raise FormatError(
@@ -149,12 +152,9 @@ def _cmd_verify(args) -> int:
                 '(assignments with "clique" entries)'
             )
         coloring = serialize.decomposition_coloring_from_json(cdata)
-        try:
-            chk = check_decomposition_coloring(graph, coloring)
-        except ValueError as e:
-            raise FormatError(str(e)) from None
+        chk = check_decomposition_coloring(graph, coloring)
     else:
-        if clique_keyed:
+        if clique_keyed and cdata["assignments"]:
             raise FormatError(
                 "an EFL graph needs a vertex-keyed coloring "
                 '(assignments with "vertex" entries)'
@@ -165,10 +165,7 @@ def _cmd_verify(args) -> int:
             coloring = FullColoring(palette, colors)
         else:
             coloring = SharedColoring(palette, colors)
-        try:
-            chk = check_proper(graph, coloring)
-        except ValueError as e:
-            raise FormatError(str(e)) from None
+        chk = check_proper(graph, coloring)
     if chk:
         print("proper")
         return EXIT_OK
@@ -331,9 +328,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except BudgetExhausted as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -24,7 +24,6 @@ __all__ = [
     "ProperCheck",
     "pair_color",
     "color_shared",
-    "clique_color_sets",
     "extend_to_full",
     "check_proper",
 ]
@@ -101,19 +100,6 @@ def color_shared(g: EflGraph) -> SharedColoring:
     return SharedColoring(n if n % 2 else n - 1, cmap)
 
 
-def clique_color_sets(g: EflGraph, shared: SharedColoring) -> dict:
-    """Per-clique sets of colors used by shared vertices.
-
-    This is the extension state: clique Q_i may still use exactly the
-    colors of {1, ..., n} missing from its set.
-    """
-    cmap = shared.colors
-    return {
-        idx: {cmap[v] for v in q if v in cmap}
-        for idx, q in enumerate(g.cliques, start=1)
-    }
-
-
 def extend_to_full(g: EflGraph, shared: SharedColoring) -> FullColoring:
     """Extend a proper shared coloring to a proper n-coloring of all of g.
 
@@ -164,7 +150,9 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
     may cover any subset of the shared vertices, and only edges inside its
     domain are examined.  Every edge lies in exactly one defining clique,
     so properness is a per-clique distinctness check; on failure the
-    lexicographically first monochromatic vertex pair is reported.
+    lexicographically first monochromatic vertex pair is reported.  A
+    vertex outside the domain or a color outside 1..palette_size is a
+    ValueError naming the least such vertex.
     """
     cmap = coloring.colors
     if isinstance(coloring, FullColoring):
@@ -181,6 +169,11 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
             raise ValueError(
                 f"shared coloring names non-shared vertex {v!r}"
             )
+    p = coloring.palette_size
+    if cmap and not 1 <= min(cmap.values()) <= max(cmap.values()) <= p:
+        v = min((v for v, c in cmap.items() if not 1 <= c <= p),
+                key=vertex_key)
+        raise ValueError(f"vertex {v!r} has color {cmap[v]} outside 1..{p}")
 
     worst = None
     worst_key = None

@@ -19,13 +19,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Hashable, Iterable, Union
+from typing import Iterable
 
 __all__ = [
     "SharedVertex",
     "UnsharedVertex",
     "GeneralVertex",
-    "VertexId",
     "vertex_key",
     "Rejection",
     "EflGraph",
@@ -33,7 +32,6 @@ __all__ = [
     "build_maximal",
     "build_from_pairs",
     "validate",
-    "adjacency",
 ]
 
 
@@ -71,9 +69,6 @@ class GeneralVertex:
     """Opaque vertex label, used when no pair or slot identity applies."""
 
     label: int
-
-
-VertexId = Union[SharedVertex, UnsharedVertex, GeneralVertex, Hashable]
 
 
 def vertex_key(v) -> tuple:
@@ -314,13 +309,3 @@ def validate(cliques: Iterable, n: int):
     g = EflGraph(n, tuple(qs), shared)
     g.__dict__["membership"] = membership
     return g
-
-
-def adjacency(g: EflGraph, u, v) -> bool:
-    """True iff u and v are distinct and lie in a common defining clique."""
-    for w in (u, v):
-        if w not in g.vertex_set:
-            raise ValueError(f"unknown vertex {w!r}")
-    if u == v:
-        return False
-    return not set(g.cliques_of(u)).isdisjoint(g.cliques_of(v))

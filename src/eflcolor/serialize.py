@@ -432,9 +432,9 @@ def _clique_lists(entries):
 
 
 def sweep_text(report):
-    """Yields ``dumps(report.to_json())`` for a
-    :class:`eflcolor.solver.SweepReport` one listed instance at a time,
-    written straight from its fields with no JSON encoder."""
+    """Yields a :class:`eflcolor.solver.SweepReport` as ``dumps`` writes
+    its fields (min_palettes only when set), one listed instance at a
+    time, with no JSON encoder."""
     yield (
         f'{{\n  "n": {report.n},\n  "r": {report.r},'
         f'\n  "instances": {report.instances},'

@@ -51,12 +51,10 @@ __all__ = [
     "ChromaticResult",
     "chromatic_number",
     "color_decomposition",
-    "SweepInstance",
     "MAX_SWEEP_ORDER",
     "enumerate_two_r_decompositions",
     "SweepReport",
     "sweep_two_r_decompositions",
-    "greedy_baseline",
 ]
 
 
@@ -80,20 +78,17 @@ class SearchConfig:
 
     node_limit bounds the number of color placements tried.
     progress, when set, is called with the running node count every
-    progress_interval placements.
+    million placements.
     """
 
     node_limit: int = 10**8
     progress: Optional[Callable[[int], None]] = field(
         default=None, compare=False
     )
-    progress_interval: int = field(default=10**6, compare=False)
 
     def __post_init__(self):
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
-        if self.progress_interval < 1:
-            raise ValueError("progress_interval must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -300,12 +295,7 @@ def _chromatic_search(g: EflGraph, cfg: SearchConfig) -> ChromaticResult:
     while True:
         try:
             found, colors, nodes = _search(
-                nb,
-                k,
-                preset,
-                cfg.node_limit - total_nodes,
-                cfg.progress,
-                cfg.progress_interval,
+                nb, k, preset, cfg.node_limit - total_nodes, cfg.progress
             )
         except BudgetExhausted as e:
             raise BudgetExhausted(total_nodes + e.nodes) from None
@@ -369,12 +359,7 @@ def _decomposition_search(
     preset = [(v, c) for c, v in enumerate(_greedy_clique(nb), start=1)]
     try:
         found, colors, nodes = _search(
-            nb,
-            max(palette, 0),
-            preset,
-            cfg.node_limit,
-            cfg.progress,
-            cfg.progress_interval,
+            nb, max(palette, 0), preset, cfg.node_limit, cfg.progress
         )
     except BudgetExhausted as e:
         return SearchOutcome(
@@ -393,15 +378,6 @@ def _decomposition_search(
         )
     cert = DecompositionColoring(palette, dict(enumerate(colors, 1)))
     return SearchOutcome(Status.COLORABLE, cert, nodes, perf_counter() - t0)
-
-
-@dataclass(frozen=True)
-class SweepInstance:
-    """A decomposition of K_n whose cliques all have size 2 or size r."""
-
-    n: int
-    r: int
-    decomposition: CliqueDecomposition
 
 
 # the largest order a sweep accepts.  The enumerator builds its table of
@@ -428,7 +404,7 @@ SHARD_DEPTH = 12
 
 def enumerate_two_r_decompositions(
     n: int, r: int, shard: int = 0, shards: int = 1
-) -> Iterator[SweepInstance]:
+) -> Iterator[CliqueDecomposition]:
     """Yield every labeled decomposition of K_n into 2-cliques and r-cliques.
 
     Backtracks on the lexicographically smallest uncovered edge, trying
@@ -500,7 +476,7 @@ def enumerate_two_r_decompositions(
                 # both lists grow in lexicographic order, so this is the
                 # canonical (size, lexicographic) order
                 cliques = tuple(twos) + tuple(chosen)
-                yield SweepInstance(n, r, CliqueDecomposition(host, cliques))
+                yield CliqueDecomposition(host, cliques)
         # undo the deepest choice and go on with the option after it
         if not frames:
             return
@@ -529,20 +505,6 @@ class SweepReport:
     max_nodes: int
     min_palettes: Optional[list] = None
 
-    def to_json(self) -> dict:
-        out = {
-            "n": self.n,
-            "r": self.r,
-            "instances": self.instances,
-            "colorable": self.colorable,
-            "not_colorable": self.not_colorable,
-            "budget_exhausted": self.budget_exhausted,
-            "max_nodes": self.max_nodes,
-        }
-        if self.min_palettes is not None:
-            out["min_palettes"] = self.min_palettes
-        return out
-
 
 def _clique_lists(d: CliqueDecomposition) -> list:
     """d's cliques as JSON lists: the key a sweep report lists d by."""
@@ -555,8 +517,7 @@ def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
     min_palettes)."""
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
-    for inst in enumerate_two_r_decompositions(n, r, shard, shards):
-        d = inst.decomposition
+    for d in enumerate_two_r_decompositions(n, r, shard, shards):
         out = color_decomposition(d, n, cfg)
         total += 1
         max_nodes = max(max_nodes, out.nodes)
@@ -623,26 +584,3 @@ def sweep_two_r_decompositions(
             key=lambda entry: entry["cliques"],
         ) if minimum_palettes else None,
     )
-
-
-def greedy_baseline(d: CliqueDecomposition) -> DecompositionColoring:
-    """Greedy coloring of the intersection graph in descending-degree order.
-
-    Ties break to the lower index; each clique takes the smallest color
-    its vertex-sharing predecessors avoid.  Never needs more colors than
-    the maximum intersection degree plus one, making it a cheap upper
-    bound to compare against exact search.
-    """
-    nb = intersection_masks(d)
-    order = sorted(range(len(nb)), key=lambda v: (-nb[v].bit_count(), v))
-    classes = [0]  # classes[c]: bitmask of the cliques colored c
-    colors: dict = {}
-    for v in order:
-        c = 1
-        while c < len(classes) and classes[c] & nb[v]:
-            c += 1
-        if c == len(classes):
-            classes.append(0)
-        classes[c] |= 1 << v
-        colors[v + 1] = c
-    return DecompositionColoring(len(classes) - 1, colors)

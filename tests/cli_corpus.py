@@ -167,6 +167,17 @@ CASES = [
     # an --out that cannot be written is an input error, like an --in
     ("gen_out_unwritable",
      ["gen", "--n", "3", "--pairs", "all", "--out", "/no/such/dir/x.json"]),
+    # a vertex color outside the palette is an input error, as a clique
+    # color is; an edgeless decomposition takes the empty coloring
+    ("verify_colors_outside_palette",
+     ["verify", "--graph", "@gen_all_4.stdout",
+      "--coloring", "@inputs/g4_coloring_outside_palette.json"]),
+    ("verify_edgeless_decomposition",
+     ["verify", "--graph", "@inputs/decomposition_edgeless.json",
+      "--coloring", "@inputs/coloring_empty.json"]),
+    ("verify_assignments_not_a_list",
+     ["verify", "--graph", "@gen_all_4.stdout",
+      "--coloring", "@inputs/coloring_assignments_int.json"]),
 ]
 
 

@@ -3,8 +3,9 @@
 Everything here recomputes answers from first principles (pairwise scans,
 exhaustive enumeration, graph rebuilds, the recursive search engine and
 enumerator, the serial sweep, the round-robin edge coloring, the
-dict-at-a-time coloring reader) so the library's own fast paths are never
-trusted to check themselves.
+dict-at-a-time coloring reader, the sweep report as a dict for the JSON
+encoder) so the library's own fast paths are never trusted to check
+themselves.
 """
 
 from itertools import combinations, product
@@ -22,10 +23,19 @@ from eflcolor.serialize import FormatError, vertex_from_json, vertex_to_json
 from eflcolor.solver import (
     BudgetExhausted,
     Status,
-    SweepInstance,
     SweepReport,
     color_decomposition,
 )
+
+
+def adjacency(g: EflGraph, u, v) -> bool:
+    """True iff u and v are distinct and lie in a common defining clique."""
+    for w in (u, v):
+        if w not in g.vertex_set:
+            raise ValueError(f"unknown vertex {w!r}")
+    if u == v:
+        return False
+    return not set(g.cliques_of(u)).isdisjoint(g.cliques_of(v))
 
 
 def brute_force_proper(g: EflGraph, colors: dict) -> bool:
@@ -311,7 +321,7 @@ def reference_enumerate_two_r(n, r):
             # both lists grow in lexicographic order, so this is the
             # canonical (size, lexicographic) order
             cliques = tuple(twos) + tuple(chosen)
-            yield SweepInstance(n, r, CliqueDecomposition(host, cliques))
+            yield CliqueDecomposition(host, cliques)
             return
         i, j = e
         others = [v for v in range(1, n + 1) if v != i and v != j]
@@ -339,8 +349,7 @@ def reference_sweep(n, r, cfg, minimum_palettes=False):
     report that eflcolor.solver's sharded sweep must reproduce."""
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
-    for inst in reference_enumerate_two_r(n, r):
-        d = inst.decomposition
+    for d in reference_enumerate_two_r(n, r):
         cliques = [list(c) for c in d.cliques]
         out = color_decomposition(d, n, cfg)
         total += 1
@@ -368,6 +377,23 @@ def reference_sweep(n, r, cfg, minimum_palettes=False):
         sorted(minimums, key=lambda e: e["cliques"])
         if minimum_palettes else None,
     )
+
+
+def sweep_report_to_json(report: SweepReport) -> dict:
+    """A sweep report as the dict whose dumps() eflcolor.serialize's
+    sweep_text must reproduce byte for byte: min_palettes only when set."""
+    out = {
+        "n": report.n,
+        "r": report.r,
+        "instances": report.instances,
+        "colorable": report.colorable,
+        "not_colorable": report.not_colorable,
+        "budget_exhausted": report.budget_exhausted,
+        "max_nodes": report.max_nodes,
+    }
+    if report.min_palettes is not None:
+        out["min_palettes"] = report.min_palettes
+    return out
 
 
 def round_robin_edge_coloring(n: int) -> dict:

@@ -241,8 +241,8 @@ def test_criterion_8_two_r_sweep_at_desk_scale(capsys):
     # enumerator versus the brute-force subset oracle, instance for instance
     for n, r in [(3, 3), (4, 3)]:
         got = sorted(
-            inst.decomposition.cliques
-            for inst in enumerate_two_r_decompositions(n, r)
+            d.cliques
+            for d in enumerate_two_r_decompositions(n, r)
         )
         want = []
         for family in edge_disjoint_r_families(n, r):

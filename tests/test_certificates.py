@@ -82,9 +82,8 @@ def test_sweep_instances_every_palette(searches):
     refuted = 0
     for n in range(3, 8):
         for r in range(3, n + 1):
-            for inst in enumerate_two_r_decompositions(n, r):
+            for d in enumerate_two_r_decompositions(n, r):
                 for palette in range(n + 1):
-                    d = inst.decomposition
                     refuted += assert_matches_search(d, palette, searches)[1]
     assert refuted  # the bound fires on some of them
 

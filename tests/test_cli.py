@@ -162,6 +162,52 @@ class TestVerify:
             "verify", "--graph", graph, "--coloring", clique_coloring
         ]) == 2
 
+    def test_colors_outside_the_palette_exit_2(self, tmp_path, capsys):
+        graph = write(tmp_path, "g.json", graph_to_json(build_maximal(4)))
+        pairs = [(1, 2), (1, 3), (1, 4), (2, 3)]
+        coloring = write(tmp_path, "c.json", {
+            "palette": 1,
+            "assignments": [
+                {"vertex": ["shared", i, j], "color": 100 * k}
+                for k, (i, j) in enumerate(pairs, start=1)
+            ],
+        })
+        assert main(["verify", "--graph", graph, "--coloring", coloring]) == 2
+        assert capsys.readouterr() == (
+            "", "error: vertex SharedVertex(i=1, j=2) has color 100 "
+            "outside 1..1\n",
+        )
+
+    def test_edgeless_decomposition_takes_an_empty_coloring(
+        self, tmp_path, capsys
+    ):
+        d = write(tmp_path, "d.json",
+                  {"n": 3, "host_edges": [], "cliques": []})
+        empty = write(tmp_path, "c.json", {"palette": 0, "assignments": []})
+        assert main(["verify", "--graph", d, "--coloring", empty]) == 0
+        assert capsys.readouterr().out == "proper\n"
+        # an EFL graph reads the empty list as a vertex coloring, as before
+        graph = write(tmp_path, "g.json", graph_to_json(build_maximal(3)))
+        assert main(["verify", "--graph", graph, "--coloring", empty]) == 0
+        assert capsys.readouterr().out == "proper\n"
+
+    @pytest.mark.parametrize("assignments", [5, {"clique": 1}])
+    def test_assignments_that_are_not_a_list_exit_2(
+        self, tmp_path, capsys, assignments
+    ):
+        # an input error for either kind, never an internal error
+        coloring = write(tmp_path, "c.json",
+                         {"palette": 1, "assignments": assignments})
+        graph = write(tmp_path, "g.json", graph_to_json(build_maximal(3)))
+        d = write(tmp_path, "d.json",
+                  decomposition_to_json(efl_to_decomposition(build_maximal(3))))
+        assert main(["verify", "--graph", graph, "--coloring", coloring]) == 2
+        assert capsys.readouterr().err == (
+            'error: coloring JSON needs an "assignments" list\n'
+        )
+        assert main(["verify", "--graph", d, "--coloring", coloring]) == 2
+        assert "needs a clique-keyed coloring" in capsys.readouterr().err
+
     def test_color_pipes_into_verify(self, tmp_path):
         import random
         from itertools import combinations

@@ -9,7 +9,6 @@ from eflcolor.coloring import (
     FullColoring,
     SharedColoring,
     check_proper,
-    clique_color_sets,
     color_shared,
     extend_to_full,
     pair_color,
@@ -224,11 +223,6 @@ class TestExtendToFull:
         with pytest.raises(ValueError, match="misses"):
             extend_to_full(g, SharedColoring(3, partial))
 
-    def test_clique_color_sets_tracks_shared_colors(self):
-        g = build_maximal(4)
-        sets = clique_color_sets(g, color_shared(g))
-        assert sets == {1: {1, 2, 3}, 2: {1, 2, 3}, 3: {1, 2, 3}, 4: {1, 2, 3}}
-
 
 class TestRoundRobin:
     def test_n2_single_edge(self):
@@ -305,6 +299,28 @@ class TestCheckProper:
         g = build_maximal(3)
         with pytest.raises(ValueError):
             check_proper(g, SharedColoring(3, {SharedVertex(1, 9): 1}))
+
+    @pytest.mark.parametrize("color", [-1, 0, 4, 100])
+    def test_color_outside_palette_errors(self, color):
+        # the least offender by vertex_key is named, even on a coloring
+        # that is also improper
+        g = build_maximal(4)
+        colors = dict(color_shared(g).colors)
+        colors[SharedVertex(3, 4)] = colors[SharedVertex(2, 4)] = color
+        message = (
+            rf"vertex SharedVertex\(i=2, j=4\) has color {color} "
+            rf"outside 1\.\.3$"
+        )
+        with pytest.raises(ValueError, match=message):
+            check_proper(g, SharedColoring(3, colors))
+
+    def test_full_coloring_above_its_palette_errors(self):
+        g = build_maximal(4)
+        full = extend_to_full(g, color_shared(g))
+        assert check_proper(g, full)
+        with pytest.raises(ValueError, match=r"UnsharedVertex\(clique=1, "
+                           r"slot=1\) has color 4 outside 1\.\.3"):
+            check_proper(g, FullColoring(3, full.colors))
 
     def test_shared_subset_is_allowed(self):
         g = build_maximal(6)

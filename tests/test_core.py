@@ -12,7 +12,6 @@ from eflcolor.core import (
     Rejection,
     SharedVertex,
     UnsharedVertex,
-    adjacency,
     build_from_pairs,
     build_maximal,
     validate,
@@ -25,7 +24,7 @@ from eflcolor.decomposition import (
 )
 from eflcolor.serialize import dumps, graph_to_json
 from eflcolor.solver import enumerate_two_r_decompositions
-from helpers import reference_graph_to_json, reference_validate
+from helpers import adjacency, reference_graph_to_json, reference_validate
 
 
 def expected_vertex_count(n, shared):
@@ -346,7 +345,7 @@ def _random_clique_lists(seed, count):
 
 @lru_cache(maxsize=None)
 def _triangle_decompositions(n):
-    return [i.decomposition for i in enumerate_two_r_decompositions(n, 3)]
+    return list(enumerate_two_r_decompositions(n, 3))
 
 
 @pytest.mark.parametrize("seed", range(4))

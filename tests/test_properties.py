@@ -20,7 +20,6 @@ from eflcolor.coloring import (
 )
 from eflcolor.core import (
     SharedVertex,
-    adjacency,
     build_from_pairs,
     build_maximal,
     validate,
@@ -31,7 +30,7 @@ from eflcolor.decomposition import (
     decomposition_to_efl,
     efl_to_decomposition,
 )
-from helpers import brute_force_proper, round_robin_edge_coloring
+from helpers import adjacency, brute_force_proper, round_robin_edge_coloring
 
 
 @st.composite

@@ -137,10 +137,10 @@ def reference_solver(monkeypatch):
 
 def test_sweep_instances_match_reference(reference_solver):
     cases = [
-        (inst.decomposition, palette)
+        (d, palette)
         for n in range(3, 8)
         for r in range(3, n + 1)
-        for inst in enumerate_two_r_decompositions(n, r)
+        for d in enumerate_two_r_decompositions(n, r)
         for palette in (n, n - 1)
     ]
     got = [color_decomposition(d, p) for d, p in cases]
@@ -182,10 +182,10 @@ def test_chromatic_search_on_three_clique_graphs_matches_reference(
         ),
     ]
     graphs += [
-        decomposition_to_efl(inst.decomposition)
+        decomposition_to_efl(d)
         for n in range(3, 8)
-        for inst in enumerate_two_r_decompositions(n, 3)
-        if any(len(c) == 3 for c in inst.decomposition.cliques)
+        for d in enumerate_two_r_decompositions(n, 3)
+        if any(len(c) == 3 for c in d.cliques)
     ]
     assert not any(g.is_two_clique for g in graphs)
     got = [chromatic_number(g) for g in graphs]
@@ -261,9 +261,9 @@ def test_budget_past_recursion_limit():
     assert info.value.nodes == 100001
 
 
-@pytest.mark.parametrize("field", ["node_limit", "progress_interval"])
+@pytest.mark.parametrize("field", ["node_limit"])
 def test_config_rejects_counts_below_one(field):
-    # the engine's budget and progress checks fire when the node count
-    # reaches them, which a count below one never does
+    # the engine's budget check fires when the node count reaches it,
+    # which a count below one never does
     with pytest.raises(ValueError, match=field):
         SearchConfig(**{field: 0})

@@ -54,6 +54,7 @@ from eflcolor.solver import (
     enumerate_two_r_decompositions,
     sweep_two_r_decompositions,
 )
+from helpers import sweep_report_to_json
 
 
 class TestVertexEncoding:
@@ -241,8 +242,8 @@ class TestGraphText:
         count = 0
         for n in range(3, 7):
             for r in range(3, n + 1):
-                for inst in enumerate_two_r_decompositions(n, r):
-                    g = decomposition_to_efl(inst.decomposition)
+                for d in enumerate_two_r_decompositions(n, r):
+                    g = decomposition_to_efl(d)
                     assert "".join(graph_text(g)) == dumps(graph_to_json(g))
                     count += 1
         assert count == 339
@@ -288,7 +289,7 @@ class TestGraphText:
 
 
 class TestSweepText:
-    """sweep_text writes dumps(report.to_json())."""
+    """sweep_text writes dumps(sweep_report_to_json(report))."""
 
     @pytest.mark.parametrize("n, r, node_limit, minimum", [
         (5, 3, 10**8, False),
@@ -300,7 +301,7 @@ class TestSweepText:
             n, r, SearchConfig(node_limit=node_limit), minimum
         )
         assert (report.min_palettes is not None) == minimum
-        assert "".join(sweep_text(report)) == dumps(report.to_json())
+        assert "".join(sweep_text(report)) == dumps(sweep_report_to_json(report))
 
     @pytest.mark.parametrize("min_palettes", [
         None,
@@ -315,7 +316,7 @@ class TestSweepText:
             [[[1, 2], [1, 3], [1, 4]], [[2, 3, 4], [1, 2]]],
             12, min_palettes,
         )
-        assert "".join(sweep_text(report)) == dumps(report.to_json())
+        assert "".join(sweep_text(report)) == dumps(sweep_report_to_json(report))
 
 
 class TestRepeatedKeys:

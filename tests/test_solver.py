@@ -1,19 +1,20 @@
+import json
 from itertools import combinations
 
 import pytest
 
 from eflcolor import solver
 from eflcolor.coloring import check_proper, color_shared, extend_to_full
-from eflcolor.core import GeneralVertex, adjacency, build_maximal, validate
+from eflcolor.core import GeneralVertex, build_maximal, validate
 from eflcolor.decomposition import (
     CliqueDecomposition,
     check_decomposition_coloring,
     complete_host,
     decomposition_to_efl,
-    intersection_graph,
     intersection_masks,
     validate_decomposition,
 )
+from eflcolor.serialize import sweep_text
 from eflcolor.solver import (
     BudgetExhausted,
     SearchConfig,
@@ -21,11 +22,11 @@ from eflcolor.solver import (
     chromatic_number,
     color_decomposition,
     enumerate_two_r_decompositions,
-    greedy_baseline,
     sweep_two_r_decompositions,
 )
 from helpers import (
     FANO_TRIANGLES,
+    adjacency,
     brute_force_chromatic,
     edge_disjoint_r_families,
     family_to_clique_list,
@@ -154,7 +155,7 @@ class TestColorDecomposition:
     @pytest.mark.parametrize("palette", [4, 5, 9])
     def test_improper_certificate_never_returned(self, palette, monkeypatch):
         # a faulty engine claiming one color for every edge of K_4
-        def stub(nb, palette, preset, node_limit, progress, interval):
+        def stub(nb, palette, preset, node_limit, progress):
             return True, [1] * len(nb), 1
 
         monkeypatch.setattr(solver, "_search", stub)
@@ -200,8 +201,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,r", [(3, 3), (4, 3)])
     def test_matches_subset_oracle(self, n, r):
         got = {
-            inst.decomposition.cliques
-            for inst in enumerate_two_r_decompositions(n, r)
+            d.cliques
+            for d in enumerate_two_r_decompositions(n, r)
         }
         want = set()
         for family in edge_disjoint_r_families(n, r):
@@ -214,28 +215,28 @@ class TestEnumeration:
 
     def test_n3_instances(self):
         got = [
-            inst.decomposition.cliques
-            for inst in enumerate_two_r_decompositions(3, 3)
+            d.cliques
+            for d in enumerate_two_r_decompositions(3, 3)
         ]
         assert got == [((1, 2, 3),), ((1, 2), (1, 3), (2, 3))]
 
     def test_n4_has_zero_or_one_triangles(self):
         instances = list(enumerate_two_r_decompositions(4, 3))
         assert len(instances) == 5
-        for inst in instances:
-            triangles = [c for c in inst.decomposition.cliques if len(c) == 3]
+        for d in instances:
+            triangles = [c for c in d.cliques if len(c) == 3]
             assert len(triangles) <= 1
 
     def test_no_duplicates_at_n6(self):
         seen = [
-            inst.decomposition.cliques
-            for inst in enumerate_two_r_decompositions(6, 3)
+            d.cliques
+            for d in enumerate_two_r_decompositions(6, 3)
         ]
         assert len(seen) == len(set(seen))
 
     def test_first_instance_at_n7_is_a_triple_system(self):
         first = next(enumerate_two_r_decompositions(7, 3))
-        cliques = first.decomposition.cliques
+        cliques = first.cliques
         assert all(len(c) == 3 for c in cliques)
         assert len(cliques) == 7
         assert cliques == FANO_TRIANGLES
@@ -248,8 +249,8 @@ class TestEnumeration:
 
     def test_r_equal_n_gives_whole_clique_or_all_edges(self):
         got = [
-            inst.decomposition.cliques
-            for inst in enumerate_two_r_decompositions(4, 4)
+            d.cliques
+            for d in enumerate_two_r_decompositions(4, 4)
         ]
         assert got == [
             ((1, 2, 3, 4),),
@@ -259,8 +260,7 @@ class TestEnumeration:
     def test_instances_validate_and_use_only_allowed_sizes(self):
         for n in range(3, 8):
             for r in range(3, n + 1):
-                for inst in enumerate_two_r_decompositions(n, r):
-                    d = inst.decomposition
+                for d in enumerate_two_r_decompositions(n, r):
                     assert {len(c) for c in d.cliques} <= {2, r}
                     assert d.host.is_complete
                     # the enumerator builds each instance valid and in
@@ -319,10 +319,7 @@ class TestSweep:
             ), entry
         # every instance is settled or listed as unsettled, and colorable
         # counts each one the palette 6 search colored
-        decomps = [
-            inst.decomposition
-            for inst in enumerate_two_r_decompositions(6, 3)
-        ]
+        decomps = list(enumerate_two_r_decompositions(6, 3))
         listed = [e["cliques"] for e in report.min_palettes]
         assert sorted(listed + report.budget_exhausted) == sorted(
             [list(c) for c in d.cliques] for d in decomps
@@ -351,42 +348,10 @@ class TestSweep:
         assert report.budget_exhausted  # limit 1 cannot finish every search
 
     def test_report_json_schema(self):
-        data = sweep_two_r_decompositions(3, 3).to_json()
+        report = sweep_two_r_decompositions(3, 3)
+        data = json.loads("".join(sweep_text(report)))
         assert set(data) == {
             "n", "r", "instances", "colorable", "not_colorable",
             "budget_exhausted", "max_nodes",
         }
 
-
-class TestGreedyBaseline:
-    def test_triangle_edges(self):
-        d = validate_decomposition(
-            complete_host(3), [(1, 2), (1, 3), (2, 3)]
-        )
-        out = greedy_baseline(d)
-        assert out.palette_size == 3
-        assert check_decomposition_coloring(d, out)
-
-    def test_empty_decomposition(self):
-        from eflcolor.decomposition import HostGraph
-
-        d = validate_decomposition(HostGraph(3, frozenset()), [])
-        out = greedy_baseline(d)
-        assert out.palette_size == 0
-        assert out.colors == {}
-
-    @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_never_beats_exact_bound_on_even_line_graphs(self, n):
-        d = two_clique_decomposition(n)
-        out = greedy_baseline(d)
-        ig = intersection_graph(d)
-        degree = {v: 0 for v in range(1, ig.vertex_count + 1)}
-        for s, t in ig.edges:
-            degree[s] += 1
-            degree[t] += 1
-        assert out.palette_size >= n - 1  # chromatic index of K_n, n even
-        assert out.palette_size <= max(degree.values()) + 1
-        ok_pairs = all(
-            out.colors[s] != out.colors[t] for s, t in ig.edges
-        )
-        assert ok_pairs

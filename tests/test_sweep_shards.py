@@ -26,8 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def cliques(n, r, shard=0, shards=1):
     return [
-        inst.decomposition.cliques
-        for inst in enumerate_two_r_decompositions(n, r, shard, shards)
+        d.cliques for d in enumerate_two_r_decompositions(n, r, shard, shards)
     ]
 
 
@@ -141,7 +140,7 @@ class TestMergedReport:
                                       (12, 7), (12, 12)])
     def test_orders_up_to_the_limit_are_accepted(self, n, r):
         first = next(enumerate_two_r_decompositions(n, r))
-        assert first.decomposition.host.vertex_count == n
+        assert first.host.vertex_count == n
 
 
 class TestWorkerFailures:
@@ -165,11 +164,10 @@ class TestWorkerFailures:
         cpus(2)
         search = solver._search
 
-        def faulty(nb, palette, preset, node_limit, progress, interval):
+        def faulty(nb, palette, preset, node_limit, progress):
             if in_worker():  # one color for every clique
                 return True, [1] * len(nb), 1
-            return search(nb, palette, preset, node_limit, progress,
-                          interval)
+            return search(nb, palette, preset, node_limit, progress)
 
         monkeypatch.setattr(solver, "_search", faulty)
         assert cli.main(["sweep", "--n", "5", "--r", "3"]) == 5
