@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import serialize
-from .coloring import FullColoring, SharedColoring, check_proper, color_shared, extend_to_full
+from .coloring import ProperCheck, check_proper, color_shared, extend_to_full
 from .core import build_from_pairs, build_maximal
 from .decomposition import (
     CliqueCapacityError,
@@ -159,13 +159,15 @@ def _cmd_verify(args) -> int:
                 "an EFL graph needs a vertex-keyed coloring "
                 '(assignments with "vertex" entries)'
             )
-        palette, colors = serialize.vertex_coloring_from_json(cdata)
+        coloring = serialize.vertex_coloring_on(graph, cdata)
         del cdata
-        if colors.keys() == graph.vertex_set:
-            coloring = FullColoring(palette, colors)
-        else:
-            coloring = SharedColoring(palette, colors)
         chk = check_proper(graph, coloring)
+        # an n-coloring, as on the decomposition side
+        if coloring.palette_size > graph.n:
+            chk = ProperCheck(
+                False, None, f"palette {coloring.palette_size} exceeds the "
+                f"graph order {graph.n}",
+            )
     if chk:
         print("proper")
         return EXIT_OK

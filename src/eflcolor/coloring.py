@@ -10,17 +10,26 @@ every shared vertex gets i + j (mod n).
 A proper shared coloring extends to a proper n-coloring of the whole
 graph: inside each defining clique the unshared vertices take the colors
 its shared vertices do not use.
+
+On a two-clique graph the colorings are lists of colors by vertex number
+(:class:`NumberedColors` over :class:`eflcolor.core.Numbering`): the
+shared vertices in pair order, then each clique's slots.  Coloring,
+extending and checking work on those lists and build no vertex object;
+only a graph with a shared vertex in three or more cliques is checked
+over vertex objects.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .core import EflGraph, SharedVertex, vertex_key
+from .core import EflGraph, vertex_key
 
 __all__ = [
     "SharedColoring",
     "FullColoring",
+    "NumberedColors",
     "ProperCheck",
     "pair_color",
     "color_shared",
@@ -53,7 +62,7 @@ class SharedColoring:
     """Colors for (a subset of) the shared vertices of an EFL graph."""
 
     palette_size: int
-    colors: dict
+    colors: Mapping
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ class FullColoring:
     """Colors for every vertex of an EFL graph."""
 
     palette_size: int
-    colors: dict
+    colors: Mapping
 
 
 @dataclass(frozen=True)
@@ -76,28 +85,122 @@ class ProperCheck:
         return self.ok
 
 
-def color_shared(g: EflGraph) -> SharedColoring:
-    """Proper coloring of the shared vertices of a two-clique EFL graph.
+class NumberedColors(Mapping):
+    """A read-only vertex -> color Mapping held as a list by vertex number.
 
-    Colors every shared vertex by :func:`pair_color`; the palette is n - 1
-    for even n and n for odd n regardless of how many shared vertices the
-    graph has (the pairs of any such graph are a subset of the maximal
-    instance's, so the restriction stays proper).  Raises ValueError when
-    some shared vertex lies in three or more cliques.
+    ``by_number[k]`` is the color of vertex k of ``graph.numbering``, or
+    None when it is uncolored; ``extra`` maps any colored vertex that the
+    graph does not have to its color.  Vertex objects are built only when
+    a caller reads the mapping by vertex; its length is counted once.
     """
-    n = g.n
+
+    __slots__ = ("graph", "by_number", "extra", "_len", "_dict")
+
+    def __init__(self, graph: EflGraph, by_number: list, extra=None):
+        self.graph, self.by_number = graph, by_number
+        self.extra = extra or {}
+        self._len = len(by_number) - by_number.count(None) + len(self.extra)
+        self._dict = None
+
+    def _as_dict(self) -> dict:
+        if self._dict is None:
+            vertex = self.graph.numbering.vertex
+            self._dict = {
+                vertex(k): c for k, c in enumerate(self.by_number)
+                if c is not None
+            }
+            self._dict.update(self.extra)
+        return self._dict
+
+    def __getitem__(self, v):
+        return self._as_dict()[v]
+
+    def __iter__(self):
+        return iter(self._as_dict())
+
+    def __len__(self):
+        return self._len
+
+    def __repr__(self):
+        return repr(self._as_dict())
+
+
+def _numbered(g: EflGraph, colors) -> NumberedColors:
+    """colors, a vertex -> color Mapping, numbered by g's vertices."""
+    if isinstance(colors, NumberedColors) and (
+        colors.graph is g or colors.graph == g
+    ):
+        return colors
+    numbering = g.numbering
+    by_number = [None] * numbering.size
+    extra = {}
+    for v, c in colors.items():
+        k = numbering.number_of(v)
+        if k is None:
+            extra[v] = c
+        else:
+            by_number[k] = c
+    return NumberedColors(g, by_number, extra)
+
+
+def _two_clique_only(g: EflGraph):
     if not g.is_two_clique:
         raise ValueError(
             "graph has a shared vertex in three or more defining cliques; "
             "translate to a clique decomposition and search instead"
         )
-    # a SharedVertex names its pair; only other vertices need cliques_of
-    cmap = {
-        v: pair_color(n, v.i, v.j) if type(v) is SharedVertex
-        else pair_color(n, *g.cliques_of(v))
-        for v in g.shared
-    }
-    return SharedColoring(n if n % 2 else n - 1, cmap)
+
+
+def color_shared(g: EflGraph) -> SharedColoring:
+    """Proper coloring of the shared vertices of a two-clique EFL graph.
+
+    Colors every shared vertex by :func:`pair_color`, one color per pair
+    of ``g.pairs``; the palette is n - 1 for even n and n for odd n
+    regardless of how many shared vertices the graph has (the pairs of any
+    such graph are a subset of the maximal instance's, so the restriction
+    stays proper).  Raises ValueError when some shared vertex lies in
+    three or more cliques.
+    """
+    _two_clique_only(g)
+    n = g.n
+    by_number = [pair_color(n, i, j) for i, j in g.pairs]
+    by_number += [None] * (g.numbering.size - len(by_number))
+    return SharedColoring(n if n % 2 else n - 1, NumberedColors(g, by_number))
+
+
+def _clique_colors(g: EflGraph, by_number: list) -> list:
+    """Entry c - 1 lists the colors of clique c's colored shared vertices
+    in vertex-number order."""
+    out: list = [[] for _ in range(g.n)]
+    for (i, j), c in zip(g.pairs, by_number):
+        if c is not None:
+            out[i - 1].append(c)
+            out[j - 1].append(c)
+    return out
+
+
+def _least_uncolored(g: EflGraph, by_number: list, stop: int):
+    """The least vertex by :func:`vertex_key` among those numbered below
+    stop that by_number leaves uncolored, or None."""
+    if None not in by_number[:stop]:
+        return None
+    numbering = g.numbering
+    return numbering.vertex(numbering.least(
+        k for k in range(stop) if by_number[k] is None
+    ))
+
+
+def _least_not_shared(g: EflGraph, colors: NumberedColors):
+    """The least vertex by :func:`vertex_key` that colors colors and g
+    does not share, or None."""
+    by_number, P = colors.by_number, len(g.pairs)
+    found = list(colors.extra)
+    if by_number[P:].count(None) < len(by_number) - P:
+        numbering = g.numbering
+        found.append(numbering.vertex(numbering.least(
+            k for k in range(P, len(by_number)) if by_number[k] is not None
+        )))
+    return min(found, key=vertex_key, default=None)
 
 
 def extend_to_full(g: EflGraph, shared: SharedColoring) -> FullColoring:
@@ -108,39 +211,37 @@ def extend_to_full(g: EflGraph, shared: SharedColoring) -> FullColoring:
     smallest vertex, cliques processed in ascending index order.  Raises
     ValueError when the shared coloring misses a shared vertex, colors a
     non-shared vertex, repeats a color inside some clique, or uses a color
-    above n; the message names the offending clique.
+    above n; the message names the offending clique.  Like
+    :func:`color_shared`, it takes two-clique graphs only.
     """
+    _two_clique_only(g)
     n = g.n
-    cmap = shared.colors
-    missing = g.shared - cmap.keys()
-    if missing:
-        v = min(missing, key=vertex_key)
+    colors = _numbered(g, shared.colors)
+    P = len(g.pairs)
+    v = _least_uncolored(g, colors.by_number, P)
+    if v is not None:
         raise ValueError(f"shared coloring misses shared vertex {v!r}")
-    extra = cmap.keys() - g.shared
-    if extra:
-        v = min(extra, key=vertex_key)
+    v = _least_not_shared(g, colors)
+    if v is not None:
         raise ValueError(f"shared coloring colors non-shared vertex {v!r}")
-    full = dict(cmap)
-    for idx, q in enumerate(g.cliques, start=1):
-        used = set()
-        for v in q:
-            c = cmap.get(v)
-            if c is None:
-                continue
-            if not 1 <= c <= n:
-                raise ValueError(
-                    f"clique {idx}: color {c} outside the palette 1..{n}"
-                )
-            if c in used:
-                raise ValueError(
-                    f"clique {idx}: shared coloring repeats color {c}"
-                )
-            used.add(c)
-        free = [c for c in range(1, n + 1) if c not in used]
-        rest = sorted((v for v in q if v not in cmap), key=vertex_key)
-        for v, c in zip(rest, free):
-            full[v] = c
-    return FullColoring(n, full)
+    palette = set(range(1, n + 1))
+    full = colors.by_number[:P]
+    for idx, used in enumerate(_clique_colors(g, full), start=1):
+        free = palette.difference(used)
+        if len(free) + len(used) != n:  # a repeat, or a color outside
+            seen = set()
+            for c in used:
+                if not 1 <= c <= n:
+                    raise ValueError(
+                        f"clique {idx}: color {c} outside the palette 1..{n}"
+                    )
+                if c in seen:
+                    raise ValueError(
+                        f"clique {idx}: shared coloring repeats color {c}"
+                    )
+                seen.add(c)
+        full += sorted(free)
+    return FullColoring(n, NumberedColors(g, full))
 
 
 def check_proper(g: EflGraph, coloring) -> ProperCheck:
@@ -152,8 +253,82 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
     so properness is a per-clique distinctness check; on failure the
     lexicographically first monochromatic vertex pair is reported.  A
     vertex outside the domain or a color outside 1..palette_size is a
-    ValueError naming the least such vertex.
+    ValueError naming the least such vertex.  Nothing is allocated per
+    color value, so a palette of any size costs the same.
     """
+    if not g.is_two_clique:
+        return _check_by_cliques(g, coloring)
+    colors = _numbered(g, coloring.colors)
+    by_number, numbering = colors.by_number, g.numbering
+    if isinstance(coloring, FullColoring):
+        v = _least_uncolored(g, by_number, len(by_number))
+        if v is not None:
+            raise ValueError(f"full coloring misses vertex {v!r}")
+        if colors.extra:
+            v = min(colors.extra, key=vertex_key)
+            raise ValueError(f"full coloring names unknown vertex {v!r}")
+    else:
+        v = _least_not_shared(g, colors)
+        if v is not None:
+            raise ValueError(
+                f"shared coloring names non-shared vertex {v!r}"
+            )
+    p = coloring.palette_size
+    values = [c for c in by_number if c is not None]
+    if values and not 1 <= min(values) <= max(values) <= p:
+        k = numbering.least(
+            k for k, c in enumerate(by_number)
+            if c is not None and not 1 <= c <= p
+        )
+        raise ValueError(
+            f"vertex {numbering.vertex(k)!r} has color {by_number[k]} "
+            f"outside 1..{p}"
+        )
+    clashing = []
+    for c, used in enumerate(_clique_colors(g, by_number), start=1):
+        slots = numbering.slots(c)
+        used += [x for x in by_number[slots.start:slots.stop]
+                 if x is not None]
+        if len(set(used)) < len(used):
+            clashing.append(c)
+    if not clashing:
+        return ProperCheck(True)
+    k, m = _first_clash(g, by_number, clashing)
+    u, w = numbering.vertex(k), numbering.vertex(m)
+    return ProperCheck(
+        False, (u, w),
+        f"{u!r} and {w!r} are adjacent and share color {by_number[k]}",
+    )
+
+
+def _first_clash(g: EflGraph, by_number: list, cliques: list) -> tuple:
+    """The numbers of the first pair of equally colored vertices lying
+    together in one of ``cliques``, lexicographically by
+    :func:`vertex_key`."""
+    numbering = g.numbering
+    members = {c: [] for c in cliques}
+    for k, pair in enumerate(g.pairs):
+        for c in pair:
+            if c in members:
+                members[c].append(k)
+    first = first_key = None
+    for c, ks in members.items():
+        by_color: dict = {}
+        for k in [*ks, *numbering.slots(c)]:
+            if by_number[k] is not None:
+                by_color.setdefault(by_number[k], []).append(k)
+        for same in by_color.values():
+            if len(same) > 1:
+                same.sort(key=numbering.key)
+                key = (numbering.key(same[0]), numbering.key(same[1]))
+                if first_key is None or key < first_key:
+                    first, first_key = (same[0], same[1]), key
+    return first
+
+
+def _check_by_cliques(g: EflGraph, coloring) -> ProperCheck:
+    """check_proper on a graph with a shared vertex in three or more
+    cliques, over vertex objects and the clique sets."""
     cmap = coloring.colors
     if isinstance(coloring, FullColoring):
         if cmap.keys() != g.vertex_set:

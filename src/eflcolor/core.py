@@ -10,15 +10,18 @@ Clique indices are 1-based throughout.  Vertices carry one of three
 identities: a shared vertex in exactly two cliques is named by its sorted
 clique-index pair, an unshared vertex by its clique and a slot number, and
 anything else (for graphs whose shared vertices may lie in three or more
-cliques) by an opaque integer label.
+cliques) by an opaque integer label.  A graph whose vertices all carry
+pair or slot identities is fixed by n and its sorted shared pairs, and
+one built from them holds nothing else until a caller asks for vertices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 __all__ = [
@@ -26,8 +29,10 @@ __all__ = [
     "UnsharedVertex",
     "GeneralVertex",
     "vertex_key",
+    "key_vertex",
     "Rejection",
     "EflGraph",
+    "Numbering",
     "MAX_ORDER",
     "build_maximal",
     "build_from_pairs",
@@ -89,6 +94,14 @@ def vertex_key(v) -> tuple:
     return (4, repr(v))
 
 
+def key_vertex(kind: int, a: int, b: int):
+    """The vertex whose :func:`vertex_key` is (kind, a, b) for a shared
+    (0) or unshared (1) vertex, or (2, a) for a general one (kind 2)."""
+    if kind == 2:
+        return GeneralVertex(a)
+    return (SharedVertex, UnsharedVertex)[kind](a, b)
+
+
 def _named_cliques(v):
     """The cliques a SharedVertex or UnsharedVertex identity names, or None
     for any other vertex."""
@@ -113,29 +126,109 @@ class Rejection:
     detail: tuple = ()
 
 
-@dataclass(frozen=True, eq=False)
 class EflGraph:
     """Union of n defining n-cliques, any two meeting in at most one vertex.
 
     ``cliques[k]`` is the vertex set of Q_{k+1}; ``shared`` holds exactly
-    the vertices lying in two or more defining cliques.  Instances are
-    immutable and safe to share across threads.  Build through
-    :func:`build_maximal`, :func:`build_from_pairs`,
-    :func:`validate`, or the decomposition translators, which all keep the
-    identity scheme consistent with actual clique membership.
+    the vertices lying in two or more defining cliques; ``pairs`` lists,
+    sorted, the clique-index pairs of the shared vertices lying in exactly
+    two.  A graph built from its pairs (by :func:`build_maximal`,
+    :func:`build_from_pairs` or ``decomposition_to_efl`` of 2-cliques)
+    holds only n and the pairs, and builds its cliques, shared vertices
+    and vertex indexes the first time a caller reads them.  Instances are
+    immutable and safe to share across threads.  Build through those
+    functions, :func:`validate`, or ``EflGraph(n, cliques, shared)`` on
+    validated cliques, so the identity scheme stays consistent with actual
+    clique membership.
     """
 
-    n: int
-    cliques: tuple
-    shared: frozenset
+    def __init__(self, n: int, cliques: tuple, shared: frozenset):
+        vars(self).update(n=n, cliques=cliques, shared=shared)
+
+    @classmethod
+    def _of_pairs(cls, n: int, pairs: tuple) -> "EflGraph":
+        """The graph of order n on distinct, in-range pairs, sorted."""
+        g = cls.__new__(cls)
+        vars(g).update(n=n, pairs=pairs, is_pair_graph=True,
+                       is_two_clique=True)
+        return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EflGraph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EflGraph is immutable: cannot delete {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, EflGraph):
             return NotImplemented
-        return self.n == other.n and self.cliques == other.cliques
+        if self.n != other.n:
+            return False
+        # n and the pairs rebuild a pair graph
+        if self.is_pair_graph and other.is_pair_graph:
+            return self.pairs == other.pairs
+        return self.cliques == other.cliques
 
     def __hash__(self):
-        return hash((self.n, self.cliques))
+        # equal graphs have as many shared vertices, which a pair graph
+        # counts without building them
+        shared = vars(self).get("shared")
+        return hash((self.n, len(self.pairs if shared is None else shared)))
+
+    @cached_property
+    def cliques(self) -> tuple:
+        # reached only on a pair graph: any other graph is given its cliques
+        n = self.n
+        members: list = [[] for _ in range(n + 1)]
+        for i, j in self.pairs:
+            v = SharedVertex(i, j)
+            members[i].append(v)
+            members[j].append(v)
+        return tuple(
+            frozenset(ms + [UnsharedVertex(c, s)
+                            for s in range(1, n - len(ms) + 1)])
+            for c, ms in enumerate(members) if c
+        )
+
+    @cached_property
+    def shared(self) -> frozenset:
+        # reached only on a pair graph, like cliques
+        return frozenset(SharedVertex(i, j) for i, j in self.pairs)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """Sorted clique-index pairs of the shared vertices lying in
+        exactly two defining cliques.
+
+        A SharedVertex names its pair.  Any other shared vertex is placed
+        by one scan of the cliques rather than by :attr:`membership`,
+        which would index every vertex to place these few.
+        """
+        pairs = [(v.i, v.j) for v in self.shared if type(v) is SharedVertex]
+        found = {v: [] for v in self.shared if type(v) is not SharedVertex}
+        if found:
+            for idx, q in enumerate(self.cliques, start=1):
+                for v in found.keys() & q:
+                    found[v].append(idx)
+            pairs += [tuple(ix) for ix in found.values() if len(ix) == 2]
+        return tuple(sorted(pairs))
+
+    @cached_property
+    def is_pair_graph(self) -> bool:
+        """True when every vertex carries a pair or slot identity, so that
+        n and :attr:`pairs` alone rebuild the graph: validated graphs keep
+        those identities true to membership and fill each clique's slots
+        1..free, as :func:`build_from_pairs` does."""
+        return all(
+            isinstance(v, (SharedVertex, UnsharedVertex))
+            for q in self.cliques for v in q
+        )
+
+    @cached_property
+    def numbering(self) -> "Numbering":
+        """The vertex numbering of a two-clique graph, see
+        :class:`Numbering`."""
+        return Numbering(self)
 
     @cached_property
     def vertex_set(self) -> frozenset:
@@ -173,6 +266,91 @@ class EflGraph:
         return _named_cliques(v) or self.membership[v]
 
 
+class Numbering:
+    """Numbers 0..size-1 for the vertices of a two-clique graph g.
+
+    Shared vertex k < P = len(g.pairs) is the one on ``g.pairs[k]``; the
+    unshared vertices of clique c take the numbers in ``slots(c)``, in
+    :func:`vertex_key` order.  On a pair graph the numbers follow
+    :func:`vertex_key` order throughout, and slot s of clique c is
+    UnsharedVertex(c, s), so no vertex object is needed to find a
+    number; any other graph keeps its vertex objects in ``names``.
+    """
+
+    def __init__(self, g: EflGraph):
+        n, pairs = g.n, g.pairs
+        self.n, self.pairs = n, pairs
+        degree = Counter(chain.from_iterable(pairs))
+        P = len(pairs)
+        # the slots of clique c are numbered start[c] .. start[c + 1] - 1
+        start = [P, P]
+        for c in range(1, n + 1):
+            start.append(start[-1] + n - degree[c])
+        self.start = start
+        self.size = start[-1]
+        # the pairs (i, *) are pairs[rows[i]:rows[i + 1]]
+        self.rows = [bisect_left(pairs, (i,)) for i in range(n + 2)]
+        self.names = self.numbers = None
+        if not g.is_pair_graph:
+            on = {g.cliques_of(v): v for v in g.shared}
+            self.names = [on[p] for p in pairs] + [
+                v for q in g.cliques
+                for v in sorted(q - g.shared, key=vertex_key)
+            ]
+            self.numbers = {v: k for k, v in enumerate(self.names)}
+
+    def slots(self, c: int) -> range:
+        """The numbers of clique c's unshared vertices."""
+        return range(self.start[c], self.start[c + 1])
+
+    def number(self, kind: int, a: int, b: int):
+        """The number of the vertex whose :func:`vertex_key` is
+        (kind, a, b), or (2, a) for kind 2; None when g has no such
+        vertex."""
+        if self.numbers is not None:
+            return self.numbers.get(key_vertex(kind, a, b))
+        n = self.n
+        if kind == 0:
+            if not 1 <= a < b <= n:
+                return None
+            lo, hi = self.rows[a], self.rows[a + 1]
+            k = lo + b - a - 1 if hi - lo == n - a \
+                else bisect_left(self.pairs, (a, b), lo, hi)
+            return k if k < hi and self.pairs[k] == (a, b) else None
+        if kind == 1 and 1 <= a <= n and 1 <= b <= len(self.slots(a)):
+            return self.start[a] + b - 1
+        return None
+
+    def number_of(self, v):
+        """The number of vertex v, or None when g has no such vertex."""
+        if self.numbers is not None:
+            return self.numbers.get(v)
+        if type(v) is SharedVertex:
+            return self.number(0, v.i, v.j)
+        if type(v) is UnsharedVertex:
+            return self.number(1, v.clique, v.slot)
+        return None
+
+    def vertex(self, k: int):
+        """The vertex numbered k."""
+        if self.names is not None:
+            return self.names[k]
+        if k < len(self.pairs):
+            return SharedVertex(*self.pairs[k])
+        c = bisect_right(self.start, k) - 1
+        return UnsharedVertex(c, k - self.start[c] + 1)
+
+    def key(self, k: int):
+        """A sort key of vertex k that orders numbers as
+        :func:`vertex_key` orders their vertices."""
+        return k if self.names is None else vertex_key(self.names[k])
+
+    def least(self, numbers):
+        """The number, among ``numbers``, of the least vertex by
+        :func:`vertex_key`."""
+        return min(numbers, key=self.key)
+
+
 # the largest order built or read: G_n has about n^2 / 2 vertices, so an
 # order far above the working sizes of the closed form (n = 600) is
 # refused before anything is allocated
@@ -197,7 +375,7 @@ def build_maximal(n: int) -> EflGraph:
     why = _order_error(n)  # before combinations() copies its pool
     if why:
         raise ValueError(why)
-    return build_from_pairs(n, combinations(range(1, n + 1), 2))
+    return EflGraph._of_pairs(n, tuple(combinations(range(1, n + 1), 2)))
 
 
 def build_from_pairs(n: int, pairs: Iterable) -> EflGraph:
@@ -206,31 +384,37 @@ def build_from_pairs(n: int, pairs: Iterable) -> EflGraph:
     Each pair (i, j) with 1 <= i < j <= n names one vertex shared by
     cliques Q_i and Q_j; every defining clique is padded with unshared
     vertices up to order n.  Rejects an order outside 2..MAX_ORDER, and
-    out-of-range and duplicate pairs.
+    out-of-range and duplicate pairs: the first offender in input order
+    is the ValueError.
     """
     why = _order_error(n)
     if why:
         raise ValueError(why)
-    members: list = [[] for _ in range(n + 1)]
-    shared = set()
+    out = []
+    ascending = True  # then no pair repeats, and none needs hashing
     for p in pairs:
         i, j = (p.i, p.j) if isinstance(p, SharedVertex) else p
         if not (1 <= i < j <= n):
+            if not ascending:
+                _refuse_repeats(out)
             raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
-        v = SharedVertex(i, j)
-        before = len(shared)
-        shared.add(v)  # one hash: a repeat leaves the size unchanged
-        if len(shared) == before:
-            raise ValueError(f"duplicate shared pair ({i}, {j})")
-        members[i].append(v)
-        members[j].append(v)
-    cliques = []
-    for i in range(1, n + 1):
-        ms = members[i]
-        pad = n - len(ms)
-        ms.extend(UnsharedVertex(i, s) for s in range(1, pad + 1))
-        cliques.append(frozenset(ms))
-    return EflGraph(n, tuple(cliques), frozenset(shared))
+        p = p if type(p) is tuple else (i, j)
+        ascending = ascending and (not out or out[-1] < p)
+        out.append(p)
+    if not ascending:
+        _refuse_repeats(out)
+        out.sort()
+    return EflGraph._of_pairs(n, tuple(out))
+
+
+def _refuse_repeats(pairs: list):
+    """ValueError naming the first pair, in list order, that repeats an
+    earlier one."""
+    seen = set()
+    for p in pairs:
+        if p in seen:
+            raise ValueError(f"duplicate shared pair {p}")
+        seen.add(p)
 
 
 def validate(cliques: Iterable, n: int):

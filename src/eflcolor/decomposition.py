@@ -12,9 +12,10 @@ back to a proper coloring of the shared vertices.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable
 
@@ -25,6 +26,7 @@ from .core import (
     Rejection,
     SharedVertex,
     UnsharedVertex,
+    build_from_pairs,
 )
 
 __all__ = [
@@ -231,10 +233,13 @@ def efl_to_decomposition(g: EflGraph) -> CliqueDecomposition:
 
     Host vertex i stands for defining clique Q_i; {i, j} is a host edge
     iff Q_i and Q_j intersect; every shared vertex contributes the clique
-    of the indices containing it.  Works for any EFL graph, including
-    shared vertices in three or more cliques.  The EFL invariants make
-    this a valid decomposition, with cliques in canonical order.
+    of the indices containing it, so a pair graph's cliques and host edges
+    are its pairs.  Works for any EFL graph, including shared vertices in
+    three or more cliques.  The EFL invariants make this a valid
+    decomposition, with cliques in canonical order.
     """
+    if g.is_pair_graph:
+        return CliqueDecomposition(HostGraph(g.n, frozenset(g.pairs)), g.pairs)
     cliques = _canonical_order(map(g.cliques_of, g.shared))
     edges = set()
     for c in cliques:
@@ -249,7 +254,8 @@ def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:
     Decomposition clique D_t becomes one shared vertex placed in the
     defining cliques its host vertices index: a SharedVertex for a
     2-clique, a GeneralVertex labeled t otherwise.  Defining cliques are
-    padded to order n with slot-numbered unshared vertices.  Two guards
+    padded to order n with slot-numbered unshared vertices.  When every
+    clique is a 2-clique the result is the pair graph on them.  Two guards
     catch unvalidated input, which a validated decomposition of a simple
     host never trips: CliqueCapacityError when a host vertex lies in more
     than n cliques, then ValueError naming the first repeated clique.
@@ -257,6 +263,13 @@ def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:
     n = d.host.vertex_count
     if n < 2:
         raise ValueError(f"host must have >= 2 vertices, got {n}")
+    # canonical order puts the largest cliques last
+    if not d.cliques or len(d.cliques[-1]) == 2:
+        pairs = d.cliques
+        if not all(map(operator.lt, pairs, pairs[1:])):  # a repeat, maybe
+            _check_capacity(n, Counter(chain.from_iterable(pairs)))
+            _check_repeats(pairs)
+        return build_from_pairs(n, pairs)
     members: list = [[] for _ in range(n + 1)]
     shared = []
     for t, c in enumerate(d.cliques, start=1):
@@ -264,21 +277,33 @@ def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:
         for i in c:
             members[i].append(v)
         shared.append(v)
+    _check_capacity(n, {i: len(ms) for i, ms in enumerate(members)})
     cliques = []
     for i in range(1, n + 1):
         ms = members[i]
-        if len(ms) > n:
-            raise CliqueCapacityError(
-                f"host vertex {i} lies in {len(ms)} cliques; defining "
-                f"clique {i} can hold at most {n} shared vertices"
-            )
         pad = n - len(ms)
         ms.extend(UnsharedVertex(i, s) for s in range(1, pad + 1))
         cliques.append(frozenset(ms))
-    repeated = [c for c, k in Counter(d.cliques).items() if k > 1]
+    _check_repeats(d.cliques)
+    return EflGraph(n, tuple(cliques), frozenset(shared))
+
+
+def _check_capacity(n: int, count):
+    """CliqueCapacityError for the least host vertex i whose clique count
+    count[i] exceeds n."""
+    for i in range(1, n + 1):
+        if count[i] > n:
+            raise CliqueCapacityError(
+                f"host vertex {i} lies in {count[i]} cliques; defining "
+                f"clique {i} can hold at most {n} shared vertices"
+            )
+
+
+def _check_repeats(cliques):
+    """ValueError naming the first clique that appears twice."""
+    repeated = [c for c, k in Counter(cliques).items() if k > 1]
     if repeated:
         raise ValueError(f"duplicate clique {repeated[0]}")
-    return EflGraph(n, tuple(cliques), frozenset(shared))
 
 
 def check_decomposition_coloring(

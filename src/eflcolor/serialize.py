@@ -12,13 +12,16 @@ The writers (``graph_text``, ``coloring_text``, ``decomposition_text``,
 ``sweep_text`` and the DOT exports) yield their output in chunks, one per
 pair, clique, assignment or line, so no caller holds a whole document.
 A vertex coloring is read with :func:`fold_assignment` as ``json.load``'s
-object hook, which turns each well-formed entry into a compact pair the
-moment it is decoded.
+object hook, which turns each well-formed entry into a tuple of ints the
+moment it is decoded; :func:`vertex_coloring_on` then places each entry
+by its vertex number, so a pair graph's graph and coloring documents are
+written and read with no vertex object.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .core import (
     MAX_ORDER,
@@ -28,9 +31,11 @@ from .core import (
     SharedVertex,
     UnsharedVertex,
     build_from_pairs,
+    key_vertex,
     validate,
     vertex_key,
 )
+from .coloring import FullColoring, NumberedColors, SharedColoring
 from .decomposition import (
     CliqueDecomposition,
     DecompositionColoring,
@@ -52,6 +57,7 @@ __all__ = [
     "coloring_text",
     "fold_assignment",
     "vertex_coloring_from_json",
+    "vertex_coloring_on",
     "decomposition_to_json",
     "decomposition_text",
     "decomposition_from_json",
@@ -110,42 +116,14 @@ def vertex_from_json(obj):
 
 def graph_to_json(g: EflGraph) -> dict:
     """The shared pairs, plus the explicit cliques unless the pairs alone
-    rebuild g.
-
-    They do exactly when every vertex carries a pair or slot identity:
-    validated graphs keep those identities true to membership and fill
-    each clique's slots 1..free, as :func:`build_from_pairs` does.
-    """
-    pairs, named = _pairs_and_named(g)
-    out = {"n": g.n, "shared_pairs": [list(p) for p in pairs]}
-    if not named:
+    rebuild g (:attr:`EflGraph.is_pair_graph`)."""
+    out = {"n": g.n, "shared_pairs": [list(p) for p in g.pairs]}
+    if not g.is_pair_graph:
         out["cliques"] = [
             [vertex_to_json(v) for v in sorted(q, key=vertex_key)]
             for q in g.cliques
         ]
     return out
-
-
-def _pairs_and_named(g: EflGraph) -> tuple:
-    """g's sorted shared pairs, and whether they alone rebuild g.
-
-    A SharedVertex names its pair.  Any other shared vertex is placed by
-    one scan of the cliques rather than by ``g.membership``, which would
-    index every vertex of g to place these few.
-    """
-    named = all(
-        isinstance(v, (SharedVertex, UnsharedVertex))
-        for q in g.cliques for v in q
-    )
-    pairs = [(v.i, v.j) for v in g.shared if isinstance(v, SharedVertex)]
-    if not named:
-        found = {v: [] for v in g.shared if not isinstance(v, SharedVertex)}
-        for idx, q in enumerate(g.cliques, start=1):
-            for v in found.keys() & q:
-                found[v].append(idx)
-        pairs += [tuple(ix) for ix in found.values() if len(ix) == 2]
-    pairs.sort()
-    return pairs, named
 
 
 def _json_list(items, indent: str = "  "):
@@ -176,10 +154,9 @@ def _vertex_text(v) -> str:
 def graph_text(g: EflGraph):
     """Yields ``dumps(graph_to_json(g))`` one shared pair or clique at a
     time, written straight from g with no JSON encoder."""
-    pairs, named = _pairs_and_named(g)
     yield f'{{\n  "n": {g.n},\n  "shared_pairs": '
-    yield from _int_lists(pairs)
-    if not named:
+    yield from _int_lists(g.pairs)
+    if not g.is_pair_graph:
         yield ',\n  "cliques": '
         yield from _json_list(
             "    [\n      "
@@ -195,6 +172,10 @@ def pairs_from_json(pairs, what: str) -> list:
     the first entry that is not one."""
     if not isinstance(pairs, list):
         raise FormatError(f"{what} must be a list of [i, j] pairs")
+    # screened without a Python-level loop; the loop names an offender
+    if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2} \
+            and set(map(type, chain.from_iterable(pairs))) <= {int}:
+        return list(map(tuple, pairs))
     for p in pairs:
         if not (isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))):
             raise FormatError(
@@ -250,29 +231,68 @@ def _in_key_order(vertices):
         yield from sorted(groups.pop(k), key=vertex_key)
 
 
+def _assignment_text(vertex: str, color) -> str:
+    return (f'    {{\n      "vertex": {vertex},'
+            f'\n      "color": {color}\n    }}')
+
+
+def _numbered_assignments(colors: NumberedColors):
+    """The assignments of colors numbered by a pair graph, whose numbers
+    follow :func:`vertex_key` order: the pairs, then each clique's slots."""
+    g, by_number = colors.graph, colors.by_number
+    for (i, j), c in zip(g.pairs, by_number):
+        if c is not None:
+            yield _assignment_text(
+                f'[\n        "shared",\n        {i},\n        {j}\n      ]', c
+            )
+    for clique in range(1, g.n + 1):
+        for slot, k in enumerate(g.numbering.slots(clique), start=1):
+            c = by_number[k]
+            if c is not None:
+                yield _assignment_text(
+                    f'[\n        "unshared",\n        {clique},'
+                    f'\n        {slot}\n      ]', c
+                )
+
+
 def coloring_text(coloring):
     """Yields ``dumps(coloring_to_json(coloring))`` one assignment at a
-    time, written straight from the colors with no JSON encoder."""
+    time, written straight from the colors with no JSON encoder, and with
+    no vertex object when a pair graph numbers them."""
     colors = coloring.colors
     yield f'{{\n  "palette": {coloring.palette_size},\n  "assignments": '
-    yield from _json_list(
-        f'    {{\n      "vertex": {_vertex_text(v)},'
-        f'\n      "color": {colors[v]}\n    }}'
-        for v in _in_key_order(colors)
-    )
+    if isinstance(colors, NumberedColors) and colors.graph.is_pair_graph \
+            and not colors.extra:
+        yield from _json_list(_numbered_assignments(colors))
+    else:
+        yield from _json_list(
+            _assignment_text(_vertex_text(v), colors[v])
+            for v in _in_key_order(colors)
+        )
     yield "\n}\n"
+
+
+_TAGS = ("shared", "unshared", "general")
+
+
+def _key_json(kind: int, a: int, b: int) -> list:
+    """The JSON list of the vertex whose :func:`vertex_key` is
+    (kind, a, b), or (2, a) for kind 2."""
+    return [_TAGS[kind], a] if kind == 2 else [_TAGS[kind], a, b]
 
 
 class _Assignment(tuple):
     """A coloring entry folded by :func:`fold_assignment` into
-    ``(vertex, color)``.  Its repr is that of the dict it was decoded
-    from, so an error naming an object that encloses it reads the same
-    as when nothing is folded."""
+    ``(kind, a, b, color)``, where (kind, a, b) is its vertex's
+    :func:`vertex_key` (b is 0 for a general vertex).  Its repr is that of
+    the dict it was decoded from, so an error naming an object that
+    encloses it reads the same as when nothing is folded."""
 
     __slots__ = ()
 
     def __repr__(self):
-        return repr({"vertex": vertex_to_json(self[0]), "color": self[1]})
+        kind, a, b, color = self
+        return repr({"vertex": _key_json(kind, a, b), "color": color})
 
 
 def fold_assignment(obj: dict):
@@ -280,16 +300,56 @@ def fold_assignment(obj: dict):
 
     An object whose keys are "vertex" then "color", with an integer color
     and a vertex that :func:`vertex_from_json` accepts, becomes a compact
-    ``(vertex, color)`` entry as soon as it is decoded; any other object
-    stays a dict, for :func:`vertex_coloring_from_json` to reject or read.
+    ``(kind, a, b, color)`` entry of ints as soon as it is decoded, with
+    no vertex object; any other object stays a dict, for the coloring
+    readers to reject or read.
     """
-    if tuple(obj) != ("vertex", "color") or not _is_int(obj["color"]):
+    if len(obj) != 2 or tuple(obj) != ("vertex", "color"):
         return obj
-    try:
-        v = vertex_from_json(obj["vertex"])
-    except FormatError:
+    v, c = obj["vertex"], obj["color"]
+    if type(c) is not int or type(v) is not list:
         return obj
-    return _Assignment((v, obj["color"]))
+    if len(v) == 3:
+        tag, a, b = v
+        if type(a) is int and type(b) is int:
+            if tag == "shared" and 1 <= a < b:
+                return _Assignment((0, a, b, c))
+            if tag == "unshared" and a >= 1 and b >= 1:
+                return _Assignment((1, a, b, c))
+    elif len(v) == 2 and v[0] == "general" and type(v[1]) is int:
+        return _Assignment((2, v[1], 0, c))
+    return obj
+
+
+def _assignment(entry) -> tuple:
+    """A coloring entry as ``(kind, a, b, color)``, as folded by
+    :func:`fold_assignment`; FormatError when it is not one."""
+    if type(entry) is _Assignment:
+        return entry
+    if not isinstance(entry, dict) or "vertex" not in entry:
+        raise FormatError(f"bad assignment entry: {entry!r}")
+    c = entry.get("color")
+    if not _is_int(c):
+        raise FormatError(f"bad color in entry: {entry!r}")
+    v = vertex_from_json(entry["vertex"])
+    if isinstance(v, GeneralVertex):
+        return (2, v.label, 0, c)
+    return (*vertex_key(v), c)
+
+
+def _assignments(data) -> tuple:
+    """A vertex-coloring document's palette, and its entries as
+    ``(kind, a, b, color)`` in document order, the first bad one a
+    FormatError when it is reached."""
+    if not isinstance(data, dict) or not _is_int(data.get("palette")):
+        raise FormatError('coloring JSON needs an integer "palette"')
+    if not isinstance(data.get("assignments"), list):
+        raise FormatError('coloring JSON needs an "assignments" list')
+    return data["palette"], map(_assignment, data["assignments"])
+
+
+def _assigned_twice(kind: int, a: int, b: int) -> FormatError:
+    return FormatError(f"vertex {_key_json(kind, a, b)!r} is assigned twice")
 
 
 def vertex_coloring_from_json(data) -> tuple:
@@ -298,27 +358,49 @@ def vertex_coloring_from_json(data) -> tuple:
     Entries may be dicts or entries folded by :func:`fold_assignment`;
     the first bad one in document order is the FormatError.
     """
-    if not isinstance(data, dict) or not _is_int(data.get("palette")):
-        raise FormatError('coloring JSON needs an integer "palette"')
-    if not isinstance(data.get("assignments"), list):
-        raise FormatError('coloring JSON needs an "assignments" list')
+    palette, entries = _assignments(data)
     colors = {}
-    for entry in data["assignments"]:
-        if type(entry) is _Assignment:
-            v, c = entry
-        else:
-            if not isinstance(entry, dict) or "vertex" not in entry:
-                raise FormatError(f"bad assignment entry: {entry!r}")
-            c = entry.get("color")
-            if not _is_int(c):
-                raise FormatError(f"bad color in entry: {entry!r}")
-            v = vertex_from_json(entry["vertex"])
+    for kind, a, b, c in entries:
+        v = key_vertex(kind, a, b)
         if v in colors:
-            raise FormatError(
-                f"vertex {vertex_to_json(v)!r} is assigned twice"
-            )
+            raise _assigned_twice(kind, a, b)
         colors[v] = c
-    return data["palette"], colors
+    return palette, colors
+
+
+def vertex_coloring_on(g: EflGraph, data):
+    """A vertex-coloring document read as a coloring of g: a FullColoring
+    when it colors exactly the vertices of g, else a SharedColoring, for
+    :func:`eflcolor.coloring.check_proper` to judge.
+
+    On a two-clique graph each entry goes straight to its vertex number
+    (see :class:`eflcolor.core.Numbering`), so a pair graph's coloring is
+    read with no vertex object.  The first bad entry or repeated vertex in
+    document order is the FormatError, as in
+    :func:`vertex_coloring_from_json`.
+    """
+    if not g.is_two_clique:
+        palette, colors = vertex_coloring_from_json(data)
+        full = colors.keys() == g.vertex_set
+    else:
+        palette, entries = _assignments(data)
+        by_number = [None] * g.numbering.size
+        extra = {}
+        number = g.numbering.number
+        for kind, a, b, c in entries:
+            k = number(kind, a, b)
+            if k is None:
+                v = key_vertex(kind, a, b)
+                if v in extra:
+                    raise _assigned_twice(kind, a, b)
+                extra[v] = c
+            elif by_number[k] is None:
+                by_number[k] = c
+            else:
+                raise _assigned_twice(kind, a, b)
+        colors = NumberedColors(g, by_number, extra)
+        full = not extra and len(colors) == len(by_number)
+    return (FullColoring if full else SharedColoring)(palette, colors)
 
 
 def decomposition_to_json(d: CliqueDecomposition) -> dict:
@@ -356,6 +438,9 @@ def decomposition_text(d: CliqueDecomposition):
     yield f'{{\n  "n": {d.host.vertex_count},\n  "host_edges": '
     if d.host.is_complete:
         yield '"complete"'
+    elif len(d.cliques) == len(d.host.edges):
+        # one edge per clique: the cliques are the sorted edges
+        yield from _int_lists(d.cliques)
     else:
         yield from _int_lists(sorted(d.host.edges))
     yield ',\n  "cliques": '

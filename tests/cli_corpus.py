@@ -178,6 +178,29 @@ CASES = [
     ("verify_assignments_not_a_list",
      ["verify", "--graph", "@gen_all_4.stdout",
       "--coloring", "@inputs/coloring_assignments_int.json"]),
+    # G_7's extended coloring changed in one way each: two colors swapped
+    # inside clique 1, an unshared entry repeated, an unknown vertex
+    # added, a shared vertex dropped, a color outside the palette
+    ("verify_7_swapped",
+     ["verify", "--graph", "@gen_all_7.stdout",
+      "--coloring", "@inputs/g7_coloring_swapped.json"]),
+    ("verify_7_repeated_unshared",
+     ["verify", "--graph", "@gen_all_7.stdout",
+      "--coloring", "@inputs/g7_coloring_repeated_unshared.json"]),
+    ("verify_7_unknown_vertex",
+     ["verify", "--graph", "@gen_all_7.stdout",
+      "--coloring", "@inputs/g7_coloring_unknown_vertex.json"]),
+    ("verify_7_dropped_vertex",
+     ["verify", "--graph", "@gen_all_7.stdout",
+      "--coloring", "@inputs/g7_coloring_dropped_vertex.json"]),
+    ("verify_7_color_outside_palette",
+     ["verify", "--graph", "@gen_all_7.stdout",
+      "--coloring", "@inputs/g7_coloring_color_8.json"]),
+    # a palette above the order is no n-coloring, as on the decomposition
+    # side (verify_k4_palette_5)
+    ("verify_4_palette_10",
+     ["verify", "--graph", "@gen_all_4.stdout",
+      "--coloring", "@inputs/g4_coloring_palette_10.json"]),
 ]
 
 

@@ -3,13 +3,19 @@
 Everything here recomputes answers from first principles (pairwise scans,
 exhaustive enumeration, graph rebuilds, the recursive search engine and
 enumerator, the serial sweep, the round-robin edge coloring, the
-dict-at-a-time coloring reader, the sweep report as a dict for the JSON
-encoder) so the library's own fast paths are never trusted to check
-themselves.
+dict-at-a-time coloring reader, the per-vertex closed form and
+properness check, the sweep report as a dict for the JSON encoder) so
+the library's own fast paths are never trusted to check themselves.
 """
 
 from itertools import combinations, product
 
+from eflcolor.coloring import (
+    FullColoring,
+    ProperCheck,
+    SharedColoring,
+    pair_color,
+)
 from eflcolor.core import (
     EflGraph,
     Rejection,
@@ -46,6 +52,100 @@ def brute_force_proper(g: EflGraph, colors: dict) -> bool:
         if together and colors[u] == colors[w]:
             return False
     return True
+
+
+def reference_color_shared(g: EflGraph) -> SharedColoring:
+    """color_shared as a dict over the shared vertex objects: the
+    per-vertex closed form that the pair-array path replaced."""
+    n = g.n
+    if not g.is_two_clique:
+        raise ValueError(
+            "graph has a shared vertex in three or more defining cliques; "
+            "translate to a clique decomposition and search instead"
+        )
+    cmap = {v: pair_color(n, *g.cliques_of(v)) for v in g.shared}
+    return SharedColoring(n if n % 2 else n - 1, cmap)
+
+
+def reference_extend_to_full(g: EflGraph, shared) -> FullColoring:
+    """extend_to_full over dicts and clique frozensets, with its error
+    messages: free colors go to each clique's unshared vertices in
+    vertex_key order."""
+    n = g.n
+    cmap = dict(shared.colors)
+    missing = g.shared - cmap.keys()
+    if missing:
+        v = min(missing, key=vertex_key)
+        raise ValueError(f"shared coloring misses shared vertex {v!r}")
+    extra = cmap.keys() - g.shared
+    if extra:
+        v = min(extra, key=vertex_key)
+        raise ValueError(f"shared coloring colors non-shared vertex {v!r}")
+    full = dict(cmap)
+    for idx, q in enumerate(g.cliques, start=1):
+        used = set()
+        # the members in vertex_key order, so the first repeat or
+        # out-of-palette color named is that of the least vertex
+        for v in sorted(q, key=vertex_key):
+            c = cmap.get(v)
+            if c is None:
+                continue
+            if not 1 <= c <= n:
+                raise ValueError(
+                    f"clique {idx}: color {c} outside the palette 1..{n}"
+                )
+            if c in used:
+                raise ValueError(
+                    f"clique {idx}: shared coloring repeats color {c}"
+                )
+            used.add(c)
+        free = [c for c in range(1, n + 1) if c not in used]
+        rest = sorted((v for v in q if v not in cmap), key=vertex_key)
+        for v, c in zip(rest, free):
+            full[v] = c
+    return FullColoring(n, full)
+
+
+def reference_check_proper(g: EflGraph, coloring) -> ProperCheck:
+    """check_proper over dicts and clique frozensets: the same domain
+    errors, palette error and first monochromatic pair by vertex_key."""
+    cmap = dict(coloring.colors)
+    vertex_set = set().union(*g.cliques)
+    if isinstance(coloring, FullColoring):
+        if cmap.keys() != vertex_set:
+            missing = vertex_set - cmap.keys()
+            if missing:
+                v = min(missing, key=vertex_key)
+                raise ValueError(f"full coloring misses vertex {v!r}")
+            v = min(cmap.keys() - vertex_set, key=vertex_key)
+            raise ValueError(f"full coloring names unknown vertex {v!r}")
+    elif not cmap.keys() <= g.shared:
+        v = min(cmap.keys() - g.shared, key=vertex_key)
+        raise ValueError(f"shared coloring names non-shared vertex {v!r}")
+    p = coloring.palette_size
+    bad = [v for v, c in cmap.items() if not 1 <= c <= p]
+    if bad:
+        v = min(bad, key=vertex_key)
+        raise ValueError(f"vertex {v!r} has color {cmap[v]} outside 1..{p}")
+    worst = None
+    for q in g.cliques:
+        by_color = {}
+        for v in q:
+            if v in cmap:
+                by_color.setdefault(cmap[v], []).append(v)
+        for vs in by_color.values():
+            if len(vs) > 1:
+                vs.sort(key=vertex_key)
+                key = (vertex_key(vs[0]), vertex_key(vs[1]))
+                if worst is None or key < worst[0]:
+                    worst = (key, vs[0], vs[1])
+    if worst is not None:
+        _, u, w = worst
+        return ProperCheck(
+            False, (u, w),
+            f"{u!r} and {w!r} are adjacent and share color {cmap[u]}",
+        )
+    return ProperCheck(True)
 
 
 def brute_force_chromatic(g: EflGraph, max_k: int = 8) -> int:

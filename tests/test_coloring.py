@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -321,6 +322,14 @@ class TestCheckProper:
         with pytest.raises(ValueError, match=r"UnsharedVertex\(clique=1, "
                            r"slot=1\) has color 4 outside 1\.\.3"):
             check_proper(g, FullColoring(3, full.colors))
+
+    def test_huge_palette_and_color_cost_nothing_per_color_value(self):
+        # a bit mask or a table indexed by color would never finish
+        g = build_maximal(4)
+        t0 = time.perf_counter()
+        chk = check_proper(g, SharedColoring(10**30, {SharedVertex(1, 2): 10**29}))
+        assert chk
+        assert time.perf_counter() - t0 < 1.0
 
     def test_shared_subset_is_allowed(self):
         g = build_maximal(6)
