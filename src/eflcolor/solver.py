@@ -19,7 +19,10 @@ is exhausted or the counting bound refutes the palette; running out of
 node budget is a distinct outcome, never conflated with a proof.
 Sweeps split their instance stream into deterministic shards, one per
 usable CPU, swept in forked workers; the merged report is the same
-whatever the CPU count.
+whatever the CPU count.  A sweep colors each leaf of the enumeration from
+the intersection masks the enumerator keeps as it places and undoes
+cliques, through the same mask-level search core as
+:func:`color_decomposition`, and builds no decomposition object for it.
 """
 
 from __future__ import annotations
@@ -140,6 +143,12 @@ def _search(nb, palette, preset, node_limit, progress=None,
     with no per-vertex scan.  Colors are tried in ascending order.
     """
     m = len(nb)
+    if palette > m:
+        # a vertex has at most m - 1 neighbors, so branching, which places
+        # the lowest feasible color, never places one above m: capping the
+        # palette at m, or at the highest preset color, changes no node or
+        # color, and keeps feasible small
+        palette = min(palette, max([m, *(c for _, c in preset)]))
     uncolored = (1 << m) - 1
     feasible = [uncolored] * (palette + 1)
     # one slice per bit of a count up to palette, the highest bit first;
@@ -311,19 +320,17 @@ def _chromatic_search(g: EflGraph, cfg: SearchConfig) -> ChromaticResult:
         k += 1
 
 
-def _refuted_by_capacity(d: CliqueDecomposition, palette: int) -> bool:
-    """True when palette colors cannot cover d's clique-vertex incidences.
+def _refuted_by_capacity(n: int, incidences: int, g: int, palette: int
+                         ) -> bool:
+    """True when palette colors cannot cover the clique-vertex incidences
+    of cliques, with sizes of gcd g, decomposing a host of order n.
 
     A color class is a set of pairwise vertex-disjoint cliques, so it
-    covers at most N host vertices, and a multiple of g of them, where g
-    is the gcd of the clique sizes: at most N - N % g.  More incidences
-    than palette such classes can hold means no coloring exists.
+    covers at most n host vertices, and a multiple of g of them: at most
+    n - n % g.  More incidences than palette such classes can hold means
+    no coloring exists.
     """
-    if not d.cliques:
-        return False
-    sizes = [len(c) for c in d.cliques]
-    n = d.host.vertex_count
-    return sum(sizes) > palette * (n - n % gcd(*sizes))
+    return incidences > palette * (n - n % g)
 
 
 def color_decomposition(
@@ -336,39 +343,40 @@ def color_decomposition(
     :func:`_decomposition_search`.
     """
     t0 = perf_counter()
-    if _refuted_by_capacity(d, max(palette, 0)):
+    sizes = [len(c) for c in d.cliques]
+    if sizes and _refuted_by_capacity(
+        d.host.vertex_count, sum(sizes), gcd(*sizes), max(palette, 0)
+    ):
         return SearchOutcome(
             Status.NOT_COLORABLE, None, 0, perf_counter() - t0
         )
     return _decomposition_search(d, palette, cfg)
 
 
-def _decomposition_search(
-    d: CliqueDecomposition, palette: int, cfg: SearchConfig
-) -> SearchOutcome:
-    """Search for a coloring of d's cliques within the given palette.
+def _greedy_preset(nb) -> list:
+    """Symmetry fixing: a greedily grown clique of the intersection graph,
+    pre-colored 1, 2, ... as (vertex, color) pairs.  Any coloring permutes
+    onto one that agrees with it, and it does not depend on the palette."""
+    return [(v, c) for c, v in enumerate(_greedy_clique(nb), start=1)]
 
-    Branches on the intersection graph with fail-first ordering.  Symmetry
-    fixing pre-colors a greedily grown clique of the intersection graph
-    1, 2, ...; when that clique alone exceeds the palette the
-    space is exhausted with no search.  COLORABLE certificates are
-    re-checked for properness before returning.
+
+def _mask_search(nb, preset, palette: int, cfg: SearchConfig) -> tuple:
+    """(status, colors, nodes) of coloring the intersection graph nb
+    within palette >= 0, with preset from :func:`_greedy_preset`.
+
+    Branches with fail-first ordering; when the preset alone exceeds the
+    palette the space is exhausted with no search.  A COLORABLE list of
+    colors (colors[t] is clique t + 1's) is re-checked for properness
+    before returning; colors is None otherwise.
     """
-    t0 = perf_counter()
-    nb = intersection_masks(d)
-    preset = [(v, c) for c, v in enumerate(_greedy_clique(nb), start=1)]
     try:
         found, colors, nodes = _search(
-            nb, max(palette, 0), preset, cfg.node_limit, cfg.progress
+            nb, palette, preset, cfg.node_limit, cfg.progress
         )
     except BudgetExhausted as e:
-        return SearchOutcome(
-            Status.BUDGET_EXHAUSTED, None, e.nodes, perf_counter() - t0
-        )
+        return Status.BUDGET_EXHAUSTED, None, e.nodes
     if not found:
-        return SearchOutcome(
-            Status.NOT_COLORABLE, None, nodes, perf_counter() - t0
-        )
+        return Status.NOT_COLORABLE, None, nodes
     clash = first_clash(nb, colors)
     if clash:
         s, t = clash
@@ -376,8 +384,24 @@ def _decomposition_search(
             f"solver certificate failed verification: cliques {s} and {t} "
             f"share a vertex and color {colors[s - 1]}"
         )
-    cert = DecompositionColoring(palette, dict(enumerate(colors, 1)))
-    return SearchOutcome(Status.COLORABLE, cert, nodes, perf_counter() - t0)
+    return Status.COLORABLE, colors, nodes
+
+
+def _decomposition_search(
+    d: CliqueDecomposition, palette: int, cfg: SearchConfig
+) -> SearchOutcome:
+    """Search for a coloring of d's cliques within the given palette, on
+    its intersection masks (:func:`_mask_search`).  A COLORABLE
+    certificate keeps the caller's palette."""
+    t0 = perf_counter()
+    nb = intersection_masks(d)
+    status, colors, nodes = _mask_search(
+        nb, _greedy_preset(nb), max(palette, 0), cfg
+    )
+    cert = None
+    if status is Status.COLORABLE:
+        cert = DecompositionColoring(palette, dict(enumerate(colors, 1)))
+    return SearchOutcome(status, cert, nodes, perf_counter() - t0)
 
 
 # the largest order a sweep accepts.  The enumerator builds its table of
@@ -415,11 +439,6 @@ def enumerate_two_r_decompositions(
     packing.  Labeled level only: no isomorph rejection.  r may equal n
     (the whole of K_n is then one admissible clique).
 
-    The enumeration is iterative over edge bitmasks: edges are numbered
-    lexicographically, the covered edges are one int, the next edge to
-    branch on is the lowest bit of the uncovered ones, and each choice is
-    one frame on an explicit stack.
-
     shard i of k yields the instances below the search prefixes of
     SHARD_DEPTH choices whose index in search order is i modulo k; a leaf
     shallower than that is its own prefix.  The k shards partition the
@@ -429,61 +448,103 @@ def enumerate_two_r_decompositions(
     if not 0 <= shard < shards:
         raise ValueError(f"need 0 <= shard < shards, got {shard}/{shards}")
     host = complete_host(n)
-    edges = sorted(host.edges)
+    for twos, chosen, _ in _two_r_leaves(n, r, shard, shards):
+        yield CliqueDecomposition(host, tuple(twos) + tuple(chosen))
+
+
+def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
+    """The leaves of :func:`enumerate_two_r_decompositions`'s search, in
+    its order: (twos, chosen, nb) with the 2-cliques and the r-cliques,
+    each a list in lexicographic order, and nb the decomposition's
+    intersection masks in canonical clique order (the 2-cliques, then the
+    r-cliques), as from :func:`intersection_masks`.  twos and chosen are
+    the enumerator's own lists, valid until the next leaf is asked for.
+
+    The enumeration is iterative over edge bitmasks: edges are numbered
+    lexicographically, the covered edges are one int, the next edge to
+    branch on is the lowest bit of the uncovered ones, and each choice is
+    one frame on an explicit stack.  Each host vertex keeps a bitmask of
+    the placed 2-cliques and one of the placed r-cliques that contain it,
+    by their index in twos and chosen, set when a clique is placed and
+    cleared when it is undone, so a leaf's masks are ORs of them.
+    """
+    edges = list(combinations(range(1, n + 1), 2))  # in lexicographic order
     bit = {e: 1 << t for t, e in enumerate(edges)}
+    twos = []  # the edges settled as 2-cliques
+    chosen = []  # the r-cliques
+    # two_of[v] and r_of[v]: the bitmasks of the 2-cliques and of the
+    # r-cliques containing host vertex v
+    two_of = [0] * (n + 1)
+    r_of = [0] * (n + 1)
     # options[t]: the cliques that may cover edge t, each with its edge
-    # mask: the r-cliques through it in lexicographic order, then the
-    # edge itself as a 2-clique, which is always free when t is branched on
+    # mask, the list it is placed on and its vertices' membership masks:
+    # the r-cliques through it in lexicographic order, then the edge
+    # itself as a 2-clique, which is always free when t is branched on
     options = []
     for i, j in edges:
         others = [v for v in range(1, n + 1) if v != i and v != j]
         opts = []
         for extra in combinations(others, r - 2):
             cand = tuple(sorted((i, j) + extra))
-            opts.append((cand, sum(bit[f] for f in combinations(cand, 2))))
-        opts.append(((i, j), bit[i, j]))
+            opts.append((
+                cand, sum(bit[f] for f in combinations(cand, 2)),
+                chosen, r_of,
+            ))
+        opts.append(((i, j), bit[i, j], twos, two_of))
         options.append(opts)
     full = (1 << len(edges)) - 1
     covered = 0
-    twos = []  # the edges settled as 2-cliques
-    chosen = []  # the r-cliques
-    # (edge, index of its option in force, that option's mask, the list
-    # holding the option's clique)
+    # (edge, index of its option in force, that option's edge mask, the
+    # list holding its clique, the membership masks and the clique's bit)
     frames = []
     e = k = 0  # the edge to cover and the first of its options to try
     prefix = 0  # the search-order index of the next prefix
     while True:
         opts = options[e]
-        while k < len(opts) and opts[k][1] & covered:
+        # edge e is uncovered, so its own 2-clique, the last option, fits
+        while opts[k][1] & covered:
             k += 1
-        if k < len(opts):
-            clique, mask = opts[k]
-            placed = twos if len(clique) == 2 else chosen
-            placed.append(clique)
-            covered |= mask
-            frames.append((e, k, mask, placed))
-            free = full ^ covered
-            ours = True
-            depth = len(frames)
-            if depth == SHARD_DEPTH or (not free and depth < SHARD_DEPTH):
-                ours = prefix % shards == shard
-                prefix += 1
-            if ours and free:
-                e = (free & -free).bit_length() - 1
-                k = 0
-                continue
-            if ours:
-                # both lists grow in lexicographic order, so this is the
-                # canonical (size, lexicographic) order
-                cliques = tuple(twos) + tuple(chosen)
-                yield CliqueDecomposition(host, cliques)
-        # undo the deepest choice and go on with the option after it
-        if not frames:
-            return
-        e, k, mask, placed = frames.pop()
-        covered ^= mask
-        placed.pop()
-        k += 1
+        clique, mask, placed, member = opts[k]
+        own = 1 << len(placed)
+        for v in clique:
+            member[v] |= own
+        placed.append(clique)
+        covered |= mask
+        frames.append((e, k, mask, placed, member, own))
+        free = full ^ covered
+        ours = True
+        depth = len(frames)
+        if depth == SHARD_DEPTH or (not free and depth < SHARD_DEPTH):
+            ours = prefix % shards == shard
+            prefix += 1
+        if ours and free:
+            e = (free & -free).bit_length() - 1
+            k = 0
+            continue
+        if ours:
+            # both lists grow in lexicographic order, so the 2-cliques then
+            # the r-cliques are the canonical (size, lexicographic) order,
+            # and an r-clique's index is shifted past the 2-cliques'
+            a = len(twos)
+            of = [x | y << a for x, y in zip(two_of, r_of)]
+            nb = [(of[i] | of[j]) ^ 1 << t for t, (i, j) in enumerate(twos)]
+            for t, c in enumerate(chosen, a):
+                m = 0
+                for v in c:
+                    m |= of[v]
+                nb.append(m ^ 1 << t)
+            yield twos, chosen, nb
+        # undo choices, deepest first, until one has an option after it
+        while True:
+            if not frames:
+                return
+            e, k, mask, placed, member, own = frames.pop()
+            covered ^= mask
+            for v in placed.pop():
+                member[v] ^= own
+            k += 1
+            if k < len(options[e]):
+                break
 
 
 @dataclass
@@ -506,40 +567,59 @@ class SweepReport:
     min_palettes: Optional[list] = None
 
 
-def _clique_lists(d: CliqueDecomposition) -> list:
-    """d's cliques as JSON lists: the key a sweep report lists d by."""
-    return [list(c) for c in d.cliques]
+def _color_leaf(n, r, leaf, preset, palette: int, cfg) -> tuple:
+    """(status, nodes) of :func:`color_decomposition` at palette >= 0 for
+    the decomposition of a leaf (twos, chosen, nb) of :func:`_two_r_leaves`,
+    from the leaf and its greedy preset: the capacity bound from its clique
+    counts, then :func:`_mask_search` on its masks."""
+    twos, chosen, nb = leaf
+    if _refuted_by_capacity(
+        n, 2 * len(twos) + r * len(chosen),
+        gcd(2 if twos else 0, r if chosen else 0), palette,
+    ):
+        return Status.NOT_COLORABLE, 0
+    status, _, nodes = _mask_search(nb, preset, palette, cfg)
+    return status, nodes
 
 
 def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
     """The sweep of one shard of the (2, r) stream, its lists unsorted:
     (instances, colorable, max_nodes, not_colorable, budget_exhausted,
-    min_palettes)."""
+    min_palettes).
+
+    Each leaf is colored by :func:`_color_leaf`, and its greedy preset
+    serves every palette probed; its clique lists are built only when it
+    is listed.
+    """
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
-    for d in enumerate_two_r_decompositions(n, r, shard, shards):
-        out = color_decomposition(d, n, cfg)
+    for leaf in _two_r_leaves(n, r, shard, shards):
+        twos, chosen, nb = leaf
         total += 1
-        max_nodes = max(max_nodes, out.nodes)
-        if out.status is Status.COLORABLE:
+        preset = _greedy_preset(nb)
+        status, nodes = _color_leaf(n, r, leaf, preset, n, cfg)
+        max_nodes = max(max_nodes, nodes)
+        if status is Status.COLORABLE:
             colorable += 1
-            if minimum_palettes:
-                p = n
-                while p > 0:
-                    probe = color_decomposition(d, p - 1, cfg).status
-                    if probe is not Status.COLORABLE:
-                        break
-                    p -= 1
-                if probe is Status.BUDGET_EXHAUSTED:
-                    budget.append(_clique_lists(d))
-                else:
-                    minimums.append(
-                        {"cliques": _clique_lists(d), "min_palette": p}
-                    )
-        elif out.status is Status.NOT_COLORABLE:
-            not_col.append(_clique_lists(d))
+            if not minimum_palettes:
+                continue
+            p = n
+            while p > 0:
+                probe = _color_leaf(n, r, leaf, preset, p - 1, cfg)[0]
+                if probe is not Status.COLORABLE:
+                    break
+                p -= 1
+            cliques = [list(c) for c in chain(twos, chosen)]
+            if probe is Status.BUDGET_EXHAUSTED:
+                budget.append(cliques)
+            else:
+                minimums.append({"cliques": cliques, "min_palette": p})
         else:
-            budget.append(_clique_lists(d))
+            cliques = [list(c) for c in chain(twos, chosen)]
+            if status is Status.NOT_COLORABLE:
+                not_col.append(cliques)
+            else:
+                budget.append(cliques)
     return total, colorable, max_nodes, not_col, budget, minimums
 
 

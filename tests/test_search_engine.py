@@ -1,9 +1,12 @@
 """The iterative bit-parallel search engine against the recursive one it
-replaced, the node counts it must not exceed, and instances deeper than
-the interpreter's recursion limit; the bitmask (2, r) enumerator against
-the recursive one it replaced."""
+replaced, also at palettes above the vertex count, the node counts it
+must not exceed, and instances deeper than the interpreter's recursion
+limit; the bitmask (2, r) enumerator against the recursive one it
+replaced, and the intersection masks it keeps for each leaf against
+those of the decomposition."""
 
 import random
+import tracemalloc
 from itertools import combinations, islice
 
 import pytest
@@ -13,6 +16,7 @@ from eflcolor.core import GeneralVertex, build_maximal, validate, vertex_key
 from eflcolor.decomposition import (
     complete_host,
     decomposition_to_efl,
+    intersection_masks,
     validate_decomposition,
 )
 from eflcolor.solver import (
@@ -95,6 +99,35 @@ def reference_greedy_clique(nb):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_palettes_above_the_vertex_count_match_reference(seed):
+    # _search caps such a palette at the vertex count or the highest
+    # preset color; the reference engine keeps every color of it
+    rng = random.Random(100 + seed)
+    for _ in range(200):
+        nb, _, preset, node_limit = random_instance(rng)
+        palette = rng.randrange(len(nb), 2 * len(nb) + 8)
+        args = nb, palette, preset, node_limit
+        assert run(solver._search, *args) == run(reference_engine, *args), args
+
+
+def test_huge_palette_costs_no_more_than_the_clique_count():
+    d = two_clique_decomposition(5)
+    small = color_decomposition(d, 10)
+    tracemalloc.start()
+    try:
+        huge = color_decomposition(d, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert small.status is Status.COLORABLE
+    assert (huge.status, huge.nodes, huge.certificate.colors) == (
+        small.status, small.nodes, small.certificate.colors
+    )
+    assert huge.certificate.palette_size == 10**12
+    assert peak < 2**18
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_greedy_clique_matches_reference(seed):
     rng = random.Random(seed)
     for _ in range(400):
@@ -123,6 +156,25 @@ def test_enumeration_8_3_prefix_and_count():
     want = reference_enumerate_two_r(8, 3)
     assert list(islice(got, 20000)) == list(islice(want, 20000))
     assert 20000 + sum(1 for _ in got) == 231577
+
+
+@pytest.mark.parametrize(
+    "n,r",
+    [(n, r) for n in range(3, 8) for r in range(3, n + 1)] + [(8, 4)],
+)
+def test_leaves_carry_the_masks_and_outcomes_of_their_decompositions(n, r):
+    cfg = SearchConfig()
+    leaves = solver._two_r_leaves(n, r, 0, 1)
+    for d, leaf in zip(reference_enumerate_two_r(n, r), leaves, strict=True):
+        twos, chosen, nb = leaf
+        assert tuple(twos) + tuple(chosen) == d.cliques
+        assert nb == intersection_masks(d), d.cliques
+        preset = solver._greedy_preset(nb)
+        for palette in (n, n - 1):
+            out = color_decomposition(d, palette)
+            assert solver._color_leaf(n, r, leaf, preset, palette, cfg) == (
+                out.status, out.nodes
+            ), (d.cliques, palette)
 
 
 @pytest.fixture

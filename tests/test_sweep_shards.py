@@ -147,14 +147,14 @@ class TestWorkerFailures:
     def test_worker_exception_is_raised_in_the_parent(self, cpus,
                                                       monkeypatch):
         cpus(2)
-        search = solver.color_decomposition
+        search = solver._color_leaf
 
-        def failing(d, palette, cfg):
+        def failing(n, r, leaf, preset, palette, cfg):
             if in_worker():
                 raise ValueError(f"no palette {palette} here")
-            return search(d, palette, cfg)
+            return search(n, r, leaf, preset, palette, cfg)
 
-        monkeypatch.setattr(solver, "color_decomposition", failing)
+        monkeypatch.setattr(solver, "_color_leaf", failing)
         with pytest.raises(ValueError, match="^no palette 5 here$"):
             sweep_two_r_decompositions(5, 3)
         assert children() == []
@@ -182,12 +182,12 @@ class TestWorkerFailures:
     def test_parent_exception_reaps_the_workers(self, cpus, monkeypatch):
         cpus(3)
 
-        def failing(d, palette, cfg):
+        def failing(n, r, leaf, preset, palette, cfg):
             if not in_worker():
                 raise ZeroDivisionError("in the parent's shard")
             time.sleep(60)  # still busy: the parent must kill it
 
-        monkeypatch.setattr(solver, "color_decomposition", failing)
+        monkeypatch.setattr(solver, "_color_leaf", failing)
         start = time.monotonic()
         with pytest.raises(ZeroDivisionError):
             sweep_two_r_decompositions(6, 3)
@@ -201,14 +201,14 @@ class TestWorkerFailures:
     def test_a_worker_without_a_result_exits_5(self, cpus, monkeypatch,
                                                capsys, death, how):
         cpus(2)
-        search = solver.color_decomposition
+        search = solver._color_leaf
 
-        def dying(d, palette, cfg):
+        def dying(n, r, leaf, preset, palette, cfg):
             if in_worker():
                 death()
-            return search(d, palette, cfg)
+            return search(n, r, leaf, preset, palette, cfg)
 
-        monkeypatch.setattr(solver, "color_decomposition", dying)
+        monkeypatch.setattr(solver, "_color_leaf", dying)
         assert cli.main(["sweep", "--n", "5", "--r", "3"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
