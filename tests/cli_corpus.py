@@ -201,6 +201,55 @@ CASES = [
     ("verify_4_palette_10",
      ["verify", "--graph", "@gen_all_4.stdout",
       "--coloring", "@inputs/g4_coloring_palette_10.json"]),
+    # explicit clique lists that break each validate rule, in its order
+    ("decompose_order_1", ["decompose", "--in", "@inputs/cliques_order_1.json"]),
+    ("decompose_clique_count",
+     ["decompose", "--in", "@inputs/cliques_wrong_count.json"]),
+    # a vertex listed twice counts once, so its clique is short
+    ("decompose_clique_order",
+     ["decompose", "--in", "@inputs/cliques_repeated_vertex.json"]),
+    ("decompose_pairwise_intersection",
+     ["decompose", "--in", "@inputs/cliques_two_shared.json"]),
+    ("decompose_identity",
+     ["decompose", "--in", "@inputs/cliques_bad_identity.json"]),
+    # two misnamed vertices in clique 1: the least by vertex_key is named
+    ("decompose_identity_least",
+     ["decompose", "--in", "@inputs/cliques_misnamed_twice.json"]),
+    ("decompose_slot_range",
+     ["decompose", "--in", "@inputs/cliques_bad_slot.json"]),
+    # vertex encodings that are refused, the first in document order,
+    # before any clique rule is checked
+    ("decompose_unknown_tag",
+     ["decompose", "--in", "@inputs/cliques_unknown_tag.json"]),
+    ("decompose_bool_field",
+     ["decompose", "--in", "@inputs/cliques_bool_field.json"]),
+    ("decompose_shared_descending",
+     ["decompose", "--in", "@inputs/cliques_shared_descending.json"]),
+    ("decompose_unshared_slot_0",
+     ["decompose", "--in", "@inputs/cliques_unshared_slot_0.json"]),
+    ("decompose_shared_arity",
+     ["decompose", "--in", "@inputs/cliques_shared_arity.json"]),
+    ("decompose_general_arity",
+     ["decompose", "--in", "@inputs/cliques_general_arity.json"]),
+    ("decompose_nested_field",
+     ["decompose", "--in", "@inputs/cliques_nested_field.json"]),
+    ("decompose_first_offender",
+     ["decompose", "--in", "@inputs/cliques_first_offender.json"]),
+    ("decompose_vertex_not_a_list",
+     ["decompose", "--in", "@inputs/cliques_vertex_not_a_list.json"]),
+    ("decompose_empty_vertex",
+     ["decompose", "--in", "@inputs/cliques_empty_vertex.json"]),
+    ("decompose_tag_not_a_string",
+     ["decompose", "--in", "@inputs/cliques_tag_not_a_string.json"]),
+    ("decompose_clique_not_a_list",
+     ["decompose", "--in", "@inputs/cliques_clique_not_a_list.json"]),
+    # "shared_pairs" beside "cliques" must be the pairs the cliques give
+    ("decompose_contradicting_pairs",
+     ["decompose", "--in", "@inputs/cliques_contradicting_pairs.json"]),
+    # a triangle packing of K_30 there and back
+    ("to_efl_k30_mixed", ["to-efl", "--in", "@inputs/k30_mixed.json"]),
+    ("decompose_k30_mixed",
+     ["decompose", "--in", "@to_efl_k30_mixed.stdout"]),
 ]
 
 
