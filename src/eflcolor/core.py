@@ -13,6 +13,10 @@ anything else (for graphs whose shared vertices may lie in three or more
 cliques) by an opaque integer label.  A graph whose vertices all carry
 pair or slot identities is fixed by n and its sorted shared pairs, and
 one built from them holds nothing else until a caller asks for vertices.
+A graph with general labels too is fixed by n and, for each vertex that
+is not a slot, its :func:`vertex_key` tuple and clique indices; one built
+from those (:func:`validate_keys`, ``decomposition_to_efl``) holds only
+them, as int tuples, until a caller asks for vertices.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "build_maximal",
     "build_from_pairs",
     "validate",
+    "validate_keys",
 ]
 
 
@@ -94,7 +99,7 @@ def vertex_key(v) -> tuple:
     return (4, repr(v))
 
 
-def key_vertex(kind: int, a: int, b: int):
+def key_vertex(kind: int, a: int, b: int = 0):
     """The vertex whose :func:`vertex_key` is (kind, a, b) for a shared
     (0) or unshared (1) vertex, or (2, a) for a general one (kind 2)."""
     if kind == 2:
@@ -134,23 +139,41 @@ class EflGraph:
     sorted, the clique-index pairs of the shared vertices lying in exactly
     two.  A graph built from its pairs (by :func:`build_maximal`,
     :func:`build_from_pairs` or ``decomposition_to_efl`` of 2-cliques)
-    holds only n and the pairs, and builds its cliques, shared vertices
-    and vertex indexes the first time a caller reads them.  Instances are
-    immutable and safe to share across threads.  Build through those
-    functions, :func:`validate`, or ``EflGraph(n, cliques, shared)`` on
-    validated cliques, so the identity scheme stays consistent with actual
-    clique membership.
+    holds only n and the pairs.  A graph built from keys (by
+    :func:`validate_keys` or ``decomposition_to_efl`` of larger cliques)
+    holds only n and ``keyed``: the :func:`vertex_key` tuple of every
+    vertex that is not a slot, mapped to the ascending indices of its
+    cliques; its slots are implied, since a validated clique's unshared
+    vertices fill slots 1..free.  Either kind builds its cliques, shared
+    vertices and vertex indexes the first time a caller reads them; on
+    any other graph ``keyed`` is None.  Instances are immutable and safe
+    to share across threads.  Build through those functions,
+    :func:`validate`, or ``EflGraph(n, cliques, shared)`` on validated
+    cliques, so the identity scheme stays consistent with actual clique
+    membership.
     """
 
     def __init__(self, n: int, cliques: tuple, shared: frozenset):
-        vars(self).update(n=n, cliques=cliques, shared=shared)
+        vars(self).update(n=n, cliques=cliques, shared=shared, keyed=None)
 
     @classmethod
     def _of_pairs(cls, n: int, pairs: tuple) -> "EflGraph":
         """The graph of order n on distinct, in-range pairs, sorted."""
         g = cls.__new__(cls)
-        vars(g).update(n=n, pairs=pairs, is_pair_graph=True,
+        vars(g).update(n=n, pairs=pairs, keyed=None, is_pair_graph=True,
                        is_two_clique=True)
+        return g
+
+    @classmethod
+    def _of_keys(cls, n: int, keyed: dict) -> "EflGraph":
+        """The graph of order n whose vertices other than slots have the
+        :func:`vertex_key` tuples of ``keyed``, each mapped to the
+        ascending indices of its cliques, as validated: a pair graph when
+        none is a general label."""
+        if all(k[0] == 0 for k in keyed):
+            return cls._of_pairs(n, tuple(sorted(keyed.values())))
+        g = cls.__new__(cls)
+        vars(g).update(n=n, keyed=keyed, is_pair_graph=False)
         return g
 
     def __setattr__(self, name, value):
@@ -164,26 +187,41 @@ class EflGraph:
             return NotImplemented
         if self.n != other.n:
             return False
-        # n and the pairs rebuild a pair graph
+        # n and the pairs rebuild a pair graph, n and the keys a keyed one
         if self.is_pair_graph and other.is_pair_graph:
             return self.pairs == other.pairs
+        if self.keyed is not None and other.keyed is not None:
+            return self.keyed == other.keyed
         return self.cliques == other.cliques
 
     def __hash__(self):
-        # equal graphs have as many shared vertices, which a pair graph
-        # counts without building them
+        # equal graphs have as many shared vertices, which a pair or keyed
+        # graph counts without building them
         shared = vars(self).get("shared")
-        return hash((self.n, len(self.pairs if shared is None else shared)))
+        if shared is not None:
+            count = len(shared)
+        elif self.keyed is not None:
+            count = sum(len(ix) > 1 for ix in self.keyed.values())
+        else:
+            count = len(self.pairs)
+        return hash((self.n, count))
+
+    def _placed(self):
+        """(vertex, clique indices) of every vertex that is not a slot, on
+        a pair or keyed graph."""
+        if self.keyed is None:
+            return ((SharedVertex(*p), p) for p in self.pairs)
+        return ((key_vertex(*k), ix) for k, ix in self.keyed.items())
 
     @cached_property
     def cliques(self) -> tuple:
-        # reached only on a pair graph: any other graph is given its cliques
+        # reached only on a pair or keyed graph: any other graph is given
+        # its cliques
         n = self.n
         members: list = [[] for _ in range(n + 1)]
-        for i, j in self.pairs:
-            v = SharedVertex(i, j)
-            members[i].append(v)
-            members[j].append(v)
+        for v, ix in self._placed():
+            for c in ix:
+                members[c].append(v)
         return tuple(
             frozenset(ms + [UnsharedVertex(c, s)
                             for s in range(1, n - len(ms) + 1)])
@@ -192,8 +230,8 @@ class EflGraph:
 
     @cached_property
     def shared(self) -> frozenset:
-        # reached only on a pair graph, like cliques
-        return frozenset(SharedVertex(i, j) for i, j in self.pairs)
+        # reached only on a pair or keyed graph, like cliques
+        return frozenset(v for v, ix in self._placed() if len(ix) > 1)
 
     @cached_property
     def pairs(self) -> tuple:
@@ -204,6 +242,10 @@ class EflGraph:
         by one scan of the cliques rather than by :attr:`membership`,
         which would index every vertex to place these few.
         """
+        if self.keyed is not None:
+            return tuple(sorted(
+                ix for ix in self.keyed.values() if len(ix) == 2
+            ))
         pairs = [(v.i, v.j) for v in self.shared if type(v) is SharedVertex]
         found = {v: [] for v in self.shared if type(v) is not SharedVertex}
         if found:
@@ -254,6 +296,8 @@ class EflGraph:
     @cached_property
     def is_two_clique(self) -> bool:
         """True when every shared vertex lies in exactly two cliques."""
+        if self.keyed is not None:
+            return all(len(ix) <= 2 for ix in self.keyed.values())
         return all(len(self.cliques_of(v)) == 2 for v in self.shared)
 
     def cliques_of(self, v) -> tuple:
@@ -261,9 +305,14 @@ class EflGraph:
 
         A pair or slot identity names them, since validated graphs keep
         those identities true to membership; any other vertex is looked up
-        in :attr:`membership`.
+        in :attr:`keyed` by its key, or in :attr:`membership`.
         """
-        return _named_cliques(v) or self.membership[v]
+        named = _named_cliques(v)
+        if named:
+            return named
+        if self.keyed is None:
+            return self.membership[v]
+        return self.keyed[vertex_key(v)]
 
 
 class Numbering:
@@ -433,6 +482,66 @@ def validate(cliques: Iterable, n: int):
     if why:
         return Rejection("order", why)
     qs = [frozenset(q) for q in cliques]
+    membership = _rule_scan(qs, n, _object_ident, vertex_key, repr)
+    if isinstance(membership, Rejection):
+        return membership
+    shared = frozenset(v for v, ix in membership.items() if len(ix) >= 2)
+    g = EflGraph(n, tuple(qs), shared)
+    g.__dict__["membership"] = membership
+    return g
+
+
+def validate_keys(cliques: Iterable, n: int):
+    """:func:`validate` over cliques given as sets of :func:`vertex_key`
+    tuples of shared, unshared and general vertices: (0, i, j),
+    (1, clique, slot) and (2, label).
+
+    The same rules, scan order and messages, with no vertex object built
+    unless one is named in a rejection; the graph returned holds only the
+    keys (see :class:`EflGraph`).
+    """
+    why = _order_error(n)
+    if why:
+        return Rejection("order", why)
+    membership = _rule_scan(
+        [frozenset(q) for q in cliques], n, _key_ident, None,
+        lambda k: repr(key_vertex(*k)),
+    )
+    if isinstance(membership, Rejection):
+        return membership
+    return EflGraph._of_keys(
+        n, {k: ix for k, ix in membership.items() if k[0] != 1}
+    )
+
+
+def _object_ident(v) -> tuple:
+    """(the cliques v's identity names or None, its slot or None)."""
+    if isinstance(v, UnsharedVertex):
+        return (v.clique,), v.slot
+    return _named_cliques(v), None
+
+
+def _key_ident(k) -> tuple:
+    """:func:`_object_ident` of the vertex whose key is k."""
+    kind = k[0]
+    if kind == 0:
+        return k[1:], None
+    if kind == 1:
+        return k[1:2], k[2]
+    return None, None
+
+
+def _rule_scan(qs: list, n: int, ident, order, show):
+    """The rules of :func:`validate` after the order, over sets of vertex
+    tokens: the membership {token: ascending clique indices}, or the
+    first :class:`Rejection`.
+
+    ``ident(v)`` gives the cliques token v's identity names (None for a
+    general one) and its unshared slot (None for any other); ``order`` is
+    a sort key that orders tokens as :func:`vertex_key` orders their
+    vertices (None when the tokens are those keys), and ``show(v)`` the
+    repr of v's vertex, for a message.
+    """
     if len(qs) != n:
         return Rejection(
             "clique-count", f"expected {n} cliques, got {len(qs)}", (len(qs),)
@@ -464,32 +573,34 @@ def validate(cliques: Iterable, n: int):
             (a, b),
         )
 
-    for idx, q in enumerate(qs, start=1):
-        # a named identity that disagrees with membership
-        wrong = [
-            v for v in q if _named_cliques(v) not in (None, membership[v])
-        ]
-        if wrong:
-            v = min(wrong, key=vertex_key)
-            return Rejection(
-                "identity",
-                f"vertex {v!r} lies in cliques {membership[v]}, "
-                f"not {_named_cliques(v)}",
-                (idx,),
-            )
-    for idx, q in enumerate(qs, start=1):
-        slots = [v.slot for v in q if isinstance(v, UnsharedVertex)]
-        free = n - (len(q) - len(slots))
-        bad = sorted(s for s in slots if s > free)
+    # each vertex once: a named identity that disagrees with membership,
+    # and, once none does, the slots of each clique's unshared vertices
+    wrong = []
+    slots: list = [[] for _ in range(n + 1)]
+    for v, ix in membership.items():
+        named, slot = ident(v)
+        if named is not None and named != ix:
+            wrong.append(v)
+        elif slot is not None:
+            slots[ix[0]].append(slot)
+    if wrong:
+        idx = min(membership[v][0] for v in wrong)
+        v = min((v for v in wrong if idx in membership[v]), key=order)
+        return Rejection(
+            "identity",
+            f"vertex {show(v)} lies in cliques {membership[v]}, "
+            f"not {ident(v)[0]}",
+            (idx,),
+        )
+    for idx in range(1, n + 1):
+        # a clique's unshared places are those its other vertices leave
+        free = len(slots[idx])
+        bad = [s for s in slots[idx] if s > free]
         if bad:
             return Rejection(
                 "slot-range",
-                f"clique {idx} has unshared slot {bad[0]} but only "
+                f"clique {idx} has unshared slot {min(bad)} but only "
                 f"{free} unshared places",
-                (idx, bad[0]),
+                (idx, min(bad)),
             )
-
-    shared = frozenset(v for v, ix in membership.items() if len(ix) >= 2)
-    g = EflGraph(n, tuple(qs), shared)
-    g.__dict__["membership"] = membership
-    return g
+    return membership

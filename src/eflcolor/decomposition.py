@@ -20,14 +20,7 @@ from math import comb
 from typing import Iterable
 
 from .coloring import ProperCheck, SharedColoring
-from .core import (
-    EflGraph,
-    GeneralVertex,
-    Rejection,
-    SharedVertex,
-    UnsharedVertex,
-    build_from_pairs,
-)
+from .core import EflGraph, Rejection, build_from_pairs
 
 __all__ = [
     "HostGraph",
@@ -119,7 +112,10 @@ def validate_decomposition(host: HostGraph, cliques: Iterable):
     Rejection naming the first offense in a fixed scan order: a repeated
     vertex, an undersized clique, an out-of-range vertex, a non-edge
     inside a clique, a doubly covered edge, then the lexicographically
-    first uncovered edge.
+    first uncovered edge.  Edges of int vertices are checked by number
+    (i * (N + 1) + j for the edge (i, j) of a host on N vertices), so no
+    edge tuple is hashed, and a complete host's edges are known by range
+    alone.
     """
     canon = []
     for c in cliques:
@@ -130,6 +126,18 @@ def validate_decomposition(host: HostGraph, cliques: Iterable):
             )
         canon.append(tuple(sorted(c)))
     canon = _canonical_order(canon)
+    N = host.vertex_count
+    M = N + 1
+    # int vertices give each edge (i, j) of 1..N its own number; anything
+    # else is checked as the tuples host.edges holds
+    ints = set(map(type, chain.from_iterable(chain(canon, host.edges)))) \
+        <= {int}
+    if not ints:
+        edges = host.edges
+    elif not host.is_complete:
+        edges = {i * M + j for i, j in host.edges}
+    else:  # every in-range pair is an edge
+        edges = None
     covered = set()
     for t, c in enumerate(canon, start=1):
         if len(c) < 2:
@@ -139,33 +147,36 @@ def validate_decomposition(host: HostGraph, cliques: Iterable):
                 "must carry at least one edge",
                 (t,),
             )
-        for v in c:
-            if not 1 <= v <= host.vertex_count:
+        if not ints or c[0] < 1 or c[-1] > N:  # c is sorted
+            out = [v for v in c if not 1 <= v <= N]
+            if out:
                 return Rejection(
                     "vertex-range",
-                    f"clique {t} names vertex {v}, outside 1.."
-                    f"{host.vertex_count}",
-                    (t, v),
+                    f"clique {t} names vertex {out[0]}, outside 1..{N}",
+                    (t, out[0]),
                 )
-        for e in combinations(c, 2):
-            if e not in host.edges:
+        for i, j in combinations(c, 2):
+            e = i * M + j if ints else (i, j)
+            if edges is not None and e not in edges:
                 return Rejection(
                     "not-a-clique",
-                    f"clique {t} spans {e}, which is not a host edge",
-                    (t, e),
+                    f"clique {t} spans {(i, j)}, which is not a host edge",
+                    (t, (i, j)),
                 )
             if e in covered:
                 return Rejection(
                     "edge-covered-twice",
-                    f"edge {e} belongs to two cliques",
-                    e,
+                    f"edge {(i, j)} belongs to two cliques",
+                    (i, j),
                 )
             covered.add(e)
-    for e in sorted(host.edges):
-        if e not in covered:
-            return Rejection(
-                "edge-uncovered", f"edge {e} belongs to no clique", e
-            )
+    # every covered edge is a host edge
+    if len(covered) < len(host.edges):
+        e = next(e for e in sorted(host.edges)
+                 if (e[0] * M + e[1] if ints else e) not in covered)
+        return Rejection(
+            "edge-uncovered", f"edge {e} belongs to no clique", e
+        )
     return CliqueDecomposition(host, tuple(canon))
 
 
@@ -240,7 +251,11 @@ def efl_to_decomposition(g: EflGraph) -> CliqueDecomposition:
     """
     if g.is_pair_graph:
         return CliqueDecomposition(HostGraph(g.n, frozenset(g.pairs)), g.pairs)
-    cliques = _canonical_order(map(g.cliques_of, g.shared))
+    if g.keyed is not None:
+        cliques = [ix for ix in g.keyed.values() if len(ix) > 1]
+    else:
+        cliques = map(g.cliques_of, g.shared)
+    cliques = _canonical_order(cliques)
     edges = set()
     for c in cliques:
         edges.update(combinations(c, 2))
@@ -255,10 +270,13 @@ def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:
     defining cliques its host vertices index: a SharedVertex for a
     2-clique, a GeneralVertex labeled t otherwise.  Defining cliques are
     padded to order n with slot-numbered unshared vertices.  When every
-    clique is a 2-clique the result is the pair graph on them.  Two guards
-    catch unvalidated input, which a validated decomposition of a simple
-    host never trips: CliqueCapacityError when a host vertex lies in more
-    than n cliques, then ValueError naming the first repeated clique.
+    clique is a 2-clique the result is the pair graph on them; otherwise
+    it is the keyed graph that maps the key (0, i, j) or (2, t) of each
+    shared vertex to its clique D_t, built with no vertex object (see
+    :class:`eflcolor.core.EflGraph`).  Two guards catch unvalidated input,
+    which a validated decomposition of a simple host never trips:
+    CliqueCapacityError when a host vertex lies in more than n cliques,
+    then ValueError naming the first repeated clique.
     """
     n = d.host.vertex_count
     if n < 2:
@@ -270,22 +288,12 @@ def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:
             _check_capacity(n, Counter(chain.from_iterable(pairs)))
             _check_repeats(pairs)
         return build_from_pairs(n, pairs)
-    members: list = [[] for _ in range(n + 1)]
-    shared = []
-    for t, c in enumerate(d.cliques, start=1):
-        v = SharedVertex(c[0], c[1]) if len(c) == 2 else GeneralVertex(t)
-        for i in c:
-            members[i].append(v)
-        shared.append(v)
-    _check_capacity(n, {i: len(ms) for i, ms in enumerate(members)})
-    cliques = []
-    for i in range(1, n + 1):
-        ms = members[i]
-        pad = n - len(ms)
-        ms.extend(UnsharedVertex(i, s) for s in range(1, pad + 1))
-        cliques.append(frozenset(ms))
+    _check_capacity(n, Counter(chain.from_iterable(d.cliques)))
     _check_repeats(d.cliques)
-    return EflGraph(n, tuple(cliques), frozenset(shared))
+    return EflGraph._of_keys(n, {
+        (0, *c) if len(c) == 2 else (2, t): c
+        for t, c in enumerate(d.cliques, start=1)
+    })
 
 
 def _check_capacity(n: int, count):

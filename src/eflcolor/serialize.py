@@ -3,7 +3,12 @@
 Vertex identities are encoded as tagged lists: ["shared", i, j],
 ["unshared", clique, slot], ["general", label].  Graphs round-trip as
 {"n", "shared_pairs", "cliques"?}: the explicit clique lists appear only
-when the shared pairs alone do not reconstruct the graph.  Emitted
+when the shared pairs alone do not reconstruct the graph, and a document
+that has both must list in "shared_pairs" exactly the pairs its cliques
+give.  Clique lists are read straight into vertex keys (see
+:func:`eflcolor.core.validate_keys`) and written from them, so a graph
+read from, or translated into, explicit cliques is handled with no
+vertex object.  Emitted
 collections are always sorted so output is byte-stable.  Readers take an
 index, order, palette or color only when it is a JSON integer: a string,
 float or boolean is a FormatError, never coerced.
@@ -21,7 +26,10 @@ written and read with no vertex object.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from bisect import bisect_left
+from collections import Counter
+from itertools import chain, repeat
+from operator import itemgetter, lt
 
 from .core import (
     MAX_ORDER,
@@ -32,7 +40,7 @@ from .core import (
     UnsharedVertex,
     build_from_pairs,
     key_vertex,
-    validate,
+    validate_keys,
     vertex_key,
 )
 from .coloring import FullColoring, NumberedColors, SharedColoring
@@ -88,6 +96,8 @@ _VERTEX_TYPES = {
     "unshared": UnsharedVertex,
     "general": GeneralVertex,
 }
+# the tag of each vertex_key kind
+_TAGS = ("shared", "unshared", "general")
 
 
 def vertex_to_json(v) -> list:
@@ -136,32 +146,63 @@ def _json_list(items, indent: str = "  "):
     yield "[]" if lead == "[\n" else f"\n{indent}]"
 
 
+def _key_text(kind: int, a: int, b: int = 0) -> str:
+    """The JSON list of the vertex whose :func:`vertex_key` is
+    (kind, a, b), or (2, a) for kind 2, as ``dumps`` writes it three
+    levels deep: in a clique of a graph's "cliques", or as a coloring
+    entry's "vertex"."""
+    if kind == 2:
+        return f'[\n        "general",\n        {a}\n      ]'
+    return f'[\n        "{_TAGS[kind]}",\n        {a},\n        {b}\n      ]'
+
+
 def _vertex_text(v) -> str:
-    """A vertex's JSON list as ``dumps`` writes it three levels deep: in a
-    clique of a graph's "cliques", or as a coloring entry's "vertex"."""
-    if isinstance(v, SharedVertex):
-        fields = f'"shared",\n        {v.i},\n        {v.j}'
-    elif isinstance(v, UnsharedVertex):
-        fields = f'"unshared",\n        {v.clique},\n        {v.slot}'
-    elif isinstance(v, GeneralVertex) and type(v.label) is int:
-        fields = f'"general",\n        {v.label}'
-    else:  # FormatError for a vertex with no encoding
-        tag, label = vertex_to_json(v)
-        fields = f'"{tag}",\n        {json.dumps(label)}'
-    return f"[\n        {fields}\n      ]"
+    """:func:`_key_text` of vertex v."""
+    if isinstance(v, (SharedVertex, UnsharedVertex)) or (
+        isinstance(v, GeneralVertex) and type(v.label) is int
+    ):
+        return _key_text(*vertex_key(v))
+    # FormatError for a vertex with no encoding
+    tag, label = vertex_to_json(v)
+    return f'[\n        "{tag}",\n        {json.dumps(label)}\n      ]'
+
+
+def _clique_text(vertices) -> str:
+    return "    [\n      " + ",\n      ".join(vertices) + "\n    ]"
+
+
+def _keyed_clique_texts(g: EflGraph):
+    """The cliques of a keyed graph as ``graph_text`` writes them, each
+    in :func:`vertex_key` order: its shared pairs, its slots, then its
+    general labels, from the keys alone."""
+    n = g.n
+    head: list = [[] for _ in range(n + 1)]  # the pairs of each clique
+    tail: list = [[] for _ in range(n + 1)]  # its general labels
+    for k, ix in sorted(g.keyed.items()):
+        text = _key_text(*k)
+        for c in ix:
+            (head if k[0] == 0 else tail)[c].append(text)
+    for c in range(1, n + 1):
+        slots = n - len(head[c]) - len(tail[c])
+        yield _clique_text(chain(
+            head[c], (_key_text(1, c, s) for s in range(1, slots + 1)),
+            tail[c],
+        ))
 
 
 def graph_text(g: EflGraph):
     """Yields ``dumps(graph_to_json(g))`` one shared pair or clique at a
-    time, written straight from g with no JSON encoder."""
+    time, written straight from g with no JSON encoder, and with no
+    vertex object on a pair or keyed graph."""
     yield f'{{\n  "n": {g.n},\n  "shared_pairs": '
     yield from _int_lists(g.pairs)
-    if not g.is_pair_graph:
+    if g.keyed is not None:
+        yield ',\n  "cliques": '
+        yield from _json_list(_keyed_clique_texts(g))
+    elif not g.is_pair_graph:
         yield ',\n  "cliques": '
         yield from _json_list(
-            "    [\n      "
-            + ",\n      ".join(map(_vertex_text, sorted(q, key=vertex_key)))
-            + "\n    ]"
+            _clique_text(map(_vertex_text, sorted(q, key=vertex_key)))
             for q in g.cliques
         )
     yield "\n}\n"
@@ -184,7 +225,73 @@ def pairs_from_json(pairs, what: str) -> list:
     return [tuple(p) for p in pairs]
 
 
+def _screened_keys(q: list):
+    """The :func:`vertex_key` tuples of a clique's vertex lists, checked
+    in bulk; None unless :func:`vertex_from_json` accepts every one."""
+    if not set(map(type, q)) <= {list}:
+        return None
+    try:  # IndexError: an empty list, TypeError: fields that do not compare
+        ts = sorted(map(tuple, q))
+        if not set(map(itemgetter(0), ts)) <= _VERTEX_TYPES.keys():
+            return None
+    except (IndexError, TypeError):
+        return None
+    # the tags sort general < shared < unshared
+    a, b = bisect_left(ts, ("shared",)), bisect_left(ts, ("unshared",))
+    general, shared, unshared = ts[:a], ts[a:b], ts[b:]
+    if not (set(map(len, general)) <= {2} and set(map(len, shared)) <= {3}
+            and set(map(len, unshared)) <= {3}):
+        return None
+    labels = list(map(itemgetter(1), general))
+    i, j = list(zip(*shared))[1:] if shared else ((), ())
+    c, k = list(zip(*unshared))[1:] if unshared else ((), ())
+    if not (set(map(type, chain(labels, i, j, c, k))) <= {int}
+            and min(chain(i, c, k), default=1) >= 1 and all(map(lt, i, j))):
+        return None
+    return chain(
+        zip(repeat(0), i, j), zip(repeat(1), c, k), zip(repeat(2), labels)
+    )
+
+
+def _clique_keys(cliques: list) -> list:
+    """Each clique of a "cliques" document as a frozenset of vertex_key
+    tuples.  A clique's vertex lists are screened in bulk, and read one
+    by one with :func:`vertex_from_json` only when the screen fails, so
+    the first vertex it refuses, in document order, is the FormatError.
+    Each parsed clique list is dropped from ``cliques`` once converted."""
+    out = []
+    for t, q in enumerate(cliques):
+        keys = _screened_keys(q)
+        if keys is None:
+            keys = [vertex_key(vertex_from_json(v)) for v in q]
+        out.append(frozenset(keys))
+        cliques[t] = None
+    return out
+
+
+def _check_pairs(pairs, g: EflGraph):
+    """FormatError unless the "shared_pairs" of a document with cliques
+    are the pairs of g, in any order, naming the least pair listed more
+    or fewer times than the cliques give it."""
+    given = sorted(pairs_from_json(pairs, '"shared_pairs"'))
+    if tuple(given) != g.pairs:
+        odd = Counter(given)
+        odd.subtract(g.pairs)
+        p = min(q for q, k in odd.items() if k)
+        raise FormatError(
+            f'invalid graph: "shared_pairs" does not match the cliques at '
+            f"{list(p)}: listed {given.count(p)}, in the cliques "
+            f"{g.pairs.count(p)}"
+        )
+
+
 def graph_from_json(data) -> EflGraph:
+    """The graph of a graph document: built from its "shared_pairs", or,
+    when it has "cliques", validated from those with
+    :func:`eflcolor.core.validate_keys` as a keyed graph, its
+    "shared_pairs", when present, checked against them.  The parsed
+    clique lists are dropped from the document as they are converted, so
+    it is not held while the graph is validated."""
     if not isinstance(data, dict) or not _is_int(data.get("n")):
         raise FormatError('graph JSON needs an integer "n"')
     n = data["n"]
@@ -193,12 +300,11 @@ def graph_from_json(data) -> EflGraph:
             isinstance(q, list) for q in data["cliques"]
         ):
             raise FormatError('"cliques" must be a list of vertex lists')
-        cliques = [
-            frozenset(vertex_from_json(v) for v in q) for q in data["cliques"]
-        ]
-        g = validate(cliques, n)
+        g = validate_keys(_clique_keys(data["cliques"]), n)
         if isinstance(g, Rejection):
             raise FormatError(f"invalid graph: {g.message}")
+        if data.get("shared_pairs") is not None:
+            _check_pairs(data["shared_pairs"], g)
         return g
     pairs = data.get("shared_pairs")
     if not isinstance(pairs, list):
@@ -270,9 +376,6 @@ def coloring_text(coloring):
             for v in _in_key_order(colors)
         )
     yield "\n}\n"
-
-
-_TAGS = ("shared", "unshared", "general")
 
 
 def _key_json(kind: int, a: int, b: int) -> list:

@@ -448,17 +448,17 @@ def enumerate_two_r_decompositions(
     if not 0 <= shard < shards:
         raise ValueError(f"need 0 <= shard < shards, got {shard}/{shards}")
     host = complete_host(n)
-    for twos, chosen, _ in _two_r_leaves(n, r, shard, shards):
+    for twos, chosen, _, _ in _two_r_leaves(n, r, shard, shards):
         yield CliqueDecomposition(host, tuple(twos) + tuple(chosen))
 
 
 def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
     """The leaves of :func:`enumerate_two_r_decompositions`'s search, in
-    its order: (twos, chosen, nb) with the 2-cliques and the r-cliques,
-    each a list in lexicographic order, and nb the decomposition's
-    intersection masks in canonical clique order (the 2-cliques, then the
-    r-cliques), as from :func:`intersection_masks`.  twos and chosen are
-    the enumerator's own lists, valid until the next leaf is asked for.
+    its order: (twos, chosen, two_of, r_of) with the 2-cliques and the
+    r-cliques, each a list in lexicographic order, and the membership
+    bitmasks from which :func:`_leaf_masks` builds the leaf's intersection
+    masks.  All four are the enumerator's own lists, valid until the next
+    leaf is asked for.
 
     The enumeration is iterative over edge bitmasks: edges are numbered
     lexicographically, the covered edges are one int, the next edge to
@@ -522,18 +522,7 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
             k = 0
             continue
         if ours:
-            # both lists grow in lexicographic order, so the 2-cliques then
-            # the r-cliques are the canonical (size, lexicographic) order,
-            # and an r-clique's index is shifted past the 2-cliques'
-            a = len(twos)
-            of = [x | y << a for x, y in zip(two_of, r_of)]
-            nb = [(of[i] | of[j]) ^ 1 << t for t, (i, j) in enumerate(twos)]
-            for t, c in enumerate(chosen, a):
-                m = 0
-                for v in c:
-                    m |= of[v]
-                nb.append(m ^ 1 << t)
-            yield twos, chosen, nb
+            yield twos, chosen, two_of, r_of
         # undo choices, deepest first, until one has an option after it
         while True:
             if not frames:
@@ -545,6 +534,26 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
             k += 1
             if k < len(options[e]):
                 break
+
+
+def _leaf_masks(twos, chosen, two_of, r_of) -> list:
+    """The intersection masks of a leaf of :func:`_two_r_leaves` in
+    canonical clique order (the 2-cliques, then the r-cliques), as from
+    :func:`intersection_masks`.
+
+    Both lists grow in lexicographic order, so the 2-cliques then the
+    r-cliques are the canonical (size, lexicographic) order, and an
+    r-clique's index is shifted past the 2-cliques'.
+    """
+    a = len(twos)
+    of = [x | y << a for x, y in zip(two_of, r_of)]
+    nb = [(of[i] | of[j]) ^ 1 << t for t, (i, j) in enumerate(twos)]
+    for t, c in enumerate(chosen, a):
+        m = 0
+        for v in c:
+            m |= of[v]
+        nb.append(m ^ 1 << t)
+    return nb
 
 
 @dataclass
@@ -569,9 +578,10 @@ class SweepReport:
 
 def _color_leaf(n, r, leaf, preset, palette: int, cfg) -> tuple:
     """(status, nodes) of :func:`color_decomposition` at palette >= 0 for
-    the decomposition of a leaf (twos, chosen, nb) of :func:`_two_r_leaves`,
-    from the leaf and its greedy preset: the capacity bound from its clique
-    counts, then :func:`_mask_search` on its masks."""
+    the decomposition of a leaf of :func:`_two_r_leaves`, given as
+    (twos, chosen, nb) with nb from :func:`_leaf_masks`, from the leaf and
+    its greedy preset: the capacity bound from its clique counts, then
+    :func:`_mask_search` on its masks."""
     twos, chosen, nb = leaf
     if _refuted_by_capacity(
         n, 2 * len(twos) + r * len(chosen),
@@ -593,8 +603,9 @@ def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
     """
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
-    for leaf in _two_r_leaves(n, r, shard, shards):
-        twos, chosen, nb = leaf
+    for twos, chosen, two_of, r_of in _two_r_leaves(n, r, shard, shards):
+        nb = _leaf_masks(twos, chosen, two_of, r_of)
+        leaf = twos, chosen, nb
         total += 1
         preset = _greedy_preset(nb)
         status, nodes = _color_leaf(n, r, leaf, preset, n, cfg)

@@ -6,6 +6,9 @@ enumerator, the serial sweep, the round-robin edge coloring, the
 dict-at-a-time coloring reader, the per-vertex closed form and
 properness check, the sweep report as a dict for the JSON encoder) so
 the library's own fast paths are never trusted to check themselves.
+The explicit-clique graph reader and the decomposition validator are
+copied here as they were on vertex objects and edge tuples, with seeded
+triangle packings of K_n to run them on.
 """
 
 from itertools import combinations, product
@@ -18,13 +21,19 @@ from eflcolor.coloring import (
 )
 from eflcolor.core import (
     EflGraph,
+    GeneralVertex,
     Rejection,
     SharedVertex,
     UnsharedVertex,
     build_from_pairs,
     vertex_key,
 )
-from eflcolor.decomposition import CliqueDecomposition, complete_host
+from eflcolor.decomposition import (
+    CliqueDecomposition,
+    complete_host,
+    decomposition_to_efl,
+    validate_decomposition,
+)
 from eflcolor.serialize import FormatError, vertex_from_json, vertex_to_json
 from eflcolor.solver import (
     BudgetExhausted,
@@ -256,6 +265,114 @@ def reference_validate(cliques, n):
             )
     shared = frozenset(v for v, ix in membership.items() if len(ix) >= 2)
     return EflGraph(n, tuple(qs), shared)
+
+
+def reference_graph_from_json(data) -> EflGraph:
+    """graph_from_json of a document with "cliques", on vertex objects:
+    every vertex read by vertex_from_json, in document order, before the
+    cliques are checked by reference_validate; "shared_pairs" is not
+    read."""
+    n, cliques = data["n"], data["cliques"]
+    if not isinstance(cliques, list) or not all(
+        isinstance(q, list) for q in cliques
+    ):
+        raise FormatError('"cliques" must be a list of vertex lists')
+    g = reference_validate(
+        [frozenset(vertex_from_json(v) for v in q) for q in cliques], n
+    )
+    if isinstance(g, Rejection):
+        raise FormatError(f"invalid graph: {g.message}")
+    return g
+
+
+def reference_validate_decomposition(host, cliques):
+    """validate_decomposition with every edge an (i, j) tuple looked up in
+    host.edges and in a set of covered edge tuples: the same rules, scan
+    order and messages."""
+    canon = []
+    for c in cliques:
+        c = tuple(c)
+        if len(set(c)) != len(c):
+            return Rejection(
+                "clique-vertices", f"clique {c} repeats a vertex", (c,)
+            )
+        canon.append(tuple(sorted(c)))
+    canon = sorted(sorted(canon), key=len)
+    covered = set()
+    for t, c in enumerate(canon, start=1):
+        if len(c) < 2:
+            return Rejection(
+                "clique-size",
+                f"clique {t} has {len(c)} vertices; decomposition cliques "
+                "must carry at least one edge",
+                (t,),
+            )
+        for v in c:
+            if not 1 <= v <= host.vertex_count:
+                return Rejection(
+                    "vertex-range",
+                    f"clique {t} names vertex {v}, outside 1.."
+                    f"{host.vertex_count}",
+                    (t, v),
+                )
+        for e in combinations(c, 2):
+            if e not in host.edges:
+                return Rejection(
+                    "not-a-clique",
+                    f"clique {t} spans {e}, which is not a host edge",
+                    (t, e),
+                )
+            if e in covered:
+                return Rejection(
+                    "edge-covered-twice", f"edge {e} belongs to two cliques", e
+                )
+            covered.add(e)
+    for e in sorted(host.edges):
+        if e not in covered:
+            return Rejection(
+                "edge-uncovered", f"edge {e} belongs to no clique", e
+            )
+    return CliqueDecomposition(host, tuple(canon))
+
+
+def triangle_packing(n: int, rng) -> list:
+    """A decomposition of K_n into seeded edge-disjoint triangles and the
+    2-cliques they leave: every triple in shuffled order, kept when its
+    three edges are still free."""
+    triples = list(combinations(range(1, n + 1), 3))
+    rng.shuffle(triples)
+    free = set(combinations(range(1, n + 1), 2))
+    triangles = []
+    for t in triples:
+        edges = set(combinations(t, 2))
+        if edges <= free:
+            free -= edges
+            triangles.append(t)
+    return sorted(free) + sorted(triangles)
+
+
+def mixed_graph(n: int, rng) -> EflGraph:
+    """The EFL graph of a seeded triangle packing of K_n, on vertex
+    objects, with a general vertex in one clique (the last slot of a
+    random clique, relabeled) and one in two (a random 2-clique's shared
+    vertex, relabeled) when the packing leaves a 2-clique.  The labels
+    are random, negative ones among them, and miss the triangles' labels,
+    which are clique indices, at most C(n, 2)."""
+    cliques = decomposition_to_efl(validate_decomposition(
+        complete_host(n), triangle_packing(n, rng)
+    )).cliques
+    c = rng.randrange(n)
+    label = rng.choice([rng.randint(-9, 0), rng.randint(n * n + 1, 10**6)])
+    names = {max((v for v in cliques[c] if type(v) is UnsharedVertex),
+                 key=vertex_key): GeneralVertex(label)}
+    pairs = sorted((v for q in cliques for v in q if type(v) is SharedVertex),
+                   key=vertex_key)
+    if pairs:
+        label = rng.choice([-10, n * n, 10**9])
+        names[rng.choice(pairs)] = GeneralVertex(label)
+    g = reference_validate([{names.get(v, v) for v in q} for q in cliques], n)
+    assert isinstance(g, EflGraph), g
+    return g
 
 
 def reference_graph_to_json(g: EflGraph) -> dict:

@@ -165,8 +165,11 @@ def test_enumeration_8_3_prefix_and_count():
 def test_leaves_carry_the_masks_and_outcomes_of_their_decompositions(n, r):
     cfg = SearchConfig()
     leaves = solver._two_r_leaves(n, r, 0, 1)
-    for d, leaf in zip(reference_enumerate_two_r(n, r), leaves, strict=True):
-        twos, chosen, nb = leaf
+    for d, (twos, chosen, two_of, r_of) in zip(
+        reference_enumerate_two_r(n, r), leaves, strict=True
+    ):
+        nb = solver._leaf_masks(twos, chosen, two_of, r_of)
+        leaf = twos, chosen, nb
         assert tuple(twos) + tuple(chosen) == d.cliques
         assert nb == intersection_masks(d), d.cliques
         preset = solver._greedy_preset(nb)
