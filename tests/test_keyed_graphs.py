@@ -229,7 +229,8 @@ def corrupt(doc, n, rng):
 
 # every message the readers give, one fragment per rule or encoding error
 MESSAGES = (
-    "n must be", "expected", "vertices, expected", "share", "lies in cliques",
+    "n must be", "cliques, got", "vertices, expected", "share",
+    "lies in cliques",
     "unshared slot", "unknown vertex tag", "not an integer",
     "needs 1 <= i < j", "needs clique >= 1 and slot >= 1",
     "positional argument", "bad vertex encoding: ", '"cliques" must be',
@@ -241,7 +242,7 @@ def test_seeded_corruptions_match_the_object_path():
     for n, seed, g in mixed_graphs((3, 4, 5, 6, 8, 11, 16), range(6)):
         rng = random.Random(seed)
         clean = {"n": n, "cliques": graph_to_json(g)["cliques"]}
-        for trial in range(24):
+        for _ in range(24):
             doc = copy.deepcopy(clean)
             for _ in range(rng.choice([1, 1, 2, 3])):
                 if isinstance(doc["cliques"], list) and doc["cliques"]:
