@@ -202,7 +202,8 @@ CASES = [
      ["verify", "--graph", "@gen_all_4.stdout",
       "--coloring", "@inputs/g4_coloring_palette_10.json"]),
     # explicit clique lists that break each validate rule, in its order
-    ("decompose_order_1", ["decompose", "--in", "@inputs/cliques_order_1.json"]),
+    ("decompose_order_1",
+     ["decompose", "--in", "@inputs/cliques_order_1.json"]),
     ("decompose_clique_count",
      ["decompose", "--in", "@inputs/cliques_wrong_count.json"]),
     # a vertex listed twice counts once, so its clique is short
