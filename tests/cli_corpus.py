@@ -251,6 +251,19 @@ CASES = [
     ("to_efl_k30_mixed", ["to-efl", "--in", "@inputs/k30_mixed.json"]),
     ("decompose_k30_mixed",
      ["decompose", "--in", "@to_efl_k30_mixed.stdout"]),
+    # documents laid out otherwise than the CLI writes them: compact, keys
+    # in the other order, an extra key, and a file cut off mid-entry
+    ("verify_4_compact",
+     ["verify", "--graph", "@inputs/g4_compact.json",
+      "--coloring", "@inputs/g4_coloring_compact.json"]),
+    ("verify_4_assignments_first",
+     ["verify", "--graph", "@gen_all_4.stdout",
+      "--coloring", "@inputs/g4_coloring_assignments_first.json"]),
+    ("color_4_extra_key",
+     ["color", "--in", "@inputs/g4_extra_key.json", "--extend"]),
+    ("verify_4_truncated",
+     ["verify", "--graph", "@gen_all_4.stdout",
+      "--coloring", "@inputs/g4_coloring_truncated.json"]),
 ]
 
 
@@ -260,11 +273,13 @@ def resolve(argv):
 
 
 def run(argv):
-    """(exit code, stdout, stderr) of one ``cli.main`` call."""
+    """(exit code, stdout, stderr) of one ``cli.main`` call, with a corpus
+    file's path in stderr written back as its "@name", so the pinned
+    messages do not depend on where the corpus lies."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(resolve(argv))
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue().replace(f"{CORPUS}/", "@")
 
 
 def capture():
