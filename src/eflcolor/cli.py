@@ -19,6 +19,7 @@ import json
 import sys
 
 from . import serialize
+from .chunked import read_pair_graph, read_vertex_coloring
 from .coloring import ProperCheck, check_proper, color_shared, extend_to_full
 from .core import build_from_pairs, build_maximal
 from .decomposition import (
@@ -52,6 +53,24 @@ def _read_json(path: str, object_hook=None):
         raise FormatError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{path} is not valid JSON: {e}") from None
+
+
+def _read_chunked(path: str, reader, *args):
+    """``reader(file, *args)`` on the file at path opened for binary
+    reading, or None when the file cannot be opened or the reader refuses
+    its document: the whole-document path then reads it, or reports its
+    error, as it always has."""
+    try:
+        with open(path, "rb") as fh:
+            return reader(fh, *args)
+    except (OSError, ValueError):
+        return None
+
+
+def _read_graph(path: str):
+    """The EFL graph of the graph document at path."""
+    g = _read_chunked(path, read_pair_graph)
+    return g if g is not None else serialize.graph_from_json(_read_json(path))
 
 
 def _emit(chunks, out: str | None):
@@ -88,7 +107,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    g = serialize.graph_from_json(_read_json(args.infile))
+    g = _read_graph(args.infile)
     if not g.is_two_clique:
         print(
             "error: a shared vertex lies in three or more defining cliques; "
@@ -126,41 +145,52 @@ def _cmd_verify(args) -> int:
     # The graph document is converted and dropped before the coloring is
     # read; a conversion error waits until the coloring file has been
     # read, so an unreadable coloring is still reported first.
-    gdata = _read_json(args.graph)
-    is_decomposition = isinstance(gdata, dict) and "host_edges" in gdata
-    convert = (
-        serialize.decomposition_from_json
-        if is_decomposition
-        else serialize.graph_from_json
-    )
-    graph = error = None
-    try:
-        graph = convert(gdata)
-    except Exception as e:  # re-raised below
-        error = e
-    del gdata
-    cdata = _read_json(args.coloring, serialize.fold_assignment)
-    if error is not None:
-        raise error
-    clique_keyed = _clique_keyed(cdata)
-    # both checkers raise ValueError for a coloring that does not fit its
-    # palette or the graph: exit 2 from main
-    if is_decomposition:
-        if not clique_keyed:
+    graph = _read_chunked(args.graph, read_pair_graph)
+    is_decomposition = False
+    error = coloring = None
+    if graph is None:
+        gdata = _read_json(args.graph)
+        is_decomposition = isinstance(gdata, dict) and "host_edges" in gdata
+        convert = (
+            serialize.decomposition_from_json
+            if is_decomposition
+            else serialize.graph_from_json
+        )
+        try:
+            graph = convert(gdata)
+        except Exception as e:  # re-raised below
+            error = e
+        del gdata
+    if error is None and not is_decomposition:
+        coloring = _read_chunked(
+            args.coloring, read_vertex_coloring, graph
+        )
+    if coloring is None:
+        cdata = _read_json(args.coloring, serialize.fold_assignment)
+        if error is not None:
+            raise error
+        clique_keyed = _clique_keyed(cdata)
+        if is_decomposition and not clique_keyed:
             raise FormatError(
                 "a decomposition needs a clique-keyed coloring "
                 '(assignments with "clique" entries)'
             )
-        coloring = serialize.decomposition_coloring_from_json(cdata)
-        chk = check_decomposition_coloring(graph, coloring)
-    else:
-        if clique_keyed and cdata["assignments"]:
+        if not is_decomposition and clique_keyed and cdata["assignments"]:
             raise FormatError(
                 "an EFL graph needs a vertex-keyed coloring "
                 '(assignments with "vertex" entries)'
             )
-        coloring = serialize.vertex_coloring_on(graph, cdata)
+        coloring = (
+            serialize.decomposition_coloring_from_json(cdata)
+            if is_decomposition
+            else serialize.vertex_coloring_on(graph, cdata)
+        )
         del cdata
+    # both checkers raise ValueError for a coloring that does not fit its
+    # palette or the graph: exit 2 from main
+    if is_decomposition:
+        chk = check_decomposition_coloring(graph, coloring)
+    else:
         chk = check_proper(graph, coloring)
         # an n-coloring, as on the decomposition side
         if coloring.palette_size > graph.n:
@@ -176,7 +206,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_chromatic(args) -> int:
-    g = serialize.graph_from_json(_read_json(args.infile))
+    g = _read_graph(args.infile)
     result = chromatic_number(g, _config(args))
     print(result.value)
     print(f"nodes explored: {result.nodes}", file=sys.stderr)
@@ -186,7 +216,7 @@ def _cmd_chromatic(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    g = serialize.graph_from_json(_read_json(args.infile))
+    g = _read_graph(args.infile)
     d = efl_to_decomposition(g)
     _emit(serialize.decomposition_text(d), args.out)
     return EXIT_OK
@@ -216,11 +246,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    data = _read_json(args.infile)
-    if isinstance(data, dict) and "host_edges" in data:
-        d = serialize.decomposition_from_json(data)
-    else:
-        d = efl_to_decomposition(serialize.graph_from_json(data))
+    g = _read_chunked(args.infile, read_pair_graph)
+    if g is None:
+        data = _read_json(args.infile)
+        if isinstance(data, dict) and "host_edges" in data:
+            d = serialize.decomposition_from_json(data)
+        else:
+            g = serialize.graph_from_json(data)
+    if g is not None:
+        d = efl_to_decomposition(g)
     if args.view == "host":
         chunks = serialize.host_dot(d.host)
     else:

@@ -163,7 +163,9 @@ def color_shared(g: EflGraph) -> SharedColoring:
     """
     _two_clique_only(g)
     n = g.n
-    by_number = [pair_color(n, i, j) for i, j in g.pairs]
+    # one int object per color, not per shared vertex
+    ints = list(range(n + 1))
+    by_number = [ints[pair_color(n, i, j)] for i, j in g.pairs]
     by_number += [None] * (g.numbering.size - len(by_number))
     return SharedColoring(n if n % 2 else n - 1, NumberedColors(g, by_number))
 

@@ -21,6 +21,12 @@ object hook, which turns each well-formed entry into a tuple of ints the
 moment it is decoded; :func:`vertex_coloring_on` then places each entry
 by its vertex number, so a pair graph's graph and coloring documents are
 written and read with no vertex object.
+
+The readers here take a whole decoded document.  The CLI reads the
+documents it writes at scale, {"n", "shared_pairs"} graphs and
+{"palette", "assignments"} vertex colorings, a chunk of list elements at
+a time with :mod:`eflcolor.chunked`, which places each chunk with the
+helpers here and comes back to these readers for any other document.
 """
 
 from __future__ import annotations
@@ -440,15 +446,15 @@ def _assignment(entry) -> tuple:
     return (*vertex_key(v), c)
 
 
-def _assignments(data) -> tuple:
-    """A vertex-coloring document's palette, and its entries as
-    ``(kind, a, b, color)`` in document order, the first bad one a
-    FormatError when it is reached."""
+def _assignments(data, read=_assignment) -> tuple:
+    """A coloring document's palette, and its entries read by ``read`` in
+    document order, by default as ``(kind, a, b, color)``, the first bad
+    one a FormatError when it is reached."""
     if not isinstance(data, dict) or not _is_int(data.get("palette")):
         raise FormatError('coloring JSON needs an integer "palette"')
     if not isinstance(data.get("assignments"), list):
         raise FormatError('coloring JSON needs an "assignments" list')
-    return data["palette"], map(_assignment, data["assignments"])
+    return data["palette"], map(read, data["assignments"])
 
 
 def _assigned_twice(kind: int, a: int, b: int) -> FormatError:
@@ -482,27 +488,33 @@ def vertex_coloring_on(g: EflGraph, data):
     document order is the FormatError, as in
     :func:`vertex_coloring_from_json`.
     """
-    if not g.is_two_clique:
-        palette, colors = vertex_coloring_from_json(data)
-        full = colors.keys() == g.vertex_set
-    else:
-        palette, entries = _assignments(data)
-        by_number = [None] * g.numbering.size
-        extra = {}
-        number = g.numbering.number
-        for kind, a, b, c in entries:
-            k = number(kind, a, b)
-            if k is None:
-                v = key_vertex(kind, a, b)
-                if v in extra:
-                    raise _assigned_twice(kind, a, b)
-                extra[v] = c
-            elif by_number[k] is None:
-                by_number[k] = c
-            else:
+    if g.is_two_clique:
+        return _numbered_coloring(g, *_assignments(data))
+    palette, colors = vertex_coloring_from_json(data)
+    full = colors.keys() == g.vertex_set
+    return (FullColoring if full else SharedColoring)(palette, colors)
+
+
+def _numbered_coloring(g: EflGraph, palette: int, entries):
+    """The coloring of two-clique graph g whose entries, folded as
+    ``(kind, a, b, color)``, go straight to their vertex numbers;
+    FormatError at the first vertex assigned twice."""
+    by_number = [None] * g.numbering.size
+    extra = {}
+    number = g.numbering.number
+    for kind, a, b, c in entries:
+        k = number(kind, a, b)
+        if k is None:
+            v = key_vertex(kind, a, b)
+            if v in extra:
                 raise _assigned_twice(kind, a, b)
-        colors = NumberedColors(g, by_number, extra)
-        full = not extra and len(colors) == len(by_number)
+            extra[v] = c
+        elif by_number[k] is None:
+            by_number[k] = c
+        else:
+            raise _assigned_twice(kind, a, b)
+    colors = NumberedColors(g, by_number, extra)
+    full = not extra and len(colors) == len(by_number)
     return (FullColoring if full else SharedColoring)(palette, colors)
 
 
@@ -593,23 +605,22 @@ def decomposition_coloring_to_json(c: DecompositionColoring) -> dict:
     }
 
 
+def _clique_assignment(entry) -> tuple:
+    """A decomposition-coloring entry as (clique, color)."""
+    if not (isinstance(entry, dict) and _is_int(entry.get("clique"))
+            and _is_int(entry.get("color"))):
+        raise FormatError(f"bad assignment entry: {entry!r}")
+    return entry["clique"], entry["color"]
+
+
 def decomposition_coloring_from_json(data) -> DecompositionColoring:
-    if not isinstance(data, dict) or not _is_int(data.get("palette")):
-        raise FormatError('coloring JSON needs an integer "palette"')
-    if not isinstance(data.get("assignments"), list):
-        raise FormatError('coloring JSON needs an "assignments" list')
+    palette, entries = _assignments(data, _clique_assignment)
     colors = {}
-    for entry in data["assignments"]:
-        if (
-            not isinstance(entry, dict)
-            or not _is_int(entry.get("clique"))
-            or not _is_int(entry.get("color"))
-        ):
-            raise FormatError(f"bad assignment entry: {entry!r}")
-        if entry["clique"] in colors:
-            raise FormatError(f"clique {entry['clique']} is assigned twice")
-        colors[entry["clique"]] = entry["color"]
-    return DecompositionColoring(data["palette"], colors)
+    for t, c in entries:
+        if t in colors:
+            raise FormatError(f"clique {t} is assigned twice")
+        colors[t] = c
+    return DecompositionColoring(palette, colors)
 
 
 def _clique_lists(entries):

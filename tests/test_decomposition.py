@@ -60,6 +60,21 @@ class TestHostGraph:
         assert complete_host(4).is_complete
         assert not HostGraph.from_edges(3, [(1, 2)]).is_complete
 
+    def test_hosts_built_unchecked_equal_checked_ones(self):
+        # complete_host, intersection_graph and efl_to_decomposition skip
+        # the per-edge check on edges that are valid by construction
+        for n in range(0, 7):
+            edges = frozenset(combinations(range(1, n + 1), 2))
+            assert complete_host(n) == HostGraph(n, edges)
+        g = build_from_pairs(6, [(1, 2), (1, 3), (2, 5), (4, 6)])
+        host = efl_to_decomposition(g).host
+        assert host == HostGraph(6, frozenset(g.pairs))
+        d = fano_decomposition()
+        ig = intersection_graph(d)
+        assert ig == HostGraph(ig.vertex_count, ig.edges)
+        with pytest.raises(ValueError, match="non-negative"):
+            complete_host(-1)
+
 
 class TestValidateDecomposition:
     def test_triangle_as_single_clique(self):
