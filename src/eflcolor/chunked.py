@@ -81,7 +81,8 @@ def _list_chunks(fh, first: bytes, key: bytes, close: bytes, hook=None):
 def _interned_pairs(ints: dict, chunk: list):
     """A chunk of "shared_pairs" as tuples of the ints in ``ints``, where
     each is added the first time it is met; ValueError unless every entry
-    is an [i, j] integer pair."""
+    is an [i, j] integer pair, by the screen of
+    ``serialize.pairs_from_json``."""
     if not (set(map(type, chunk)) <= {list} and set(map(len, chunk)) <= {2}
             and set(map(type, chain.from_iterable(chunk))) <= {int}):
         raise ValueError("not integer pairs")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import serialize
@@ -59,7 +60,10 @@ def _read_chunked(path: str, reader, *args):
     """``reader(file, *args)`` on the file at path opened for binary
     reading, or None when the file cannot be opened or the reader refuses
     its document: the whole-document path then reads it, or reports its
-    error, as it always has."""
+    error, as it always has.  Only a regular file is tried, since a pipe
+    cannot be read twice."""
+    if not os.path.isfile(path):
+        return None
     try:
         with open(path, "rb") as fh:
             return reader(fh, *args)

@@ -26,7 +26,7 @@ The readers here take a whole decoded document.  The CLI reads the
 documents it writes at scale, {"n", "shared_pairs"} graphs and
 {"palette", "assignments"} vertex colorings, a chunk of list elements at
 a time with :mod:`eflcolor.chunked`, which places each chunk with the
-helpers here and comes back to these readers for any other document.
+helpers here; any other document is read whole by the readers here.
 """
 
 from __future__ import annotations

@@ -399,7 +399,7 @@ def coloring_variants(n):
     data = json.loads(text)
     palette, entries = data["palette"], data["assignments"]
 
-    def doc(*keys, **fields):
+    def doc(**fields):
         return json.dumps(fields)
 
     def changed(k, entry):
