@@ -64,15 +64,18 @@ def _list_chunks(fh, first: bytes, key: bytes, close: bytes, hook=None):
     yield int(head[1])
     decoder = json.JSONDecoder(object_hook=hook)
     buf = buf[head.end():]
-    while data:
-        data = fh.read(_CHUNK)
-        buf += data
-        cut = buf.rfind(close + b",") + 1
-        if cut:
-            yield decoder.decode("[" + buf[:cut].decode() + "]")
-            buf = buf[cut + 1:]
-    text = "[" + buf.decode()
-    items, end = decoder.raw_decode(text)
+    try:  # RecursionError: an element nested too deeply to decode
+        while data:
+            data = fh.read(_CHUNK)
+            buf += data
+            cut = buf.rfind(close + b",") + 1
+            if cut:
+                yield decoder.decode("[" + buf[:cut].decode() + "]")
+                buf = buf[cut + 1:]
+        text = "[" + buf.decode()
+        items, end = decoder.raw_decode(text)
+    except RecursionError:
+        raise ValueError("another document") from None
     if not re.fullmatch(r"[ \t\n\r]*\}[ \t\n\r]*", text[end:]):
         raise ValueError("another document")
     yield items

@@ -4,12 +4,14 @@ Subcommands: gen, color, verify, chromatic, decompose, to-efl, sweep,
 export-dot.  Exit codes are stable: 0 success, 1 negative verification,
 2 input error (an order above core.MAX_ORDER = 2048, or a sweep order
 above solver.MAX_SWEEP_ORDER = 12, among them, refused before anything
-is built or forked, and an --in file that cannot be read or an --out
-file that cannot be written), 3 unsupported structure, 4 node budget
-exhausted, 5 internal error (a result that failed its own check, or any
-other unexpected exception), reported as one "internal error: <Type>:
-<message>" line on stderr, and 130 on Ctrl-C (SIGINT), reported as one
-"interrupted" line on stderr once every sweep worker is reaped.
+is built or forked, JSON nested too deeply to decode, and an --in file
+that cannot be read or an --out file that cannot be written), 3
+unsupported structure, 4 node budget exhausted, 5 internal error (a
+result that failed its own check, or any other unexpected exception),
+reported as one "internal error: <Type>: <message>" line on stderr, 130
+on Ctrl-C (SIGINT), reported as one "interrupted" line on stderr once
+every sweep worker is reaped, and 141 (128 + SIGPIPE), with nothing on
+stderr, when stdout is closed before the output ends.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_UNSUPPORTED = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 EXIT_INTERRUPTED = 130
+EXIT_CLOSED_STDOUT = 141
 
 
 def _read_json(path: str, object_hook=None):
@@ -52,7 +55,7 @@ def _read_json(path: str, object_hook=None):
             return json.load(fh, object_hook=object_hook)
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"{path} is not valid JSON: {e}") from None
 
 
@@ -367,7 +370,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has all it wanted; what is left in stdout's buffer
+        # goes to the null device when the interpreter flushes it at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except BudgetExhausted as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -10,13 +10,12 @@ Clique indices are 1-based throughout.  Vertices carry one of three
 identities: a shared vertex in exactly two cliques is named by its sorted
 clique-index pair, an unshared vertex by its clique and a slot number, and
 anything else (for graphs whose shared vertices may lie in three or more
-cliques) by an opaque integer label.  A graph whose vertices all carry
-pair or slot identities is fixed by n and its sorted shared pairs, and
-one built from them holds nothing else until a caller asks for vertices.
-A graph with general labels too is fixed by n and, for each vertex that
-is not a slot, its :func:`vertex_key` tuple and clique indices; one built
-from those (:func:`validate_keys`, ``decomposition_to_efl``) holds only
-them, as int tuples, until a caller asks for vertices.
+cliques) by an opaque integer label.  A graph is held in one of two
+forms, with no vertex object until a caller asks for vertices.  One whose
+vertices all carry pair or slot identities is fixed by n and its sorted
+shared pairs, and holds only those.  One with general labels too is fixed
+by n and, for each vertex that is not a slot, its :func:`vertex_key`
+tuple and clique indices, and holds only those, as int tuples.
 """
 
 from __future__ import annotations
@@ -107,16 +106,6 @@ def key_vertex(kind: int, a: int, b: int = 0):
     return (SharedVertex, UnsharedVertex)[kind](a, b)
 
 
-def _named_cliques(v):
-    """The cliques a SharedVertex or UnsharedVertex identity names, or None
-    for any other vertex."""
-    if isinstance(v, SharedVertex):
-        return (v.i, v.j)
-    if isinstance(v, UnsharedVertex):
-        return (v.clique,)
-    return None
-
-
 @dataclass(frozen=True)
 class Rejection:
     """Structured validation failure naming the first violated invariant.
@@ -137,24 +126,21 @@ class EflGraph:
     ``cliques[k]`` is the vertex set of Q_{k+1}; ``shared`` holds exactly
     the vertices lying in two or more defining cliques; ``pairs`` lists,
     sorted, the clique-index pairs of the shared vertices lying in exactly
-    two.  A graph built from its pairs (by :func:`build_maximal`,
-    :func:`build_from_pairs` or ``decomposition_to_efl`` of 2-cliques)
-    holds only n and the pairs.  A graph built from keys (by
-    :func:`validate_keys` or ``decomposition_to_efl`` of larger cliques)
-    holds only n and ``keyed``: the :func:`vertex_key` tuple of every
-    vertex that is not a slot, mapped to the ascending indices of its
-    cliques; its slots are implied, since a validated clique's unshared
-    vertices fill slots 1..free.  Either kind builds its cliques, shared
-    vertices and vertex indexes the first time a caller reads them; on
-    any other graph ``keyed`` is None.  Instances are immutable and safe
-    to share across threads.  Build through those functions,
-    :func:`validate`, or ``EflGraph(n, cliques, shared)`` on validated
-    cliques, so the identity scheme stays consistent with actual clique
-    membership.
+    two.  A graph is held in one of two forms.  A pair graph
+    (``is_pair_graph``: every vertex carries a pair or slot identity),
+    built by :func:`build_maximal`, :func:`build_from_pairs` or from keys
+    with no general label, holds only n and the pairs.  A keyed graph,
+    built by :func:`validate_keys` or ``decomposition_to_efl`` of larger
+    cliques, holds only n and ``keyed``: the :func:`vertex_key` tuple of
+    every vertex that is not a slot, mapped to the ascending indices of
+    its cliques; its slots are implied, since a validated clique's
+    unshared vertices fill slots 1..free.  Either form builds its cliques,
+    shared vertices and vertex indexes the first time a caller reads
+    them; on a pair graph ``keyed`` is None.  Instances are immutable and
+    safe to share across threads.  Build through those functions or
+    :func:`validate`, so the identity scheme stays consistent with actual
+    clique membership.
     """
-
-    def __init__(self, n: int, cliques: tuple, shared: frozenset):
-        vars(self).update(n=n, cliques=cliques, shared=shared, keyed=None)
 
     @classmethod
     def _of_pairs(cls, n: int, pairs: tuple) -> "EflGraph":
@@ -185,38 +171,25 @@ class EflGraph:
     def __eq__(self, other):
         if not isinstance(other, EflGraph):
             return NotImplemented
-        if self.n != other.n:
+        if self.n != other.n or self.keyed != other.keyed:
             return False
-        # n and the pairs rebuild a pair graph, n and the keys a keyed one
-        if self.is_pair_graph and other.is_pair_graph:
-            return self.pairs == other.pairs
-        if self.keyed is not None and other.keyed is not None:
-            return self.keyed == other.keyed
-        return self.cliques == other.cliques
+        # n and the keys rebuild a keyed graph, n and the pairs a pair one
+        return self.keyed is not None or self.pairs == other.pairs
 
     def __hash__(self):
-        # equal graphs have as many shared vertices, which a pair or keyed
-        # graph counts without building them
-        shared = vars(self).get("shared")
-        if shared is not None:
-            count = len(shared)
-        elif self.keyed is not None:
-            count = sum(len(ix) > 1 for ix in self.keyed.values())
-        else:
-            count = len(self.pairs)
-        return hash((self.n, count))
+        # the shared vertex count, found without building them
+        if self.keyed is None:
+            return hash((self.n, len(self.pairs)))
+        return hash((self.n, sum(len(ix) > 1 for ix in self.keyed.values())))
 
     def _placed(self):
-        """(vertex, clique indices) of every vertex that is not a slot, on
-        a pair or keyed graph."""
+        """(vertex, clique indices) of every vertex that is not a slot."""
         if self.keyed is None:
             return ((SharedVertex(*p), p) for p in self.pairs)
         return ((key_vertex(*k), ix) for k, ix in self.keyed.items())
 
     @cached_property
     def cliques(self) -> tuple:
-        # reached only on a pair or keyed graph: any other graph is given
-        # its cliques
         n = self.n
         members: list = [[] for _ in range(n + 1)]
         for v, ix in self._placed():
@@ -230,41 +203,14 @@ class EflGraph:
 
     @cached_property
     def shared(self) -> frozenset:
-        # reached only on a pair or keyed graph, like cliques
         return frozenset(v for v, ix in self._placed() if len(ix) > 1)
 
     @cached_property
     def pairs(self) -> tuple:
         """Sorted clique-index pairs of the shared vertices lying in
-        exactly two defining cliques.
-
-        A SharedVertex names its pair.  Any other shared vertex is placed
-        by one scan of the cliques rather than by :attr:`membership`,
-        which would index every vertex to place these few.
-        """
-        if self.keyed is not None:
-            return tuple(sorted(
-                ix for ix in self.keyed.values() if len(ix) == 2
-            ))
-        pairs = [(v.i, v.j) for v in self.shared if type(v) is SharedVertex]
-        found = {v: [] for v in self.shared if type(v) is not SharedVertex}
-        if found:
-            for idx, q in enumerate(self.cliques, start=1):
-                for v in found.keys() & q:
-                    found[v].append(idx)
-            pairs += [tuple(ix) for ix in found.values() if len(ix) == 2]
-        return tuple(sorted(pairs))
-
-    @cached_property
-    def is_pair_graph(self) -> bool:
-        """True when every vertex carries a pair or slot identity, so that
-        n and :attr:`pairs` alone rebuild the graph: validated graphs keep
-        those identities true to membership and fill each clique's slots
-        1..free, as :func:`build_from_pairs` does."""
-        return all(
-            isinstance(v, (SharedVertex, UnsharedVertex))
-            for q in self.cliques for v in q
-        )
+        exactly two defining cliques: given to a pair graph, and read off
+        a keyed graph's keys."""
+        return tuple(sorted(ix for ix in self.keyed.values() if len(ix) == 2))
 
     @cached_property
     def numbering(self) -> "Numbering":
@@ -285,34 +231,23 @@ class EflGraph:
         return tuple(sorted(self.vertex_set, key=vertex_key))
 
     @cached_property
-    def membership(self) -> dict:
-        """Vertex -> ascending tuple of defining-clique indices containing it."""
-        seen: dict = {}
-        for idx, q in enumerate(self.cliques, start=1):
-            for v in q:
-                seen.setdefault(v, []).append(idx)
-        return {v: tuple(ix) for v, ix in seen.items()}
-
-    @cached_property
     def is_two_clique(self) -> bool:
-        """True when every shared vertex lies in exactly two cliques."""
-        if self.keyed is not None:
-            return all(len(ix) <= 2 for ix in self.keyed.values())
-        return all(len(self.cliques_of(v)) == 2 for v in self.shared)
+        """True when every shared vertex lies in exactly two cliques: given
+        to a pair graph, and read off a keyed graph's keys."""
+        return all(len(ix) <= 2 for ix in self.keyed.values())
 
     def cliques_of(self, v) -> tuple:
         """Ascending indices of the defining cliques containing vertex v.
 
         A pair or slot identity names them, since validated graphs keep
         those identities true to membership; any other vertex is looked up
-        in :attr:`keyed` by its key, or in :attr:`membership`.
+        in :attr:`keyed` by its key, a KeyError when g has no such vertex.
         """
-        named = _named_cliques(v)
-        if named:
-            return named
-        if self.keyed is None:
-            return self.membership[v]
-        return self.keyed[vertex_key(v)]
+        if isinstance(v, SharedVertex):
+            return (v.i, v.j)
+        if isinstance(v, UnsharedVertex):
+            return (v.clique,)
+        return (self.keyed or {})[vertex_key(v)]
 
 
 class Numbering:
@@ -467,7 +402,9 @@ def _refuse_repeats(pairs: list):
 
 
 def validate(cliques: Iterable, n: int):
-    """Check the EFL invariants over an arbitrary clique list.
+    """Check the EFL invariants over a list of cliques of SharedVertex,
+    UnsharedVertex and GeneralVertex (with an int label) objects; a
+    TypeError names any other vertex.
 
     Returns a validated graph or a :class:`Rejection` naming the first
     violated invariant.  The scan order is fixed so the report is
@@ -476,19 +413,22 @@ def validate(cliques: Iterable, n: int):
     two or more vertices, then identity consistency (named identities must match
     actual membership, the least offender by :func:`vertex_key` in the
     first clique holding one, and unshared slots must fit the clique's
-    free capacity).
+    free capacity).  The cliques are checked as their vertices' keys, by
+    :func:`validate_keys`.
     """
-    why = _order_error(n)
-    if why:
-        return Rejection("order", why)
-    qs = [frozenset(q) for q in cliques]
-    membership = _rule_scan(qs, n, _object_ident, vertex_key, repr)
-    if isinstance(membership, Rejection):
-        return membership
-    shared = frozenset(v for v, ix in membership.items() if len(ix) >= 2)
-    g = EflGraph(n, tuple(qs), shared)
-    g.__dict__["membership"] = membership
-    return g
+    return validate_keys((map(_checked_key, q) for q in cliques), n)
+
+
+def _checked_key(v) -> tuple:
+    """:func:`vertex_key` of v, a TypeError unless :func:`key_vertex`
+    gives v back."""
+    k = vertex_key(v)
+    if k[0] > 2 or (k[0] == 2 and type(k[1]) is not int):
+        raise TypeError(
+            "validate takes SharedVertex, UnsharedVertex and GeneralVertex "
+            f"with an int label, got {v!r}"
+        )
+    return k
 
 
 def validate_keys(cliques: Iterable, n: int):
@@ -503,10 +443,7 @@ def validate_keys(cliques: Iterable, n: int):
     why = _order_error(n)
     if why:
         return Rejection("order", why)
-    membership = _rule_scan(
-        [frozenset(q) for q in cliques], n, _key_ident, None,
-        lambda k: repr(key_vertex(*k)),
-    )
+    membership = _rule_scan([frozenset(q) for q in cliques], n)
     if isinstance(membership, Rejection):
         return membership
     return EflGraph._of_keys(
@@ -514,15 +451,9 @@ def validate_keys(cliques: Iterable, n: int):
     )
 
 
-def _object_ident(v) -> tuple:
-    """(the cliques v's identity names or None, its slot or None)."""
-    if isinstance(v, UnsharedVertex):
-        return (v.clique,), v.slot
-    return _named_cliques(v), None
-
-
 def _key_ident(k) -> tuple:
-    """:func:`_object_ident` of the vertex whose key is k."""
+    """(the cliques the identity of key k's vertex names, or None for a
+    general label; its unshared slot, or None for any other vertex)."""
     kind = k[0]
     if kind == 0:
         return k[1:], None
@@ -531,16 +462,10 @@ def _key_ident(k) -> tuple:
     return None, None
 
 
-def _rule_scan(qs: list, n: int, ident, order, show):
-    """The rules of :func:`validate` after the order, over sets of vertex
-    tokens: the membership {token: ascending clique indices}, or the
-    first :class:`Rejection`.
-
-    ``ident(v)`` gives the cliques token v's identity names (None for a
-    general one) and its unshared slot (None for any other); ``order`` is
-    a sort key that orders tokens as :func:`vertex_key` orders their
-    vertices (None when the tokens are those keys), and ``show(v)`` the
-    repr of v's vertex, for a message.
+def _rule_scan(qs: list, n: int):
+    """The rules of :func:`validate` after the order, over sets of
+    :func:`vertex_key` tuples: the membership {key: ascending clique
+    indices}, or the first :class:`Rejection`.
     """
     if len(qs) != n:
         return Rejection(
@@ -578,18 +503,18 @@ def _rule_scan(qs: list, n: int, ident, order, show):
     wrong = []
     slots: list = [[] for _ in range(n + 1)]
     for v, ix in membership.items():
-        named, slot = ident(v)
+        named, slot = _key_ident(v)
         if named is not None and named != ix:
             wrong.append(v)
         elif slot is not None:
             slots[ix[0]].append(slot)
     if wrong:
         idx = min(membership[v][0] for v in wrong)
-        v = min((v for v in wrong if idx in membership[v]), key=order)
+        v = min(v for v in wrong if idx in membership[v])
         return Rejection(
             "identity",
-            f"vertex {show(v)} lies in cliques {membership[v]}, "
-            f"not {ident(v)[0]}",
+            f"vertex {key_vertex(*v)!r} lies in cliques {membership[v]}, "
+            f"not {_key_ident(v)[0]}",
             (idx,),
         )
     for idx in range(1, n + 1):

@@ -264,11 +264,7 @@ def efl_to_decomposition(g: EflGraph) -> CliqueDecomposition:
     if g.is_pair_graph:
         host = HostGraph._of_valid(g.n, frozenset(g.pairs))
         return CliqueDecomposition(host, g.pairs)
-    if g.keyed is not None:
-        cliques = [ix for ix in g.keyed.values() if len(ix) > 1]
-    else:
-        cliques = map(g.cliques_of, g.shared)
-    cliques = _canonical_order(cliques)
+    cliques = _canonical_order(ix for ix in g.keyed.values() if len(ix) > 1)
     edges = set()
     for c in cliques:
         edges.update(combinations(c, 2))

@@ -198,19 +198,13 @@ def _keyed_clique_texts(g: EflGraph):
 
 def graph_text(g: EflGraph):
     """Yields ``dumps(graph_to_json(g))`` one shared pair or clique at a
-    time, written straight from g with no JSON encoder, and with no
-    vertex object on a pair or keyed graph."""
+    time, written straight from g's pairs or keys with no JSON encoder
+    and no vertex object."""
     yield f'{{\n  "n": {g.n},\n  "shared_pairs": '
     yield from _int_lists(g.pairs)
     if g.keyed is not None:
         yield ',\n  "cliques": '
         yield from _json_list(_keyed_clique_texts(g))
-    elif not g.is_pair_graph:
-        yield ',\n  "cliques": '
-        yield from _json_list(
-            _clique_text(map(_vertex_text, sorted(q, key=vertex_key)))
-            for q in g.cliques
-        )
     yield "\n}\n"
 
 

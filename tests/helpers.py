@@ -206,7 +206,8 @@ def reference_validate(cliques, n):
     messages, with the pairwise-intersection rule decided by intersecting
     every two cliques in lexicographic index order and the identity rule
     by scanning each clique in vertex_key order, one branch per identity
-    kind.  The accepted graph is built directly, never through validate.
+    kind.  The accepted graph is built from this scan's own membership,
+    never through validate.
     """
     if n < 2:
         return Rejection("order", f"n must be >= 2, got {n}")
@@ -263,8 +264,10 @@ def reference_validate(cliques, n):
                 f"{free} unshared places",
                 (idx, bad[0]),
             )
-    shared = frozenset(v for v, ix in membership.items() if len(ix) >= 2)
-    return EflGraph(n, tuple(qs), shared)
+    return EflGraph._of_keys(n, {
+        vertex_key(v): ix for v, ix in membership.items()
+        if not isinstance(v, UnsharedVertex)
+    })
 
 
 def reference_graph_from_json(data) -> EflGraph:
@@ -380,7 +383,7 @@ def reference_graph_to_json(g: EflGraph) -> dict:
     pairs and comparing: the explicit cliques are emitted unless the
     rebuild equals g."""
     pairs = sorted(
-        g.membership[v] for v in g.shared if len(g.membership[v]) == 2
+        g.cliques_of(v) for v in g.shared if len(g.cliques_of(v)) == 2
     )
     out = {"n": g.n, "shared_pairs": [list(p) for p in pairs]}
     canonical = False

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from eflcolor import cli, coloring, solver
+from eflcolor.chunked import read_pair_graph, read_vertex_coloring
 from eflcolor.cli import main
 from eflcolor.core import build_maximal
 from eflcolor.coloring import FullColoring, color_shared
@@ -24,6 +28,7 @@ from eflcolor.decomposition import (
 from helpers import FANO_TRIANGLES
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, name, data) -> str:
@@ -464,3 +469,79 @@ class TestMalformedCliqueEntries:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ")
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the output quietly: exit 141, as a
+    shell reports a process ended by SIGPIPE, and nothing on stderr, not
+    even from the interpreter's flush at exit."""
+
+    @pytest.mark.parametrize("command", ["gen", "color"])
+    def test_exits_141_quietly(self, tmp_path, command):
+        # either output is far larger than a pipe's buffer
+        if command == "gen":
+            argv = ["gen", "--n", "300", "--pairs", "all"]
+        else:
+            graph = write(tmp_path, "g.json", graph_to_json(build_maximal(200)))
+            argv = ["color", "--extend", "--in", graph]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eflcolor", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+        assert head == (b'{\n  "n": 3' if command == "gen" else b'{\n  "palet')
+        assert proc.returncode == 141
+        assert err == b""
+
+
+# nested deeper than json's decoder recurses
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+class TestNestedJson:
+    """JSON nested too deeply to decode is an input error in the reader's
+    usual words, on the whole-document path and on the chunked one, which
+    meets it in an element after the document's head and tail passed."""
+
+    @pytest.mark.parametrize(
+        "pairs", [NESTED, f"[{NESTED}, [1, 2]]"], ids=["whole", "chunked"]
+    )
+    def test_graph_exits_2(self, tmp_path, capsys, pairs):
+        graph = write(tmp_path, "g.json", f'{{"n": 3, "shared_pairs": {pairs}}}')
+        with open(graph, "rb") as fh, pytest.raises(ValueError):
+            read_pair_graph(fh)
+        assert main(["color", "--in", graph]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(
+            f"error: {graph} is not valid JSON: maximum recursion depth "
+        )
+        assert out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("entries", [
+        NESTED,
+        '[{"vertex": ["shared", 1, 2], "color": %s}, '
+        '{"vertex": ["shared", 1, 3], "color": 1}]' % NESTED,
+    ], ids=["whole", "chunked"])
+    def test_coloring_exits_2(self, tmp_path, capsys, entries):
+        graph = write(tmp_path, "g.json", {"n": 3, "shared_pairs": [[1, 2]]})
+        coloring = write(
+            tmp_path, "c.json", f'{{"palette": 3, "assignments": {entries}}}'
+        )
+        with open(coloring, "rb") as fh, pytest.raises(ValueError):
+            read_vertex_coloring(fh, build_maximal(3))
+        assert main(["verify", "--graph", graph, "--coloring", coloring]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(
+            f"error: {coloring} is not valid JSON: maximum recursion depth "
+        )
+        assert out.err.count("\n") == 1

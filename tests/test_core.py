@@ -1,4 +1,5 @@
 import random
+import re
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -106,8 +107,8 @@ class TestBuildMaximal:
         assert checked.is_two_clique
         assert checked == g
         assert len(g.shared) == comb(n, 2)
-        assert all(len(g.membership[v]) == 2 for v in g.shared)
-        assert len(g.vertices) == expected_vertex_count(n, [g.membership[v] for v in g.shared])
+        assert all(len(g.cliques_of(v)) == 2 for v in g.shared)
+        assert len(g.vertices) == expected_vertex_count(n, [g.cliques_of(v) for v in g.shared])
 
 
 class TestBuildFromPairs:
@@ -244,6 +245,21 @@ class TestValidate:
         assert g.shared == {hub}
         assert not g.is_two_clique
 
+    @pytest.mark.parametrize(
+        "other", [1, GeneralVertex("hub"), (1, 2)],
+        ids=["int", "str_label", "tuple"],
+    )
+    def test_rejects_vertices_outside_the_three_types(self, other):
+        # key_vertex cannot give back a raw id, a label that is not an
+        # int or any other hashable, so no graph is built on one
+        cliques = [
+            {other, GeneralVertex(1), GeneralVertex(2)},
+            {other, GeneralVertex(3), GeneralVertex(4)},
+            {GeneralVertex(5), GeneralVertex(6), GeneralVertex(7)},
+        ]
+        with pytest.raises(TypeError, match=f"got {re.escape(repr(other))}$"):
+            validate(cliques, 3)
+
 
 class TestAdjacency:
     def test_shared_index_means_adjacent(self):
@@ -272,7 +288,7 @@ class TestAdjacency:
 class TestGraphBasics:
     def test_equality_ignores_two_clique_subtype(self):
         g = build_maximal(4)
-        h = EflGraph(g.n, g.cliques, g.shared)
+        h = validate(g.cliques, g.n)
         assert g == h and h == g
         assert hash(g) == hash(h)
 
@@ -284,7 +300,7 @@ class TestGraphBasics:
     def test_membership_is_ascending(self):
         g = build_maximal(5)
         for v in g.shared:
-            ix = g.membership[v]
+            ix = g.cliques_of(v)
             assert ix == tuple(sorted(ix))
             assert ix == (v.i, v.j)
 
@@ -359,13 +375,15 @@ def test_validate_and_graph_to_json_match_the_pairwise_oracles(seed):
             continue
         graphs += 1
         assert got.shared == want.shared
+        # both sides of got == want are keyed graphs: check the cliques
+        # against the input itself
+        assert got.cliques == tuple(map(frozenset, cliques))
         assert dumps(graph_to_json(got)) == dumps(reference_graph_to_json(got))
         # membership recomputed from the cliques, not taken from validate
         member = {
             v: tuple(i for i, q in enumerate(got.cliques, start=1) if v in q)
             for v in got.vertex_set
         }
-        assert got.membership == member
         assert all(got.cliques_of(v) == member[v] for v in member)
         assert got.is_two_clique == all(
             len(member[v]) == 2 for v in got.shared

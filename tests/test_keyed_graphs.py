@@ -24,7 +24,10 @@ from eflcolor.core import (
     Rejection,
     SharedVertex,
     UnsharedVertex,
+    build_from_pairs,
+    build_maximal,
     validate,
+    validate_keys,
 )
 from eflcolor.decomposition import (
     HostGraph,
@@ -88,7 +91,6 @@ def test_keyed_graphs_read_as_their_object_graphs():
             g.n, g.pairs, g.is_pair_graph, g.is_two_clique
         )
         assert k.cliques == g.cliques and k.shared == g.shared
-        assert k.membership == g.membership
         assert k.vertex_set == g.vertex_set and k.vertices == g.vertices
         assert efl_to_decomposition(k) == efl_to_decomposition(g)
         other = graph_from_json(
@@ -108,7 +110,6 @@ def test_keyed_graphs_are_written_as_object_graphs_are():
         keyed = decomposition_to_efl(d)
         assert keyed.keyed is not None
         objects = validate(keyed.cliques, n)
-        assert objects.keyed is None
         assert text(keyed) == text(objects) == dumps(graph_to_json(objects))
 
 
@@ -122,6 +123,33 @@ def test_keyed_graphs_of_packings_round_trip():
         back = graph_from_json(json.loads(text(g)))
         assert back == g and back.keyed == g.keyed
         assert efl_to_decomposition(back) == d
+
+
+def test_no_graph_holds_vertex_objects_until_read():
+    hub = GeneralVertex(0)
+    packing = validate_decomposition(
+        complete_host(9), triangle_packing(9, random.Random(9))
+    )
+    graphs = [
+        validate(build_maximal(4).cliques, 4),
+        validate([{hub, GeneralVertex(1), GeneralVertex(2)},
+                  {hub, GeneralVertex(3), GeneralVertex(4)},
+                  {hub, GeneralVertex(5), GeneralVertex(6)}], 3),
+        validate_keys([{(2, 0), (2, 1), (2, 2)}, {(2, 0), (2, 3), (2, 4)},
+                       {(2, 0), (2, 5), (2, 6)}], 3),
+        validate_keys([{(0, 1, 2), (1, 1, 1)}, {(0, 1, 2), (1, 2, 1)}], 2),
+        build_maximal(5),
+        build_from_pairs(5, [(1, 2), (3, 4)]),
+        decomposition_to_efl(efl_to_decomposition(build_maximal(5))),
+        decomposition_to_efl(packing),
+        graph_from_json({"n": 3, "shared_pairs": [[1, 2]]}),
+        graph_from_json(graph_to_json(decomposition_to_efl(packing))),
+    ]
+    for g in graphs:
+        assert isinstance(g, EflGraph)
+        assert "cliques" not in vars(g)
+        assert len(g.cliques) == g.n
+        assert "cliques" in vars(g)
 
 
 def _is_vertex(v) -> bool:

@@ -204,7 +204,7 @@ def test_decomposition_coloring_valid_iff_transport_proper(np, data):
     valid = bool(check_decomposition_coloring(d, c))
     # transport by hand so invalid colorings can be carried over too
     index_of = {cl: t for t, cl in enumerate(d.cliques, start=1)}
-    carried = {v: colors[index_of[g.membership[v]]] for v in g.shared}
+    carried = {v: colors[index_of[g.cliques_of(v)]] for v in g.shared}
     proper = bool(check_proper(g, SharedColoring(n, carried)))
     assert valid == proper
     assert proper == brute_force_proper(g, carried)

@@ -267,26 +267,6 @@ class TestGraphText:
         assert "cliques" in graph_to_json(g)
         assert "".join(graph_text(g)) == dumps(graph_to_json(g))
 
-    def test_general_labels_that_are_not_integers(self):
-        hub = GeneralVertex("hub")
-        g = validate(
-            [
-                {hub, GeneralVertex("a"), GeneralVertex("b")},
-                {hub, GeneralVertex("c"), GeneralVertex("d\u00e9")},
-                {hub, GeneralVertex("e"), GeneralVertex('f"')},
-            ],
-            3,
-        )
-        assert "".join(graph_text(g)) == dumps(graph_to_json(g))
-
-    def test_vertex_without_encoding_rejected_alike(self):
-        g = validate([{1, 2, 3}, {1, 4, 5}, {6, 7, 8}], 3)
-        with pytest.raises(FormatError) as expected:
-            graph_to_json(g)
-        with pytest.raises(FormatError) as got:
-            "".join(graph_text(g))
-        assert str(got.value) == str(expected.value)
-
 
 class TestSweepText:
     """sweep_text writes dumps(sweep_report_to_json(report))."""
