@@ -264,6 +264,18 @@ CASES = [
     ("verify_4_truncated",
      ["verify", "--graph", "@gen_all_4.stdout",
       "--coloring", "@inputs/g4_coloring_truncated.json"]),
+    # explicit-clique documents laid out the same ways, on a two-clique
+    # graph of order 5 with a general label in two cliques
+    *((f"{cmd}_cliques_{name}", [cmd, "--in", f"@inputs/cliques_{name}.json"])
+      for name in ("compact", "first", "only", "extra_key", "truncated")
+      for cmd in ("decompose", "color")),
+    # an unshared slot in a clique other than its own: the identity rule
+    # names every clique holding it, its own among them
+    ("decompose_stray_slot",
+     ["decompose", "--in", "@inputs/cliques_stray_slot.json"]),
+    # a short clique 1 among four cliques of order 3: the count is reported
+    ("decompose_count_and_short",
+     ["decompose", "--in", "@inputs/cliques_count_and_short.json"]),
 ]
 
 
