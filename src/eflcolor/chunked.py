@@ -5,23 +5,40 @@
 vertex-coloring document from a binary file, its list decoded by
 ``json``'s C decoder a chunk of complete elements at a time, each chunk
 placed and dropped before the next is read, so neither document is held
-whole; the ints a read keeps are taken from one shared table.  They read
-nothing else: a document with other keys, another key order or any
-defect raises ValueError, for the whole-document readers of
-:mod:`eflcolor.serialize` to read or report as they always have.  The
-result is what those readers give for the same document.
+whole; the ints a read keeps are taken from one shared table.
+:func:`read_clique_graph` reads a {"n", "shared_pairs", "cliques"}
+graph document, "shared_pairs" optional, one clique at a time, each
+taken by the rule scan of :func:`eflcolor.core.validate_keys` before the
+next is decoded.  They read nothing else: a document with other keys,
+another key order or any defect raises ValueError, for the
+whole-document readers of :mod:`eflcolor.serialize` to read or report
+as they always have.  The result is what those readers give for the
+same document.  The cyclic garbage collector is paused while a reader
+builds its containers, none of which holds a cycle.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from itertools import chain, repeat
 
-from .core import EflGraph, build_from_pairs
-from .serialize import _Assignment, _numbered_coloring, fold_assignment
+from .core import (
+    EflGraph,
+    Rejection,
+    _gc_paused,
+    build_from_pairs,
+    validate_keys,
+)
+from .serialize import (
+    _Assignment,
+    _numbered_coloring,
+    _screened_keys,
+    fold_assignment,
+)
 
-__all__ = ["read_pair_graph", "read_vertex_coloring"]
+__all__ = ["read_pair_graph", "read_vertex_coloring", "read_clique_graph"]
 
 # bytes read at a time
 _CHUNK = 1 << 16
@@ -101,9 +118,10 @@ def read_pair_graph(fh) -> EflGraph:
     ``graph_from_json`` refuses."""
     chunks = _list_chunks(fh, b"n", b"shared_pairs", b"]")
     n = next(chunks)
-    return build_from_pairs(n, chain.from_iterable(
-        map(_interned_pairs, repeat({}), chunks)
-    ))
+    with _gc_paused():
+        return build_from_pairs(n, chain.from_iterable(
+            map(_interned_pairs, repeat({}), chunks)
+        ))
 
 
 def _folded(ints: dict, chunk: list):
@@ -128,6 +146,151 @@ def read_vertex_coloring(fh, g: EflGraph):
     chunks = _list_chunks(fh, b"palette", b"assignments", b"}",
                           fold_assignment)
     palette = next(chunks)
-    return _numbered_coloring(
-        g, palette, chain.from_iterable(map(_folded, repeat({}), chunks))
-    )
+    with _gc_paused():
+        return _numbered_coloring(
+            g, palette, chain.from_iterable(map(_folded, repeat({}), chunks))
+        )
+
+
+class _Text:
+    """The text of a binary file, decoded as UTF-8 a chunk at a time and
+    read from the front: JSON values one at a time, and the tokens
+    between them."""
+
+    def __init__(self, fh):
+        self.fh, self.text, self.pos = fh, "", 0
+        self.utf8 = codecs.getincrementaldecoder("utf-8")()
+
+    def more(self) -> bool:
+        """Append the next chunk, dropping the text already read; False
+        at the end of the file."""
+        data = self.fh.read(_CHUNK)
+        self.text = self.text[self.pos:] + self.utf8.decode(data, not data)
+        self.pos = 0
+        return bool(data)
+
+    def take(self, token: str) -> bool:
+        """Read past the whitespace JSON allows, then past token if it is
+        next: the empty token reads past whitespace only."""
+        while True:
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            if len(self.text) - self.pos >= max(len(token), 1) \
+                    or not self.more():
+                break
+        if not self.text.startswith(token, self.pos):
+            return False
+        self.pos += len(token)
+        return True
+
+    def need(self, *tokens):
+        for token in tokens:
+            if not self.take(token):
+                raise ValueError("another document")
+
+    def value(self, decoder):
+        """The next JSON value, decoded once the text holds all of it:
+        a value cut by the end of the text fails to decode, or, for a
+        number or literal, ends where the text does."""
+        self.take("")
+        while True:
+            try:
+                value, end = decoder.raw_decode(self.text, self.pos)
+            except RecursionError:  # nested too deeply, however it ends
+                raise ValueError("another document") from None
+            except ValueError:
+                if self.more():
+                    continue
+                raise ValueError("another document") from None
+            if end < len(self.text) or not self.more():
+                self.pos = end
+                return value
+
+    def items(self, decoder):
+        """Yields the elements of the list whose "[" was just read, one
+        at a time, then reads its "]"."""
+        if self.take("]"):
+            return
+        while True:
+            yield self.value(decoder)
+            if not self.take(","):
+                self.need("]")
+                return
+
+    def flat_chunks(self, decoder):
+        """Yields the elements of the list whose "[" was just read, each a
+        list of scalars, as lists of a chunk of elements, then reads its
+        "]".  The list ends at the first "]" that another follows, and a
+        chunk of elements at the last "]," in the text."""
+        if self.take("]"):
+            return
+        while True:
+            end = _LIST_END.search(self.text, self.pos)
+            cut = end.start() + 1 if end \
+                else self.text.rfind("],", self.pos) + 1
+            if cut > self.pos:
+                try:
+                    yield decoder.decode("[" + self.text[self.pos:cut] + "]")
+                except RecursionError:
+                    raise ValueError("another document") from None
+                if end:
+                    self.pos = end.end()
+                    return
+                self.pos = cut + 1
+            elif not self.more():
+                raise ValueError("another document")
+
+
+# the whitespace JSON allows, as a str pattern, and the end of a list of
+# lists of scalars
+_SPACE = re.compile(r"[ \t\n\r]*")
+_LIST_END = re.compile(r"\][ \t\n\r]*\]")
+
+
+def _clique(q) -> chain:
+    """The vertex keys of one clique of a "cliques" list, by the screen
+    of ``serialize.graph_from_json``; ValueError when it refuses them."""
+    keys = _screened_keys(q) if type(q) is list else None
+    if keys is None:
+        raise ValueError("not a clique of vertex lists")
+    return keys
+
+
+def read_clique_graph(fh) -> EflGraph:
+    """The graph of a {"n", "shared_pairs", "cliques"} document in the
+    binary file fh, "shared_pairs" optional, as
+    ``serialize.graph_from_json`` builds it; ValueError on any other
+    document, or on one that ``graph_from_json`` refuses.
+
+    The pairs are read first, interned as :func:`read_pair_graph` interns
+    them.  The cliques, whose elements are nested lists that no cut of
+    the text can separate, are decoded one at a time, each screened as
+    ``graph_from_json`` screens it and taken by the rule scan before the
+    next is read; the pairs are then checked against the graph.  The
+    document's tail is checked first, so a pair graph's is refused before
+    anything is decoded.
+    """
+    fh.seek(max(0, fh.seek(0, 2) - 64))
+    if not re.search(rb"\]%s\]%s\]%s\}%s\Z" % ((_WS,) * 4), fh.read()):
+        raise ValueError("another document")
+    fh.seek(0)
+    text, decoder = _Text(fh), json.JSONDecoder()
+    text.need("{", '"n"', ":")
+    n = text.value(decoder)
+    if type(n) is not int:
+        raise ValueError("another document")
+    text.need(",")
+    pairs = None
+    with _gc_paused():
+        if text.take('"shared_pairs"'):
+            text.need(":", "[")
+            pairs = sorted(chain.from_iterable(map(
+                _interned_pairs, repeat({}), text.flat_chunks(decoder)
+            )))
+            text.need(",")
+        text.need('"cliques"', ":", "[")
+        g = validate_keys(map(_clique, text.items(decoder)), n)
+    text.need("}", "")
+    if text.pos < len(text.text) or isinstance(g, Rejection) \
+            or pairs is not None and tuple(pairs) != g.pairs:
+        raise ValueError("another document")
+    return g

@@ -20,8 +20,10 @@ tuple and clique indices, and holds only those, as int tuples.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -432,92 +434,124 @@ def _checked_key(v) -> tuple:
 
 
 def validate_keys(cliques: Iterable, n: int):
-    """:func:`validate` over cliques given as sets of :func:`vertex_key`
-    tuples of shared, unshared and general vertices: (0, i, j),
-    (1, clique, slot) and (2, label).
+    """:func:`validate` over cliques given as iterables of
+    :func:`vertex_key` tuples of shared, unshared and general vertices:
+    (0, i, j), (1, clique, slot) and (2, label).
 
     The same rules, scan order and messages, with no vertex object built
     unless one is named in a rejection; the graph returned holds only the
-    keys (see :class:`EflGraph`).
+    keys (see :class:`EflGraph`).  The cliques are read one at a time,
+    each dropped once scanned, so a caller may stream them.
     """
     why = _order_error(n)
     if why:
         return Rejection("order", why)
-    membership = _rule_scan([frozenset(q) for q in cliques], n)
-    if isinstance(membership, Rejection):
-        return membership
-    return EflGraph._of_keys(
-        n, {k: ix for k, ix in membership.items() if k[0] != 1}
-    )
+    placed = _rule_scan(cliques, n)
+    if isinstance(placed, Rejection):
+        return placed
+    return EflGraph._of_keys(n, placed)
 
 
-def _key_ident(k) -> tuple:
-    """(the cliques the identity of key k's vertex names, or None for a
-    general label; its unshared slot, or None for any other vertex)."""
-    kind = k[0]
-    if kind == 0:
-        return k[1:], None
-    if kind == 1:
-        return k[1:2], k[2]
-    return None, None
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, then restore its prior state:
+    for building large acyclic containers, whose allocations would
+    otherwise start collections that walk everything already held."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
-def _rule_scan(qs: list, n: int):
-    """The rules of :func:`validate` after the order, over sets of
-    :func:`vertex_key` tuples: the membership {key: ascending clique
-    indices}, or the first :class:`Rejection`.
+def _rule_scan(cliques: Iterable, n: int):
+    """The rules of :func:`validate` after the order, over cliques of
+    :func:`vertex_key` tuples read one at a time: the membership {key:
+    ascending clique indices} of every vertex that is not an unshared
+    slot, or the first :class:`Rejection`.
+
+    The scan keeps the first short clique, the membership of shared pairs
+    and general labels, each clique's unshared slots (a range when they
+    fill 1..free, as in every valid clique) and, for an unshared key met
+    outside its own clique, the cliques it was met in.  Every rule is
+    decided from these after the last clique.
     """
-    if len(qs) != n:
-        return Rejection(
-            "clique-count", f"expected {n} cliques, got {len(qs)}", (len(qs),)
-        )
-    for idx, q in enumerate(qs, start=1):
-        if len(q) != n:
+    placed: dict = {}
+    strays: dict = {}
+    slots: list = [()]
+    short = None
+    count = 0
+    with _gc_paused():
+        for q in cliques:  # no enumerate, which would hold the last clique
+            count += 1
+            q = set(q)
+            if short or count > n or len(q) != n:
+                if not short and count <= n:
+                    short = count, len(q)
+                continue
+            own = []
+            for k in q:
+                if k[0] != 1:
+                    ix = placed.get(k)
+                    placed[k] = (count,) if ix is None else ix + (count,)
+                elif k[1] == count:
+                    own.append(k[2])
+                else:
+                    strays.setdefault(k, []).append(count)
+            free = len(own)
+            slots.append(range(1, free + 1) if min(own, default=1) >= 1
+                         and max(own, default=0) <= free else own)
+        if count != n:
+            return Rejection(
+                "clique-count", f"expected {n} cliques, got {count}",
+                (count,),
+            )
+        if short:
+            idx, size = short
             return Rejection(
                 "clique-order",
-                f"clique {idx} has {len(q)} vertices, expected {n}",
+                f"clique {idx} has {size} vertices, expected {n}",
                 (idx,),
             )
-    membership: dict = {}
-    for idx, q in enumerate(qs, start=1):
-        for v in q:
-            membership.setdefault(v, []).append(idx)
-    for v, ix in membership.items():  # in place: no second dict
-        membership[v] = tuple(ix)
-    # cliques a < b share one vertex per membership tuple holding both
-    common = Counter(
-        p for ix in membership.values() if len(ix) > 1
-        for p in combinations(ix, 2)
-    )
-    bad = [p for p, count in common.items() if count > 1]
-    if bad:
-        a, b = min(bad)
+        # a stray key lies in its own clique too when that holds its slot
+        for k, ix in strays.items():
+            c, s = k[1], k[2]
+            held = 1 <= c <= n and s in slots[c]
+            strays[k] = tuple(sorted(ix + [c])) if held else tuple(ix)
+        # cliques a < b share one vertex per membership holding both
+        m = n + 1
+        met, twice = set(), set()
+        for ix in chain(placed.values(), strays.values()):
+            for a, b in combinations(ix, 2):
+                p = a * m + b
+                (twice if p in met else met).add(p)
+    if twice:
+        a, b = divmod(min(twice), m)
+        common = sum(a in ix and b in ix
+                     for ix in chain(placed.values(), strays.values()))
         return Rejection(
             "pairwise-intersection",
-            f"cliques {a} and {b} share {common[a, b]} vertices",
+            f"cliques {a} and {b} share {common} vertices",
             (a, b),
         )
-
-    # each vertex once: a named identity that disagrees with membership,
-    # and, once none does, the slots of each clique's unshared vertices
-    wrong = []
-    slots: list = [[] for _ in range(n + 1)]
-    for v, ix in membership.items():
-        named, slot = _key_ident(v)
-        if named is not None and named != ix:
-            wrong.append(v)
-        elif slot is not None:
-            slots[ix[0]].append(slot)
+    # the named identities that disagree with membership: the cliques
+    # (i, j) of a shared key (0, i, j), the clique (c,) of a slot (1, c, s)
+    wrong = {k: ix for k, ix in placed.items() if k[0] == 0 and ix != k[1:]}
+    wrong.update(strays)
     if wrong:
-        idx = min(membership[v][0] for v in wrong)
-        v = min(v for v in wrong if idx in membership[v])
+        idx = min(ix[0] for ix in wrong.values())
+        v = min(k for k, ix in wrong.items() if idx in ix)
         return Rejection(
             "identity",
-            f"vertex {key_vertex(*v)!r} lies in cliques {membership[v]}, "
-            f"not {_key_ident(v)[0]}",
+            f"vertex {key_vertex(*v)!r} lies in cliques {wrong[v]}, "
+            f"not {v[1:] if v[0] == 0 else v[1:2]}",
             (idx,),
         )
     for idx in range(1, n + 1):
+        if type(slots[idx]) is range:
+            continue
         # a clique's unshared places are those its other vertices leave
         free = len(slots[idx])
         bad = [s for s in slots[idx] if s > free]
@@ -528,4 +562,4 @@ def _rule_scan(qs: list, n: int):
                 f"{free} unshared places",
                 (idx, min(bad)),
             )
-    return membership
+    return placed

@@ -137,6 +137,7 @@ def validate_decomposition(host: HostGraph, cliques: Iterable):
                 "clique-vertices", f"clique {c} repeats a vertex", (c,)
             )
         canon.append(tuple(sorted(c)))
+    del cliques  # freed here when the caller passed its only reference
     canon = _canonical_order(canon)
     N = host.vertex_count
     M = N + 1

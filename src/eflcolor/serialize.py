@@ -253,20 +253,18 @@ def _screened_keys(q: list):
     )
 
 
-def _clique_keys(cliques: list) -> list:
-    """Each clique of a "cliques" document as a frozenset of vertex_key
+def _clique_keys(cliques: list):
+    """Yields each clique of a "cliques" document as its vertex_key
     tuples.  A clique's vertex lists are screened in bulk, and read one
     by one with :func:`vertex_from_json` only when the screen fails, so
     the first vertex it refuses, in document order, is the FormatError.
     Each parsed clique list is dropped from ``cliques`` once converted."""
-    out = []
     for t, q in enumerate(cliques):
         keys = _screened_keys(q)
         if keys is None:
             keys = [vertex_key(vertex_from_json(v)) for v in q]
-        out.append(frozenset(keys))
         cliques[t] = None
-    return out
+        yield keys
 
 
 def _check_pairs(pairs, g: EflGraph):
@@ -289,9 +287,9 @@ def graph_from_json(data) -> EflGraph:
     """The graph of a graph document: built from its "shared_pairs", or,
     when it has "cliques", validated from those with
     :func:`eflcolor.core.validate_keys` as a keyed graph, its
-    "shared_pairs", when present, checked against them.  The parsed
-    clique lists are dropped from the document as they are converted, so
-    it is not held while the graph is validated."""
+    "shared_pairs", when present, checked against them.  Each parsed
+    clique list is dropped from the document as the rule scan takes it,
+    so the document is not held while the graph is validated."""
     if not isinstance(data, dict) or not _is_int(data.get("n")):
         raise FormatError('graph JSON needs an integer "n"')
     n = data["n"]
@@ -300,8 +298,10 @@ def graph_from_json(data) -> EflGraph:
             isinstance(q, list) for q in data["cliques"]
         ):
             raise FormatError('"cliques" must be a list of vertex lists')
-        g = validate_keys(_clique_keys(data["cliques"]), n)
+        keys = _clique_keys(data["cliques"])
+        g = validate_keys(keys, n)
         if isinstance(g, Rejection):
+            list(keys)  # a bad order leaves cliques unread: a bad vertex first
             raise FormatError(f"invalid graph: {g.message}")
         if data.get("shared_pairs") is not None:
             _check_pairs(data["shared_pairs"], g)
@@ -584,7 +584,7 @@ def decomposition_from_json(data) -> CliqueDecomposition:
             raise FormatError(
                 f"invalid decomposition clique {c!r}: not a list of integers"
             )
-    d = validate_decomposition(host, data["cliques"])
+    d = validate_decomposition(host, data.pop("cliques"))
     if isinstance(d, Rejection):
         raise FormatError(f"invalid decomposition: {d.message}")
     return d

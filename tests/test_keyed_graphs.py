@@ -11,6 +11,7 @@ with ``vertex_from_json`` and validate vertex objects and edge tuples.
 import copy
 import json
 import random
+import weakref
 from collections import Counter
 from itertools import combinations
 
@@ -28,6 +29,7 @@ from eflcolor.core import (
     build_maximal,
     validate,
     validate_keys,
+    vertex_key,
 )
 from eflcolor.decomposition import (
     HostGraph,
@@ -42,10 +44,12 @@ from eflcolor.serialize import (
     graph_from_json,
     graph_text,
     graph_to_json,
+    vertex_from_json,
 )
 from helpers import (
     mixed_graph,
     reference_graph_from_json,
+    reference_validate,
     reference_validate_decomposition,
     triangle_packing,
 )
@@ -284,6 +288,110 @@ def test_seeded_corruptions_match_the_object_path():
             else:
                 seen.update(m for m in MESSAGES if m in want)
     assert set(seen) == {"graph", *MESSAGES}, seen
+
+
+class _Clique(list):
+    """A clique's vertex keys, in a list a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
+def streamed(cliques):
+    """Yields the vertex keys of each clique in a fresh list, first
+    checking that the one before is no longer held: the rule scan keeps
+    no clique it has taken."""
+    last = type(None)  # a dead reference
+    for q in cliques:
+        assert last() is None, "a scanned clique is still held"
+        keys = _Clique(map(vertex_key, q))
+        last = weakref.ref(keys)
+        yield keys
+        del keys
+
+
+def _mutated(g, rng):
+    """The cliques of g as vertex lists, changed in one to three seeded
+    ways."""
+    n = g.n
+    qs = [sorted(q, key=vertex_key) for q in g.cliques]
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        kind = rng.randrange(6)
+        a = rng.randrange(len(qs))
+        q = qs[a]
+        if kind == 0 and q:
+            # a slot renamed, mostly to another clique, or past its range
+            slots = [t for t, v in enumerate(q) if type(v) is UnsharedVertex]
+            if slots:
+                c = a + 1 if rng.random() < 0.25 else rng.choice(
+                    [c for c in range(1, n + 2) if c != a + 1])
+                q[rng.choice(slots)] = UnsharedVertex(c, rng.randint(1, n))
+        elif kind == 1:
+            # a shared key copied into a third clique, in place of a
+            # vertex or beside them
+            shared = [v for q in qs for v in q if type(v) is SharedVertex]
+            if shared:
+                v = rng.choice(shared)
+                third = [b for b in range(len(qs))
+                         if b + 1 not in (v.i, v.j) and qs[b]]
+                if third:
+                    q = qs[rng.choice(third)]
+                    if rng.random() < 0.8:
+                        q[rng.randrange(len(q))] = v
+                    else:
+                        q.append(v)
+        elif kind == 2 and q:  # a clique shortened
+            del q[rng.randrange(len(q))]
+        elif kind == 3 and q:  # a vertex repeated in place of another
+            q[rng.randrange(len(q))] = rng.choice(q)
+        elif kind == 4:
+            # a general label shared by two cliques that already meet
+            meets = [(x, y) for x, y in combinations(range(len(qs)), 2)
+                     if set(qs[x]) & set(qs[y])]
+            if meets:
+                label = GeneralVertex(10**6 + rng.randrange(3))
+                for c in rng.choice(meets):
+                    qs[c][rng.randrange(len(qs[c]))] = label
+        else:  # a clique dropped or repeated
+            if rng.random() < 0.5:
+                del qs[a]
+            else:
+                qs.insert(rng.randrange(len(qs) + 1), list(q))
+    return qs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_streaming_scan_matches_the_pairwise_oracle(seed):
+    seen = Counter()
+    for n, _, g in mixed_graphs((3, 4, 5, 7, 10), [seed]):
+        rng = random.Random(100 * seed + n)
+        for _ in range(80):
+            cliques = _mutated(g, rng)
+            want = reference_validate(cliques, n)
+            # the same rule, message and detail, or equal graphs
+            assert validate_keys(streamed(cliques), n) == want, cliques
+            assert validate(cliques, n) == want
+            seen[want.rule if isinstance(want, Rejection) else "graph"] += 1
+    assert set(seen) == {
+        "graph", "clique-count", "clique-order", "pairwise-intersection",
+        "identity", "slot-range",
+    }, seen
+
+
+def test_streaming_scan_matches_the_oracle_on_corpus_documents():
+    read = 0
+    for path in sorted(CORPUS.rglob("*")):
+        if path.suffix not in (".json", ".stdout"):
+            continue
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            n, cliques = doc["n"], doc["cliques"]
+            cliques = [[vertex_from_json(v) for v in q] for q in cliques]
+        except (ValueError, KeyError, TypeError):
+            continue  # no clique list of vertices
+        want = reference_validate(cliques, n)
+        assert validate_keys(streamed(cliques), n) == want, path.name
+        read += 1
+    assert read >= 20
 
 
 def test_shared_pairs_must_be_the_pairs_of_the_cliques():

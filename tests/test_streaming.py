@@ -9,13 +9,15 @@ reader is checked against the dict-at-a-time reader of ``helpers`` on
 seeded malformed documents: the same coloring or the same FormatError.
 
 Pair graphs and vertex colorings are read a chunk of list elements at a
-time (``chunked.read_pair_graph``, ``chunked.read_vertex_coloring``)
+time (``chunked.read_pair_graph``, ``chunked.read_vertex_coloring``),
+explicit-clique graphs one clique at a time (``chunked.read_clique_graph``),
 and any document they refuse goes to the whole-document readers.  Every
-corpus document, and variants of G_4's and G_7's documents (other
-layouts, key orders and keys, escapes, duplicates, defects, and every
-truncation), read alike both ways: the same graph or coloring, or the
-same CLI output, error line and exit code, at every chunk size 1..64 and
-at the default.  tracemalloc shows neither document held whole.
+corpus document, and variants of G_4's and G_7's documents and of a keyed
+graph's (other layouts, key orders and keys, escapes, duplicates,
+defects, and every truncation), read alike both ways: the same graph or
+coloring, or the same CLI output, error line and exit code, at every
+chunk size 1..64 and at the default.  tracemalloc shows no document held
+whole.
 """
 
 import contextlib
@@ -28,7 +30,17 @@ import pytest
 
 from eflcolor import chunked, cli, serialize
 from eflcolor.coloring import color_shared, extend_to_full
-from eflcolor.core import build_from_pairs, build_maximal, vertex_key
+from eflcolor.core import (
+    build_from_pairs,
+    build_maximal,
+    validate_keys,
+    vertex_key,
+)
+from eflcolor.decomposition import (
+    complete_host,
+    decomposition_to_efl,
+    validate_decomposition,
+)
 from eflcolor.serialize import (
     FormatError,
     coloring_text,
@@ -39,7 +51,7 @@ from eflcolor.serialize import (
     vertex_to_json,
 )
 from cli_corpus import CORPUS
-from helpers import reference_vertex_coloring_from_json
+from helpers import reference_vertex_coloring_from_json, triangle_packing
 
 
 def traced_peak(fn):
@@ -263,6 +275,18 @@ def corpus_reads():
     return graphs, colorings
 
 
+@pytest.fixture(scope="module")
+def corpus_clique_reads():
+    """{graph document: graph} over the corpus documents the clique reader
+    takes at the default chunk size."""
+    graphs = {}
+    for path in DOCUMENTS:
+        g = read_chunked(path, chunked.read_clique_graph)
+        if g is not None:
+            graphs[path] = g
+    return graphs
+
+
 class TestCorpusReadsAlike:
     def test_the_readers_take_the_cli_documents(self, corpus_reads):
         graphs, colorings = corpus_reads
@@ -310,6 +334,51 @@ class TestCorpusReadsAlike:
                 assert (c is None) == ((gpath, path) not in colorings), path
                 if c is not None:
                     assert same_coloring(c, colorings[gpath, path])
+
+    def test_the_clique_reader_takes_the_clique_documents(
+        self, corpus_clique_reads
+    ):
+        names = {p.name for p in corpus_clique_reads}
+        assert {"to_efl_fano.stdout", "to_efl_k30_mixed.stdout",
+                "cliques_compact.json", "cliques_only.json",
+                "cliques_general_pair.json"} <= names
+        # another key order, a trailing key, a cut, a rule broken, pair
+        # graphs and the other kinds are refused
+        assert not names & {
+            "cliques_first.json", "cliques_extra_key.json",
+            "cliques_truncated.json", "cliques_two_shared.json",
+            "cliques_stray_slot.json", "cliques_contradicting_pairs.json",
+            "gen_all_7.stdout", "g4_compact.json", "decompose_7.stdout",
+            "fano.json", "color_7.stdout",
+        }
+
+    def test_clique_graphs_as_the_whole_document_reader_builds_them(
+        self, corpus_clique_reads
+    ):
+        for path, g in corpus_clique_reads.items():
+            whole = whole_graph(path)
+            assert g == whole and g.pairs == whole.pairs
+            assert "".join(graph_text(g)) == "".join(graph_text(whole))
+
+    @pytest.mark.parametrize("chunk", CHUNKS[1:])
+    def test_every_chunk_size_reads_the_cliques_the_same(
+        self, monkeypatch, corpus_clique_reads, chunk
+    ):
+        set_chunk(monkeypatch, chunk)
+        for path in DOCUMENTS:
+            g = read_chunked(path, chunked.read_clique_graph)
+            assert (g is None) == (path not in corpus_clique_reads), path
+            if g is not None:
+                assert g == corpus_clique_reads[path]
+
+    def test_clique_documents_through_the_cli(self, monkeypatch):
+        for path in DOCUMENTS:
+            if b'"cliques"' not in path.read_bytes():
+                continue
+            for argv in (["decompose", "--in", str(path)],
+                         ["color", "--in", str(path), "--extend"]):
+                got, whole = both_paths(monkeypatch, argv)
+                assert got == whole, (path.name, argv[0])
 
 
 def run_cli(argv):
@@ -463,6 +532,104 @@ def coloring_variants(n):
     ]
 
 
+def keyed_graph():
+    """A two-clique graph of order 5 held as keys: the pair graph on five
+    pairs, with the shared vertex on (2, 4) a general vertex instead."""
+    g = build_from_pairs(5, [(1, 2), (1, 3), (2, 4), (3, 4), (3, 5)])
+    return validate_keys(
+        ([(2, 7) if k == (0, 2, 4) else k for k in map(vertex_key, q)]
+         for q in g.cliques), 5
+    )
+
+
+def clique_variants():
+    """(name, text, read chunked) of the keyed graph's document changed in
+    one way each."""
+    g = keyed_graph()
+    text = "".join(graph_text(g))
+    data = json.loads(text)
+    n, pairs, cliques = data["n"], data["shared_pairs"], data["cliques"]
+
+    def doc(**fields):
+        return json.dumps(fields)
+
+    def clique_1(*vertices):
+        return doc(n=n, shared_pairs=pairs,
+                   cliques=[list(vertices)] + cliques[1:])
+
+    first = cliques[0]
+    return [
+        ("as written", text, True),
+        ("compact", json.dumps(data, separators=(",", ":")), True),
+        ("spaced", " \r\n\t" + json.dumps(data) + "\n ", True),
+        ("cliques only", doc(n=n, cliques=cliques), True),
+        ("pairs shuffled", doc(n=n, shared_pairs=pairs[::-1],
+                               cliques=cliques), True),
+        ("escaped tag", text.replace('"shared"', '"\\u0073hared"'), True),
+        ("vertices reordered", clique_1(*first[::-1]), True),
+        ("no pairs", doc(n=n, shared_pairs=[], cliques=cliques), False),
+        ("pairs null", doc(n=n, shared_pairs=None, cliques=cliques), False),
+        ("pair repeated", doc(n=n, shared_pairs=pairs + pairs[:1],
+                              cliques=cliques), False),
+        ("pair not listed", doc(n=n, shared_pairs=pairs[1:],
+                                cliques=cliques), False),
+        ("bool index", doc(n=n, shared_pairs=[[True, 2]] + pairs[1:],
+                           cliques=cliques), False),
+        ("nested pair", doc(n=n, shared_pairs=[[[1], 2]] + pairs[1:],
+                            cliques=cliques), False),
+        ("cliques first", doc(n=n, cliques=cliques, shared_pairs=pairs),
+         False),
+        ("extra key", doc(n=n, shared_pairs=pairs, cliques=cliques, x=1),
+         False),
+        ("extra key between", doc(n=n, x=[[[1]]], cliques=cliques), False),
+        ("non-ASCII key", doc(n=n, cliques=cliques, **{"\u00e9": 1}), False),
+        ("escaped key", text.replace('"cliques"', '"\\u0063liques"'), False),
+        ("duplicate key", text.replace('"n"', '"n": 6, "n"', 1), False),
+        ("duplicate key after", text.rstrip()[:-1] + ', "n": 6}', False),
+        ("trailing text", text + "x", False),
+        ("text after the end", text + "[[[]]]}", False),
+        ("form feed", text + "\f", False),
+        ("byte order mark", "\ufeff" + text, False),
+        ("float order", text.replace('"n": 5', '"n": 5.0', 1), False),
+        ("order 1", doc(n=1, cliques=[[["unshared", 1, 1]]]), False),
+        ("order above the limit", doc(n=4096, cliques=cliques), False),
+        ("no cliques", doc(n=n, cliques=[]), False),
+        ("clique not a list", doc(n=n, cliques=cliques[:-1] + [7]), False),
+        ("vertex not a list", clique_1("shared", *first[1:]), False),
+        ("unknown tag", clique_1(["sharéd", 1, 2], *first[1:]), False),
+        ("bool field", clique_1(["shared", 1, True], *first[1:]), False),
+        ("string label", clique_1(["general", "]]]}"], *first[1:]), False),
+        ("nested too deeply",
+         clique_1(json.loads("[" * 50 + "]" * 50), *first[1:]), False),
+        ("short clique", clique_1(*first[1:]), False),
+        ("vertex repeated", clique_1(first[1], *first[1:]), False),
+        ("misnamed", clique_1(["shared", 1, 4], *first[1:]), False),
+        ("stray slot", clique_1(["unshared", 2, 1], *first[1:]), False),
+        ("slot out of range", clique_1(["unshared", 1, 9], *first[:-1]),
+         False),
+    ]
+
+
+@pytest.fixture(scope="module")
+def clique_variant_files(tmp_path_factory):
+    """The keyed graph's document and full coloring, and its variants,
+    written to files: (graph path, coloring path, [(name, path, read
+    chunked)])."""
+    d = tmp_path_factory.mktemp("keyed")
+    g = keyed_graph()
+
+    def write(name, text):
+        path = d / (name.replace(" ", "_") + ".json")
+        path.write_bytes(text.encode("utf-8"))
+        return str(path)
+
+    coloring = "".join(coloring_text(extend_to_full(g, color_shared(g))))
+    return (write("graph", "".join(graph_text(g))),
+            write("coloring", coloring),
+            [(name, write("graph " + name, text), ok)
+             for name, text, ok in clique_variants()])
+
+
 @pytest.fixture(scope="module")
 def variant_files(tmp_path_factory):
     """G_4's and G_7's documents and their variants, written to files:
@@ -574,6 +741,61 @@ class TestVariantsReadAlike:
                 assert read_chunked(cut, read, *args) is None, (path, end)
 
 
+    def test_clique_variants_through_the_cli(
+        self, monkeypatch, clique_variant_files
+    ):
+        _, coloring, graphs = clique_variant_files
+        outcomes = set()
+        for name, path, _ in graphs:
+            for argv in (["verify", "--graph", path, "--coloring", coloring],
+                         ["color", "--in", path, "--extend"],
+                         ["decompose", "--in", path],
+                         ["export-dot", "--in", path]):
+                got, whole = both_paths(monkeypatch, argv)
+                assert got == whole, (name, argv[0])
+                outcomes.add(got[0])
+        assert outcomes == {0, 2}
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_clique_variants_at_every_chunk_size(
+        self, monkeypatch, clique_variant_files, chunk
+    ):
+        set_chunk(monkeypatch, chunk)
+        _, _, graphs = clique_variant_files
+        for name, path, ok in graphs:
+            got = read_chunked(path, chunked.read_clique_graph)
+            assert (got is not None) == ok, name
+            if got is not None:
+                assert got == whole_graph(path) == keyed_graph(), name
+
+    def test_every_clique_truncation_through_the_cli(
+        self, monkeypatch, clique_variant_files, tmp_path
+    ):
+        _, coloring, graphs = clique_variant_files
+        data = open(graphs[1][1], "rb").read()  # compact
+        cut = tmp_path / "cut.json"
+        for end in range(len(data)):
+            cut.write_bytes(data[:end])
+            for argv in (["decompose", "--in", str(cut)],
+                         ["verify", "--graph", str(cut),
+                          "--coloring", coloring]):
+                got, whole = both_paths(monkeypatch, argv)
+                assert got == whole, end
+                assert got[0] == 2 and "is not valid JSON" in got[2], end
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+    def test_every_clique_truncation_is_refused(
+        self, monkeypatch, clique_variant_files, tmp_path, chunk
+    ):
+        set_chunk(monkeypatch, chunk)
+        graph, _, _ = clique_variant_files
+        data = open(graph, "rb").read()
+        cut = tmp_path / "cut.json"
+        for end in range(len(data.rstrip())):
+            cut.write_bytes(data[:end])
+            assert read_chunked(cut, chunked.read_clique_graph) is None, end
+
+
 @pytest.fixture(scope="module")
 def g200_files(tmp_path_factory, g200_coloring):
     d = tmp_path_factory.mktemp("g200")
@@ -612,6 +834,22 @@ class TestChunkedMemory:
         graph, _ = g200_files
         decoded = traced_held(lambda: cli._read_json(graph))
         peak = traced_peak(lambda: cli._read_graph(graph))
+        assert peak < decoded, (peak, decoded)
+
+    def test_clique_graph_read_holds_less_than_the_decoded_document(
+        self, tmp_path
+    ):
+        packing = validate_decomposition(
+            complete_host(60), triangle_packing(60, random.Random(60))
+        )
+        g = decomposition_to_efl(packing)
+        path = tmp_path / "efl.json"
+        cli._emit(graph_text(g), str(path))
+        assert read_chunked(path, chunked.read_clique_graph) == g
+        decoded = traced_held(lambda: cli._read_json(str(path)))
+        peak = traced_peak(
+            lambda: read_chunked(path, chunked.read_clique_graph)
+        )
         assert peak < decoded, (peak, decoded)
 
     def test_ints_above_256_are_held_once(self, tmp_path):
