@@ -43,119 +43,15 @@ __all__ = ["read_pair_graph", "read_vertex_coloring", "read_clique_graph"]
 # bytes read at a time
 _CHUNK = 1 << 16
 # the whitespace JSON allows between tokens: no more, as json.loads
-_WS = rb"[ \t\n\r]*"
-
-
-def _list_chunks(fh, first: bytes, key: bytes, close: bytes, hook=None):
-    """Reads the document {"<first>": <int>, "<key>": [...]}, keys in
-    that order and nothing after it, from the binary file fh: yields the
-    int, then the list's elements a chunk at a time, decoded by ``json``
-    with object hook ``hook``.  Raises ValueError on any other document.
-
-    Each element ends in ``close``, so a chunk is cut after the last
-    ``close`` followed by a comma.  A cut inside a string or a nested
-    value leaves a chunk that does not decode, so every cut that decodes
-    falls between elements.  The document's tail is checked first: one
-    with another key after the list (a graph's "cliques") is refused
-    before any element is decoded.
-    """
-    fh.seek(max(0, fh.seek(0, 2) - 64))
-    if not re.search(
-        rb"(?:[0-9]%s%s|\[)%s\]%s\}%s\Z" % (_WS, close, _WS, _WS, _WS),
-        fh.read(),
-    ):
-        raise ValueError("another document")
-    fh.seek(0)
-    buf = data = b""
-    while b"[" not in buf:
-        data = fh.read(_CHUNK)
-        if not data:
-            raise ValueError("another document")
-        buf += data
-    head = re.match(
-        rb'%s\{%s"%s"%s:%s(-?(?:0|[1-9][0-9]*))%s,%s"%s"%s:%s\['
-        % (_WS, _WS, first, _WS, _WS, _WS, _WS, key, _WS, _WS), buf
-    )
-    if head is None:
-        raise ValueError("another document")
-    yield int(head[1])
-    decoder = json.JSONDecoder(object_hook=hook)
-    buf = buf[head.end():]
-    try:  # RecursionError: an element nested too deeply to decode
-        while data:
-            data = fh.read(_CHUNK)
-            buf += data
-            cut = buf.rfind(close + b",") + 1
-            if cut:
-                yield decoder.decode("[" + buf[:cut].decode() + "]")
-                buf = buf[cut + 1:]
-        text = "[" + buf.decode()
-        items, end = decoder.raw_decode(text)
-    except RecursionError:
-        raise ValueError("another document") from None
-    if not re.fullmatch(r"[ \t\n\r]*\}[ \t\n\r]*", text[end:]):
-        raise ValueError("another document")
-    yield items
-
-
-def _interned_pairs(ints: dict, chunk: list):
-    """A chunk of "shared_pairs" as tuples of the ints in ``ints``, where
-    each is added the first time it is met; ValueError unless every entry
-    is an [i, j] integer pair, by the screen of
-    ``serialize.pairs_from_json``."""
-    if not (set(map(type, chunk)) <= {list} and set(map(len, chunk)) <= {2}
-            and set(map(type, chain.from_iterable(chunk))) <= {int}):
-        raise ValueError("not integer pairs")
-    flat = map(ints.setdefault, chain.from_iterable(chunk),
-               chain.from_iterable(chunk))
-    return zip(flat, flat)
-
-
-def read_pair_graph(fh) -> EflGraph:
-    """The graph of a {"n", "shared_pairs"} document in the binary file
-    fh, as ``serialize.graph_from_json`` builds it, read a chunk of pairs
-    at a time; ValueError on any other document, or on one that
-    ``graph_from_json`` refuses."""
-    chunks = _list_chunks(fh, b"n", b"shared_pairs", b"]")
-    n = next(chunks)
-    with _gc_paused():
-        return build_from_pairs(n, chain.from_iterable(
-            map(_interned_pairs, repeat({}), chunks)
-        ))
-
-
-def _folded(ints: dict, chunk: list):
-    """A chunk of "assignments" with each color taken from ``ints``, as
-    pairs are; ValueError unless ``fold_assignment`` folded every
-    entry."""
-    if not set(map(type, chunk)) <= {_Assignment}:
-        raise ValueError("an entry did not fold")
-    kind, a, b, c = list(zip(*chunk)) or [()] * 4
-    return zip(kind, a, b, map(ints.setdefault, c, c))
-
-
-def read_vertex_coloring(fh, g: EflGraph):
-    """``serialize.vertex_coloring_on`` of g, a two-clique graph, and the
-    {"palette", "assignments"} document in the binary file fh, read a
-    chunk of entries at a time, each folded by ``fold_assignment`` and
-    placed before the next chunk is read; ValueError on any other graph
-    or document, or on an entry that does not fold or repeats a
-    vertex."""
-    if not g.is_two_clique:
-        raise ValueError("not a two-clique graph")
-    chunks = _list_chunks(fh, b"palette", b"assignments", b"}",
-                          fold_assignment)
-    palette = next(chunks)
-    with _gc_paused():
-        return _numbered_coloring(
-            g, palette, chain.from_iterable(map(_folded, repeat({}), chunks))
-        )
+_SPACE = re.compile(r"[ \t\n\r]*")
+# the end of a list whose elements end in "]" or "}" and hold no other
+_LIST_END = {c: re.compile(r"\%s[ \t\n\r]*\]" % c) for c in "]}"}
 
 
 class _Text:
     """The text of a binary file, decoded as UTF-8 a chunk at a time and
-    read from the front: JSON values one at a time, and the tokens
-    between them."""
+    read from the front: JSON values one at a time or a chunk of list
+    elements at a time, and the tokens between them."""
 
     def __init__(self, fh):
         self.fh, self.text, self.pos = fh, "", 0
@@ -205,6 +101,14 @@ class _Text:
                 self.pos = end
                 return value
 
+    def int_field(self, key: str, decoder) -> int:
+        """The integer value of the object key that comes next."""
+        self.need(f'"{key}"', ":")
+        value = self.value(decoder)
+        if type(value) is not int:
+            raise ValueError("another document")
+        return value
+
     def items(self, decoder):
         """Yields the elements of the list whose "[" was just read, one
         at a time, then reads its "]"."""
@@ -216,17 +120,22 @@ class _Text:
                 self.need("]")
                 return
 
-    def flat_chunks(self, decoder):
-        """Yields the elements of the list whose "[" was just read, each a
-        list of scalars, as lists of a chunk of elements, then reads its
-        "]".  The list ends at the first "]" that another follows, and a
-        chunk of elements at the last "]," in the text."""
+    def chunks(self, decoder, close: str):
+        """Yields the elements of the list whose "[" was just read, each
+        ending in ``close`` and holding no other, as lists of a chunk of
+        elements, then reads its "]".
+
+        The list ends at the first ``close`` that a "]" follows, and a
+        chunk at the last ``close`` followed by a comma.  A cut inside a
+        string or a nested value leaves a chunk that does not decode, so
+        every cut that decodes falls between elements.
+        """
         if self.take("]"):
             return
         while True:
-            end = _LIST_END.search(self.text, self.pos)
+            end = _LIST_END[close].search(self.text, self.pos)
             cut = end.start() + 1 if end \
-                else self.text.rfind("],", self.pos) + 1
+                else self.text.rfind(close + ",", self.pos) + 1
             if cut > self.pos:
                 try:
                     yield decoder.decode("[" + self.text[self.pos:cut] + "]")
@@ -239,11 +148,84 @@ class _Text:
             elif not self.more():
                 raise ValueError("another document")
 
+    def end(self):
+        """ValueError unless the object closes and nothing follows it."""
+        self.need("}", "")
+        if self.pos < len(self.text):
+            raise ValueError("another document")
 
-# the whitespace JSON allows, as a str pattern, and the end of a list of
-# lists of scalars
-_SPACE = re.compile(r"[ \t\n\r]*")
-_LIST_END = re.compile(r"\][ \t\n\r]*\]")
+
+def _list_chunks(fh, first: str, key: str, close: str, hook=None):
+    """Reads the document {"<first>": <int>, "<key>": [...]}, keys in
+    that order and nothing after them, from the binary file fh: yields
+    the int, then the list's elements a chunk at a time (see
+    :meth:`_Text.chunks`), decoded by ``json`` with object hook
+    ``hook``.  Raises ValueError on any other document."""
+    text, decoder = _Text(fh), json.JSONDecoder(object_hook=hook)
+    text.need("{")
+    yield text.int_field(first, decoder)
+    text.need(",", f'"{key}"', ":", "[")
+    yield from text.chunks(decoder, close)
+    text.end()
+
+
+def _interned_pairs(ints: dict, chunk: list):
+    """A chunk of "shared_pairs" as tuples of the ints in ``ints``, where
+    each is added the first time it is met; ValueError unless every entry
+    is an [i, j] integer pair, by the screen of
+    ``serialize.pairs_from_json``."""
+    if not (set(map(type, chunk)) <= {list} and set(map(len, chunk)) <= {2}
+            and set(map(type, chain.from_iterable(chunk))) <= {int}):
+        raise ValueError("not integer pairs")
+    flat = map(ints.setdefault, chain.from_iterable(chunk),
+               chain.from_iterable(chunk))
+    return zip(flat, flat)
+
+
+def read_pair_graph(fh) -> EflGraph:
+    """The graph of a {"n", "shared_pairs"} document in the binary file
+    fh, as ``serialize.graph_from_json`` builds it, read a chunk of pairs
+    at a time; ValueError on any other document, or on one that
+    ``graph_from_json`` refuses."""
+    chunks = _list_chunks(fh, "n", "shared_pairs", "]")
+    n = next(chunks)
+    with _gc_paused():
+        return build_from_pairs(n, chain.from_iterable(
+            map(_interned_pairs, repeat({}), chunks)
+        ))
+
+
+def _folded(ints: dict, chunk: list):
+    """A chunk of "assignments" with each color taken from ``ints``, as
+    pairs are; ValueError unless ``fold_assignment`` folded every
+    entry."""
+    if not set(map(type, chunk)) <= {_Assignment}:
+        raise ValueError("an entry did not fold")
+    kind, a, b, c = list(zip(*chunk)) or [()] * 4
+    return zip(kind, a, b, map(ints.setdefault, c, c))
+
+
+def read_vertex_coloring(fh, g: EflGraph):
+    """``serialize.vertex_coloring_on`` of g, a two-clique graph, and the
+    {"palette", "assignments"} document in the binary file fh, read a
+    chunk of entries at a time, each folded by ``fold_assignment`` and
+    placed before the next chunk is read; ValueError on any other graph
+    or document, or on an entry that does not fold or repeats a
+    vertex."""
+    if not g.is_two_clique:
+        raise ValueError("not a two-clique graph")
+    chunks = _list_chunks(fh, "palette", "assignments", "}",
+                          fold_assignment)
+    palette = next(chunks)
+    with _gc_paused():
+        return _numbered_coloring(
+            g, palette, chain.from_iterable(map(_folded, repeat({}), chunks))
+        )
+
+
+# the tail of a graph document with cliques: its last vertex, clique,
+# "cliques" list and the document end
+_CLIQUES_TAIL = re.compile(rb"(?:\][ \t\n\r]*){3}\}[ \t\n\r]*\Z")
 
 
 def _clique(q) -> chain:
@@ -270,27 +252,25 @@ def read_clique_graph(fh) -> EflGraph:
     anything is decoded.
     """
     fh.seek(max(0, fh.seek(0, 2) - 64))
-    if not re.search(rb"\]%s\]%s\]%s\}%s\Z" % ((_WS,) * 4), fh.read()):
+    if not _CLIQUES_TAIL.search(fh.read()):
         raise ValueError("another document")
     fh.seek(0)
     text, decoder = _Text(fh), json.JSONDecoder()
-    text.need("{", '"n"', ":")
-    n = text.value(decoder)
-    if type(n) is not int:
-        raise ValueError("another document")
+    text.need("{")
+    n = text.int_field("n", decoder)
     text.need(",")
     pairs = None
     with _gc_paused():
         if text.take('"shared_pairs"'):
             text.need(":", "[")
             pairs = sorted(chain.from_iterable(map(
-                _interned_pairs, repeat({}), text.flat_chunks(decoder)
+                _interned_pairs, repeat({}), text.chunks(decoder, "]")
             )))
             text.need(",")
         text.need('"cliques"', ":", "[")
         g = validate_keys(map(_clique, text.items(decoder)), n)
-    text.need("}", "")
-    if text.pos < len(text.text) or isinstance(g, Rejection) \
+    text.end()
+    if isinstance(g, Rejection) \
             or pairs is not None and tuple(pairs) != g.pairs:
         raise ValueError("another document")
     return g

@@ -491,11 +491,11 @@ def _rule_scan(cliques: Iterable, n: int):
                 if not short and count <= n:
                     short = count, len(q)
                 continue
-            own = []
+            own, here = [], (count,)
             for k in q:
                 if k[0] != 1:
                     ix = placed.get(k)
-                    placed[k] = (count,) if ix is None else ix + (count,)
+                    placed[k] = here if ix is None else ix + here
                 elif k[1] == count:
                     own.append(k[2])
                 else:

@@ -6,10 +6,9 @@ Vertex identities are encoded as tagged lists: ["shared", i, j],
 when the shared pairs alone do not reconstruct the graph, and a document
 that has both must list in "shared_pairs" exactly the pairs its cliques
 give.  Clique lists are read straight into vertex keys (see
-:func:`eflcolor.core.validate_keys`) and written from them, so a graph
-read from, or translated into, explicit cliques is handled with no
-vertex object.  Emitted
-collections are always sorted so output is byte-stable.  Readers take an
+:func:`eflcolor.core.validate_keys`) and written from them, with no
+vertex object.  Emitted collections are sorted, so output is
+byte-stable.  Readers take an
 index, order, palette or color only when it is a JSON integer: a string,
 float or boolean is a FormatError, never coerced.
 
@@ -22,10 +21,9 @@ moment it is decoded; :func:`vertex_coloring_on` then places each entry
 by its vertex number, so a pair graph's graph and coloring documents are
 written and read with no vertex object.
 
-The readers here take a whole decoded document.  The CLI reads the
-documents it writes at scale, {"n", "shared_pairs"} graphs and
-{"palette", "assignments"} vertex colorings, a chunk of list elements at
-a time with :mod:`eflcolor.chunked`, which places each chunk with the
+The readers here take a whole decoded document.  The CLI reads graph
+and vertex-coloring documents a chunk at a time with
+:mod:`eflcolor.chunked`, which screens and places each chunk with the
 helpers here; any other document is read whole by the readers here.
 """
 
@@ -301,7 +299,7 @@ def graph_from_json(data) -> EflGraph:
         keys = _clique_keys(data["cliques"])
         g = validate_keys(keys, n)
         if isinstance(g, Rejection):
-            list(keys)  # a bad order leaves cliques unread: a bad vertex first
+            list(keys)  # a bad vertex is reported before a bad order
             raise FormatError(f"invalid graph: {g.message}")
         if data.get("shared_pairs") is not None:
             _check_pairs(data["shared_pairs"], g)

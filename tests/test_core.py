@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from functools import lru_cache
@@ -13,6 +14,7 @@ from eflcolor.core import (
     Rejection,
     SharedVertex,
     UnsharedVertex,
+    _gc_paused,
     build_from_pairs,
     build_maximal,
     validate,
@@ -391,3 +393,18 @@ def test_validate_and_graph_to_json_match_the_pairwise_oracles(seed):
         d = efl_to_decomposition(got)
         assert validate_decomposition(d.host, d.cliques) == d
     assert graphs > 0
+
+
+def test_gc_paused_restores_the_prior_state():
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with _gc_paused():
+                assert not gc.isenabled()
+            assert gc.isenabled() == enabled
+            with pytest.raises(KeyError), _gc_paused():
+                raise KeyError
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
