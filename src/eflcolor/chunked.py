@@ -59,8 +59,10 @@ class _Text:
 
     def more(self) -> bool:
         """Append the next chunk, dropping the text already read; False
-        at the end of the file."""
-        data = self.fh.read(_CHUNK)
+        at the end of the file.  A chunk is at least as long as the text
+        left unread, so a value that keeps failing to decode, cut off or
+        invalid, is read in doubling steps, not again per chunk."""
+        data = self.fh.read(max(_CHUNK, len(self.text) - self.pos))
         self.text = self.text[self.pos:] + self.utf8.decode(data, not data)
         self.pos = 0
         return bool(data)

@@ -852,6 +852,40 @@ class TestChunkedMemory:
         )
         assert peak < decoded, (peak, decoded)
 
+    def test_a_value_that_does_not_decode_is_read_in_doubling_steps(
+        self, monkeypatch, tmp_path
+    ):
+        # a string left open in clique 1 runs to the end of the file:
+        # each read is at least as long as the text left unread, so the
+        # reader neither reads nor copies that text once per chunk
+        set_chunk(monkeypatch, 64)
+        packing = validate_decomposition(
+            complete_host(60), triangle_packing(60, random.Random(60))
+        )
+        text = "".join(graph_text(decomposition_to_efl(packing)))
+        cut = text.index('"', text.index('"cliques"') + 9)
+        path = tmp_path / "open_string.json"
+        path.write_text(text[:cut] + text[cut + 1:])
+
+        class Counted:
+            def __init__(self, fh):
+                self.fh, self.reads = fh, 0
+
+            def read(self, size=-1):
+                self.reads += 1
+                return self.fh.read(size)
+
+            def seek(self, *args):
+                return self.fh.seek(*args)
+
+        with open(path, "rb") as fh:
+            counted = Counted(fh)
+            with pytest.raises(ValueError):
+                chunked.read_clique_graph(counted)
+        # one read per chunk would be over 3,000, most of them after the
+        # open string; the pairs before it take about 70
+        assert len(text) > 100_000 and counted.reads < 200, counted.reads
+
     def test_ints_above_256_are_held_once(self, tmp_path):
         # clique 1 and clique n meet every other clique: indices and
         # colors up to n, far above the interpreter's cached small ints
