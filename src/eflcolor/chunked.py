@@ -1,16 +1,15 @@
 """Chunked readers for the documents the CLI writes at scale.
 
-:func:`read_pair_graph` and :func:`read_vertex_coloring` read a
-{"n", "shared_pairs"} graph document or a {"palette", "assignments"}
-vertex-coloring document from a binary file, its list decoded by
-``json``'s C decoder a chunk of complete elements at a time, each chunk
-placed and dropped before the next is read, so neither document is held
-whole; the ints a read keeps are taken from one shared table.
-:func:`read_clique_graph` reads a {"n", "shared_pairs", "cliques"}
-graph document, "shared_pairs" optional, one clique at a time, each
-taken by the rule scan of :func:`eflcolor.core.validate_keys` before the
-next is decoded.  They read nothing else: a document with other keys,
-another key order or any defect raises ValueError, for the
+:func:`read_graph` reads a {"n", "shared_pairs", "cliques"} graph
+document, with either list or both, and :func:`read_vertex_coloring` a
+{"palette", "assignments"} vertex-coloring document, from a binary file.
+A list of pairs or of assignments is decoded by ``json``'s C decoder a
+chunk of complete elements at a time, each chunk placed and dropped
+before the next is read, and the ints a read keeps are taken from one
+shared table; cliques are decoded one at a time, each taken by the rule
+scan of :func:`eflcolor.core.validate_keys` before the next.  So no
+document is held whole.  They read nothing else: a document with other
+keys, another key order or any defect raises ValueError, for the
 whole-document readers of :mod:`eflcolor.serialize` to read or report
 as they always have.  The result is what those readers give for the
 same document.  The cyclic garbage collector is paused while a reader
@@ -38,7 +37,7 @@ from .serialize import (
     fold_assignment,
 )
 
-__all__ = ["read_pair_graph", "read_vertex_coloring", "read_clique_graph"]
+__all__ = ["read_graph", "read_vertex_coloring"]
 
 # bytes read at a time
 _CHUNK = 1 << 16
@@ -157,20 +156,6 @@ class _Text:
             raise ValueError("another document")
 
 
-def _list_chunks(fh, first: str, key: str, close: str, hook=None):
-    """Reads the document {"<first>": <int>, "<key>": [...]}, keys in
-    that order and nothing after them, from the binary file fh: yields
-    the int, then the list's elements a chunk at a time (see
-    :meth:`_Text.chunks`), decoded by ``json`` with object hook
-    ``hook``.  Raises ValueError on any other document."""
-    text, decoder = _Text(fh), json.JSONDecoder(object_hook=hook)
-    text.need("{")
-    yield text.int_field(first, decoder)
-    text.need(",", f'"{key}"', ":", "[")
-    yield from text.chunks(decoder, close)
-    text.end()
-
-
 def _interned_pairs(ints: dict, chunk: list):
     """A chunk of "shared_pairs" as tuples of the ints in ``ints``, where
     each is added the first time it is met; ValueError unless every entry
@@ -184,19 +169,6 @@ def _interned_pairs(ints: dict, chunk: list):
     return zip(flat, flat)
 
 
-def read_pair_graph(fh) -> EflGraph:
-    """The graph of a {"n", "shared_pairs"} document in the binary file
-    fh, as ``serialize.graph_from_json`` builds it, read a chunk of pairs
-    at a time; ValueError on any other document, or on one that
-    ``graph_from_json`` refuses."""
-    chunks = _list_chunks(fh, "n", "shared_pairs", "]")
-    n = next(chunks)
-    with _gc_paused():
-        return build_from_pairs(n, chain.from_iterable(
-            map(_interned_pairs, repeat({}), chunks)
-        ))
-
-
 def _folded(ints: dict, chunk: list):
     """A chunk of "assignments" with each color taken from ``ints``, as
     pairs are; ValueError unless ``fold_assignment`` folded every
@@ -208,26 +180,22 @@ def _folded(ints: dict, chunk: list):
 
 
 def read_vertex_coloring(fh, g: EflGraph):
-    """``serialize.vertex_coloring_on`` of g, a two-clique graph, and the
-    {"palette", "assignments"} document in the binary file fh, read a
-    chunk of entries at a time, each folded by ``fold_assignment`` and
-    placed before the next chunk is read; ValueError on any other graph
-    or document, or on an entry that does not fold or repeats a
-    vertex."""
-    if not g.is_two_clique:
-        raise ValueError("not a two-clique graph")
-    chunks = _list_chunks(fh, "palette", "assignments", "}",
-                          fold_assignment)
-    palette = next(chunks)
+    """``serialize.vertex_coloring_on`` of g and the {"palette",
+    "assignments"} document in the binary file fh, read a chunk of
+    entries at a time, each folded by ``fold_assignment`` and placed
+    before the next chunk is read; ValueError on any other document, or
+    on an entry that does not fold or repeats a vertex."""
+    text = _Text(fh)
+    decoder = json.JSONDecoder(object_hook=fold_assignment)
+    text.need("{")
+    palette = text.int_field("palette", decoder)
+    text.need(",", '"assignments"', ":", "[")
     with _gc_paused():
-        return _numbered_coloring(
-            g, palette, chain.from_iterable(map(_folded, repeat({}), chunks))
-        )
-
-
-# the tail of a graph document with cliques: its last vertex, clique,
-# "cliques" list and the document end
-_CLIQUES_TAIL = re.compile(rb"(?:\][ \t\n\r]*){3}\}[ \t\n\r]*\Z")
+        coloring = _numbered_coloring(g, palette, chain.from_iterable(
+            map(_folded, repeat({}), text.chunks(decoder, "}"))
+        ))
+    text.end()
+    return coloring
 
 
 def _clique(q) -> chain:
@@ -239,40 +207,37 @@ def _clique(q) -> chain:
     return keys
 
 
-def read_clique_graph(fh) -> EflGraph:
+def read_graph(fh) -> EflGraph:
     """The graph of a {"n", "shared_pairs", "cliques"} document in the
-    binary file fh, "shared_pairs" optional, as
+    binary file fh, with either list or both, as
     ``serialize.graph_from_json`` builds it; ValueError on any other
     document, or on one that ``graph_from_json`` refuses.
 
-    The pairs are read first, interned as :func:`read_pair_graph` interns
-    them.  The cliques, whose elements are nested lists that no cut of
-    the text can separate, are decoded one at a time, each screened as
+    The pairs are read a chunk at a time into ``build_from_pairs``, each
+    int taken from one shared table.  A document that ends there is that
+    pair graph.  The cliques, whose elements are nested lists that no cut
+    of the text can separate, are decoded one at a time, each screened as
     ``graph_from_json`` screens it and taken by the rule scan before the
-    next is read; the pairs are then checked against the graph.  The
-    document's tail is checked first, so a pair graph's is refused before
-    anything is decoded.
+    next is read; the pairs, when listed, must then be the graph's.
     """
-    fh.seek(max(0, fh.seek(0, 2) - 64))
-    if not _CLIQUES_TAIL.search(fh.read()):
-        raise ValueError("another document")
-    fh.seek(0)
     text, decoder = _Text(fh), json.JSONDecoder()
     text.need("{")
     n = text.int_field("n", decoder)
     text.need(",")
-    pairs = None
+    listed = None
     with _gc_paused():
         if text.take('"shared_pairs"'):
             text.need(":", "[")
-            pairs = sorted(chain.from_iterable(map(
+            listed = build_from_pairs(n, chain.from_iterable(map(
                 _interned_pairs, repeat({}), text.chunks(decoder, "]")
             )))
-            text.need(",")
+            if not text.take(","):
+                text.end()
+                return listed
         text.need('"cliques"', ":", "[")
         g = validate_keys(map(_clique, text.items(decoder)), n)
     text.end()
     if isinstance(g, Rejection) \
-            or pairs is not None and tuple(pairs) != g.pairs:
+            or listed is not None and listed.pairs != g.pairs:
         raise ValueError("another document")
     return g

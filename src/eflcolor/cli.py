@@ -22,11 +22,7 @@ import os
 import sys
 
 from . import serialize
-from .chunked import (
-    read_clique_graph,
-    read_pair_graph,
-    read_vertex_coloring,
-)
+from .chunked import read_graph, read_vertex_coloring
 from .coloring import ProperCheck, check_proper, color_shared, extend_to_full
 from .core import build_from_pairs, build_maximal
 from .decomposition import (
@@ -78,17 +74,9 @@ def _read_chunked(path: str, reader, *args):
         return None
 
 
-def _chunked_graph(path: str):
-    """The graph of the graph document at path, read a chunk at a time
-    as an explicit-clique or a pair graph document, or None when neither
-    reader takes it."""
-    g = _read_chunked(path, read_clique_graph)
-    return g if g is not None else _read_chunked(path, read_pair_graph)
-
-
 def _read_graph(path: str):
     """The EFL graph of the graph document at path."""
-    g = _chunked_graph(path)
+    g = _read_chunked(path, read_graph)
     return g if g is not None else serialize.graph_from_json(_read_json(path))
 
 
@@ -164,7 +152,7 @@ def _cmd_verify(args) -> int:
     # The graph document is converted and dropped before the coloring is
     # read; a conversion error waits until the coloring file has been
     # read, so an unreadable coloring is still reported first.
-    graph = _chunked_graph(args.graph)
+    graph = _read_chunked(args.graph, read_graph)
     is_decomposition = False
     error = coloring = None
     if graph is None:
@@ -266,7 +254,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    g = _chunked_graph(args.infile)
+    g = _read_chunked(args.infile, read_graph)
     if g is None:
         data = _read_json(args.infile)
         if isinstance(data, dict) and "host_edges" in data:

@@ -11,12 +11,11 @@ A proper shared coloring extends to a proper n-coloring of the whole
 graph: inside each defining clique the unshared vertices take the colors
 its shared vertices do not use.
 
-On a two-clique graph the colorings are lists of colors by vertex number
-(:class:`NumberedColors` over :class:`eflcolor.core.Numbering`): the
-shared vertices in pair order, then each clique's slots.  Coloring,
-extending and checking work on those lists and build no vertex object;
-only a graph with a shared vertex in three or more cliques is checked
-over vertex objects.
+The colorings are lists of colors by vertex number (:class:`NumberedColors`
+over :class:`eflcolor.core.Numbering`): the shared vertices in the order
+of their clique tuples, then each clique's other vertices.  Coloring,
+extending and checking work on those lists, on every graph, and on a
+pair graph build no vertex object.
 """
 
 from __future__ import annotations
@@ -174,10 +173,10 @@ def _clique_colors(g: EflGraph, by_number: list) -> list:
     """Entry c - 1 lists the colors of clique c's colored shared vertices
     in vertex-number order."""
     out: list = [[] for _ in range(g.n)]
-    for (i, j), c in zip(g.pairs, by_number):
+    for ix, c in zip(g.numbering.shared_cliques, by_number):
         if c is not None:
-            out[i - 1].append(c)
-            out[j - 1].append(c)
+            for i in ix:
+                out[i - 1].append(c)
     return out
 
 
@@ -195,7 +194,7 @@ def _least_uncolored(g: EflGraph, by_number: list, stop: int):
 def _least_not_shared(g: EflGraph, colors: NumberedColors):
     """The least vertex by :func:`vertex_key` that colors colors and g
     does not share, or None."""
-    by_number, P = colors.by_number, len(g.pairs)
+    by_number, P = colors.by_number, len(g.numbering.shared_cliques)
     found = list(colors.extra)
     if by_number[P:].count(None) < len(by_number) - P:
         numbering = g.numbering
@@ -258,8 +257,6 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
     ValueError naming the least such vertex.  Nothing is allocated per
     color value, so a palette of any size costs the same.
     """
-    if not g.is_two_clique:
-        return _check_by_cliques(g, coloring)
     colors = _numbered(g, coloring.colors)
     by_number, numbering = colors.by_number, g.numbering
     if isinstance(coloring, FullColoring):
@@ -309,8 +306,8 @@ def _first_clash(g: EflGraph, by_number: list, cliques: list) -> tuple:
     :func:`vertex_key`."""
     numbering = g.numbering
     members = {c: [] for c in cliques}
-    for k, pair in enumerate(g.pairs):
-        for c in pair:
+    for k, ix in enumerate(numbering.shared_cliques):
+        for c in ix:
             if c in members:
                 members[c].append(k)
     first = first_key = None
@@ -326,54 +323,3 @@ def _first_clash(g: EflGraph, by_number: list, cliques: list) -> tuple:
                 if first_key is None or key < first_key:
                     first, first_key = (same[0], same[1]), key
     return first
-
-
-def _check_by_cliques(g: EflGraph, coloring) -> ProperCheck:
-    """check_proper on a graph with a shared vertex in three or more
-    cliques, over vertex objects and the clique sets."""
-    cmap = coloring.colors
-    if isinstance(coloring, FullColoring):
-        if cmap.keys() != g.vertex_set:
-            missing = g.vertex_set - cmap.keys()
-            if missing:
-                v = min(missing, key=vertex_key)
-                raise ValueError(f"full coloring misses vertex {v!r}")
-            v = min(cmap.keys() - g.vertex_set, key=vertex_key)
-            raise ValueError(f"full coloring names unknown vertex {v!r}")
-    else:
-        if not cmap.keys() <= g.shared:
-            v = min(cmap.keys() - g.shared, key=vertex_key)
-            raise ValueError(
-                f"shared coloring names non-shared vertex {v!r}"
-            )
-    p = coloring.palette_size
-    if cmap and not 1 <= min(cmap.values()) <= max(cmap.values()) <= p:
-        v = min((v for v, c in cmap.items() if not 1 <= c <= p),
-                key=vertex_key)
-        raise ValueError(f"vertex {v!r} has color {cmap[v]} outside 1..{p}")
-
-    worst = None
-    worst_key = None
-    for q in g.cliques:
-        cols = [c for c in map(cmap.get, q) if c is not None]
-        if len(set(cols)) == len(cols):
-            continue
-        by_color: dict = {}
-        for v in q:
-            c = cmap.get(v)
-            if c is not None:
-                by_color.setdefault(c, []).append(v)
-        for vs in by_color.values():
-            if len(vs) < 2:
-                continue
-            vs.sort(key=vertex_key)
-            cand = (vs[0], vs[1])
-            ck = (vertex_key(cand[0]), vertex_key(cand[1]))
-            if worst_key is None or ck < worst_key:
-                worst, worst_key = cand, ck
-    if worst is not None:
-        u, w = worst
-        return ProperCheck(
-            False, worst, f"{u!r} and {w!r} are adjacent and share color {cmap[u]}"
-        )
-    return ProperCheck(True)

@@ -216,8 +216,7 @@ class EflGraph:
 
     @cached_property
     def numbering(self) -> "Numbering":
-        """The vertex numbering of a two-clique graph, see
-        :class:`Numbering`."""
+        """The vertex numbering of g, see :class:`Numbering`."""
         return Numbering(self)
 
     @cached_property
@@ -253,10 +252,12 @@ class EflGraph:
 
 
 class Numbering:
-    """Numbers 0..size-1 for the vertices of a two-clique graph g.
+    """Numbers 0..size-1 for the vertices of an EFL graph g.
 
-    Shared vertex k < P = len(g.pairs) is the one on ``g.pairs[k]``; the
-    unshared vertices of clique c take the numbers in ``slots(c)``, in
+    Shared vertex k < P = len(shared_cliques) is the one lying in the
+    cliques ``shared_cliques[k]``, the ascending clique tuples of g's
+    shared vertices, sorted: ``g.pairs`` on a two-clique graph.  The
+    other vertices of clique c take the numbers in ``slots(c)``, in
     :func:`vertex_key` order.  On a pair graph the numbers follow
     :func:`vertex_key` order throughout, and slot s of clique c is
     UnsharedVertex(c, s), so no vertex object is needed to find a
@@ -264,22 +265,25 @@ class Numbering:
     """
 
     def __init__(self, g: EflGraph):
-        n, pairs = g.n, g.pairs
-        self.n, self.pairs = n, pairs
-        degree = Counter(chain.from_iterable(pairs))
-        P = len(pairs)
+        n = g.n
+        shared = g.pairs if g.keyed is None else tuple(sorted(
+            ix for ix in g.keyed.values() if len(ix) > 1
+        ))
+        self.n, self.shared_cliques = n, shared
+        degree = Counter(chain.from_iterable(shared))
+        P = len(shared)
         # the slots of clique c are numbered start[c] .. start[c + 1] - 1
         start = [P, P]
         for c in range(1, n + 1):
             start.append(start[-1] + n - degree[c])
         self.start = start
         self.size = start[-1]
-        # the pairs (i, *) are pairs[rows[i]:rows[i + 1]]
-        self.rows = [bisect_left(pairs, (i,)) for i in range(n + 2)]
+        # on a pair graph, the pairs (i, *) are shared[rows[i]:rows[i + 1]]
+        self.rows = [bisect_left(shared, (i,)) for i in range(n + 2)]
         self.names = self.numbers = None
         if not g.is_pair_graph:
             on = {g.cliques_of(v): v for v in g.shared}
-            self.names = [on[p] for p in pairs] + [
+            self.names = [on[ix] for ix in shared] + [
                 v for q in g.cliques
                 for v in sorted(q - g.shared, key=vertex_key)
             ]
@@ -301,8 +305,9 @@ class Numbering:
                 return None
             lo, hi = self.rows[a], self.rows[a + 1]
             k = lo + b - a - 1 if hi - lo == n - a \
-                else bisect_left(self.pairs, (a, b), lo, hi)
-            return k if k < hi and self.pairs[k] == (a, b) else None
+                else bisect_left(self.shared_cliques, (a, b), lo, hi)
+            return k if k < hi and self.shared_cliques[k] == (a, b) \
+                else None
         if kind == 1 and 1 <= a <= n and 1 <= b <= len(self.slots(a)):
             return self.start[a] + b - 1
         return None
@@ -321,8 +326,8 @@ class Numbering:
         """The vertex numbered k."""
         if self.names is not None:
             return self.names[k]
-        if k < len(self.pairs):
-            return SharedVertex(*self.pairs[k])
+        if k < len(self.shared_cliques):
+            return SharedVertex(*self.shared_cliques[k])
         c = bisect_right(self.start, k) - 1
         return UnsharedVertex(c, k - self.start[c] + 1)
 

@@ -21,10 +21,12 @@ moment it is decoded; :func:`vertex_coloring_on` then places each entry
 by its vertex number, so a pair graph's graph and coloring documents are
 written and read with no vertex object.
 
-The readers here take a whole decoded document.  The CLI reads graph
-and vertex-coloring documents a chunk at a time with
-:mod:`eflcolor.chunked`, which screens and places each chunk with the
-helpers here; any other document is read whole by the readers here.
+The readers here take a whole decoded document.  The CLI reads every
+graph document with :func:`eflcolor.chunked.read_graph` (its pairs a
+chunk at a time, its cliques one at a time) and vertex colorings with
+:func:`eflcolor.chunked.read_vertex_coloring`, which screen and place
+what they decode with the helpers here; a document they refuse is read
+whole by the readers here.
 """
 
 from __future__ import annotations
@@ -474,21 +476,17 @@ def vertex_coloring_on(g: EflGraph, data):
     when it colors exactly the vertices of g, else a SharedColoring, for
     :func:`eflcolor.coloring.check_proper` to judge.
 
-    On a two-clique graph each entry goes straight to its vertex number
-    (see :class:`eflcolor.core.Numbering`), so a pair graph's coloring is
-    read with no vertex object.  The first bad entry or repeated vertex in
+    Each entry goes straight to its vertex number (see
+    :class:`eflcolor.core.Numbering`), so a pair graph's coloring is read
+    with no vertex object.  The first bad entry or repeated vertex in
     document order is the FormatError, as in
     :func:`vertex_coloring_from_json`.
     """
-    if g.is_two_clique:
-        return _numbered_coloring(g, *_assignments(data))
-    palette, colors = vertex_coloring_from_json(data)
-    full = colors.keys() == g.vertex_set
-    return (FullColoring if full else SharedColoring)(palette, colors)
+    return _numbered_coloring(g, *_assignments(data))
 
 
 def _numbered_coloring(g: EflGraph, palette: int, entries):
-    """The coloring of two-clique graph g whose entries, folded as
+    """The coloring of g whose entries, folded as
     ``(kind, a, b, color)``, go straight to their vertex numbers;
     FormatError at the first vertex assigned twice."""
     by_number = [None] * g.numbering.size

@@ -276,6 +276,27 @@ CASES = [
     # a short clique 1 among four cliques of order 3: the count is reported
     ("decompose_count_and_short",
      ["decompose", "--in", "@inputs/cliques_count_and_short.json"]),
+    # colorings of the Fano graph, whose general vertices each lie in
+    # three cliques: the chromatic witness, then changed in one way each
+    ("verify_fano_witness",
+     ["verify", "--graph", "@to_efl_fano.stdout",
+      "--coloring", "@inputs/fano_coloring_witness.json"]),
+    ("verify_fano_clash",
+     ["verify", "--graph", "@to_efl_fano.stdout",
+      "--coloring", "@inputs/fano_coloring_clash.json"]),
+    ("verify_fano_unknown_vertex",
+     ["verify", "--graph", "@to_efl_fano.stdout",
+      "--coloring", "@inputs/fano_coloring_unknown_vertex.json"]),
+    ("verify_fano_shared_names_slot",
+     ["verify", "--graph", "@to_efl_fano.stdout",
+      "--coloring", "@inputs/fano_coloring_shared_names_slot.json"]),
+    ("verify_fano_color_outside_palette",
+     ["verify", "--graph", "@to_efl_fano.stdout",
+      "--coloring", "@inputs/fano_coloring_color_8.json"]),
+    # a two-clique graph held as keys, with a general vertex in two cliques
+    ("verify_general_pair_extend",
+     ["verify", "--graph", "@inputs/cliques_general_pair.json",
+      "--coloring", "@color_general_pair_extend.stdout"]),
 ]
 
 

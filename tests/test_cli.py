@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from eflcolor import cli, coloring, solver
-from eflcolor.chunked import read_pair_graph, read_vertex_coloring
+from eflcolor.chunked import read_graph, read_vertex_coloring
 from eflcolor.cli import main
 from eflcolor.core import build_maximal
 from eflcolor.coloring import FullColoring, color_shared
@@ -509,7 +509,7 @@ NESTED = "[" * 100_000 + "]" * 100_000
 class TestNestedJson:
     """JSON nested too deeply to decode is an input error in the reader's
     usual words, on the whole-document path and on the chunked one, which
-    meets it in an element after the document's head and tail passed."""
+    meets it in an element after the document's head passed."""
 
     @pytest.mark.parametrize(
         "pairs", [NESTED, f"[{NESTED}, [1, 2]]"], ids=["whole", "chunked"]
@@ -517,7 +517,7 @@ class TestNestedJson:
     def test_graph_exits_2(self, tmp_path, capsys, pairs):
         graph = write(tmp_path, "g.json", f'{{"n": 3, "shared_pairs": {pairs}}}')
         with open(graph, "rb") as fh, pytest.raises(ValueError):
-            read_pair_graph(fh)
+            read_graph(fh)
         assert main(["color", "--in", graph]) == 2
         out = capsys.readouterr()
         assert out.out == ""

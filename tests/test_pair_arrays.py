@@ -7,7 +7,10 @@ objects ``color_shared``, ``extend_to_full`` and ``check_proper`` that
 this replaced.  On G_n, seeded pair subsets and explicit-clique graphs,
 both must give equal colorings and byte-equal writer output, and on
 seeded corruptions the same ProperCheck, the same ValueError and the same
-``verify`` result.  A structural guard counts the pair and slot vertex
+``verify`` result.  ``check_proper`` runs the same numbered check on
+graphs with a vertex in three or more cliques: on packings of K_n and on
+Fano it must give the oracle's answers for the exact search's witness
+and its corruptions.  A structural guard counts the pair and slot vertex
 objects that the CLI's closed-form commands build: none.
 """
 
@@ -39,6 +42,11 @@ from eflcolor.core import (
     validate,
     vertex_key,
 )
+from eflcolor.decomposition import (
+    complete_host,
+    decomposition_to_efl,
+    validate_decomposition,
+)
 from eflcolor.serialize import (
     coloring_text,
     graph_from_json,
@@ -47,10 +55,12 @@ from eflcolor.serialize import (
 )
 from eflcolor.solver import chromatic_number
 from helpers import (
+    FANO_TRIANGLES,
     reference_check_proper,
     reference_color_shared,
     reference_extend_to_full,
     reference_vertex_coloring_from_json,
+    triangle_packing,
 )
 
 INPUTS = Path(__file__).parent / "fixtures" / "cli_corpus" / "inputs"
@@ -166,6 +176,70 @@ def test_corruptions_give_the_oracle_answers(name, g):
                 reference_extend_to_full, g, c
             ), kind
     assert seen["missing"] and seen["outside"] and seen["unknown"]
+
+
+def four_clique_packing(n: int, rng) -> list:
+    """A decomposition of K_n into seeded edge-disjoint 4-cliques and the
+    2-cliques they leave, as :func:`helpers.triangle_packing` builds one
+    of triangles."""
+    free = set(combinations(range(1, n + 1), 2))
+    quads = list(combinations(range(1, n + 1), 4))
+    rng.shuffle(quads)
+    kept = []
+    for q in quads:
+        edges = set(combinations(q, 2))
+        if edges <= free:
+            free -= edges
+            kept.append(q)
+    return sorted(free) + sorted(kept)
+
+
+def _packed_graphs():
+    """(name, graph) of seeded triangle and 4-clique packings of K_3..K_7
+    and of Fano, each with a vertex in three or more cliques."""
+    rng = random.Random(20261019)
+    for n in range(3, 8):
+        for t in range(3):
+            for name, pack in (("triangles", triangle_packing),
+                               ("quads", four_clique_packing)):
+                if name == "quads" and n < 4:
+                    continue
+                yield f"{name}_K{n}_{t}", decomposition_to_efl(
+                    validate_decomposition(complete_host(n), pack(n, rng))
+                )
+    yield "fano", decomposition_to_efl(
+        validate_decomposition(complete_host(7), list(FANO_TRIANGLES))
+    )
+
+
+PACKED = list(_packed_graphs())
+
+
+@pytest.mark.parametrize("name,g", PACKED, ids=[n for n, _ in PACKED])
+def test_one_check_on_graphs_with_vertices_in_three_cliques(name, g):
+    assert not g.is_two_clique
+    rng = random.Random(name)
+    witness = chromatic_number(g).witness
+    palette = witness.palette_size
+    full = dict(witness.colors)
+    shared = {v: full[v] for v in g.shared}
+    slot = min(g.vertex_set - g.shared, key=vertex_key)
+    docs = [("witness", witness.colors), ("proper", full),
+            ("shared only", shared),
+            ("shared names a slot", {**shared, slot: full[slot]}),
+            *corruptions(rng, g, full, palette),
+            *corruptions(rng, g, shared, palette)]
+    seen = Counter()
+    for kind, colors in docs:
+        seen[kind] += 1
+        for coloring in (FullColoring, SharedColoring):
+            c = coloring(palette, colors)
+            assert outcome(check_proper, g, c) == outcome(
+                reference_check_proper, g, c
+            ), kind
+    assert check_proper(g, witness)
+    assert seen["recolored"] and seen["missing"] and seen["outside"] \
+        and seen["unknown"]
 
 
 def reference_verify(g, data) -> tuple:

@@ -8,16 +8,16 @@ what either holds at once on G_200's full coloring, and the folded
 reader is checked against the dict-at-a-time reader of ``helpers`` on
 seeded malformed documents: the same coloring or the same FormatError.
 
-Pair graphs and vertex colorings are read a chunk of list elements at a
-time (``chunked.read_pair_graph``, ``chunked.read_vertex_coloring``),
-explicit-clique graphs one clique at a time (``chunked.read_clique_graph``),
-and any document they refuse goes to the whole-document readers.  Every
-corpus document, and variants of G_4's and G_7's documents and of a keyed
-graph's (other layouts, key orders and keys, escapes, duplicates,
-defects, and every truncation), read alike both ways: the same graph or
-coloring, or the same CLI output, error line and exit code, at every
-chunk size 1..64 and at the default.  tracemalloc shows no document held
-whole.
+Graph documents are read by one chunked reader, ``chunked.read_graph``,
+their pairs a chunk of list elements at a time and their cliques one
+clique at a time; vertex colorings of any graph are read a chunk of
+entries at a time (``chunked.read_vertex_coloring``).  Any document they
+refuse goes to the whole-document readers.  Every corpus document, and
+variants of G_4's and G_7's documents and of a keyed graph's (other
+layouts, key orders and keys, escapes, duplicates, defects, and every
+truncation), read alike both ways: the same graph or coloring, or the
+same CLI output, error line and exit code, at every chunk size 1..64 and
+at the default.  tracemalloc shows no document held whole.
 """
 
 import contextlib
@@ -260,10 +260,10 @@ def same_coloring(a, b):
 def corpus_reads():
     """The corpus documents the chunked readers take at the default chunk
     size: {graph document: graph}, and {(graph document, coloring
-    document): coloring} over every pair graph they read."""
+    document): coloring} over every graph they read."""
     graphs = {}
     for path in DOCUMENTS:
-        g = read_chunked(path, chunked.read_pair_graph)
+        g = read_chunked(path, chunked.read_graph)
         if g is not None:
             graphs[path] = g
     colorings = {}
@@ -275,32 +275,26 @@ def corpus_reads():
     return graphs, colorings
 
 
-@pytest.fixture(scope="module")
-def corpus_clique_reads():
-    """{graph document: graph} over the corpus documents the clique reader
-    takes at the default chunk size."""
-    graphs = {}
-    for path in DOCUMENTS:
-        g = read_chunked(path, chunked.read_clique_graph)
-        if g is not None:
-            graphs[path] = g
-    return graphs
-
-
 class TestCorpusReadsAlike:
     def test_the_readers_take_the_cli_documents(self, corpus_reads):
         graphs, colorings = corpus_reads
         names = {p.name for p in graphs}
         assert {"gen_all_7.stdout", "gen_pairs_6.stdout", "g4_compact.json",
-                "to_efl_7.stdout"} <= names
-        # explicit cliques, a trailing key and the other kinds are refused
-        assert not names & {"to_efl_fano.stdout", "g4_extra_key.json",
-                            "decompose_7.stdout", "fano.json"}
+                "to_efl_7.stdout", "to_efl_fano.stdout"} <= names
+        # a trailing key and the other kinds are refused
+        assert not names & {"g4_extra_key.json", "decompose_7.stdout",
+                            "fano.json"}
         pairs = {(g.name, c.name) for g, c in colorings}
         assert {("gen_all_7.stdout", "color_7_extend.stdout"),
                 ("gen_all_10.stdout", "color_10.stdout"),
                 ("g4_compact.json", "g4_coloring_compact.json"),
-                ("gen_all_7.stdout", "g7_coloring_swapped.json")} <= pairs
+                ("gen_all_7.stdout", "g7_coloring_swapped.json"),
+                ("cliques_general_pair.json",
+                 "color_general_pair_extend.stdout")} <= pairs
+        # colorings of a graph with vertices in three cliques
+        assert {("to_efl_fano.stdout", f"fano_coloring_{name}.json")
+                for name in ("witness", "clash", "unknown_vertex",
+                             "shared_names_slot", "color_8")} <= pairs
         assert ("gen_all_4.stdout",
                 "g4_coloring_assignments_first.json") not in pairs
 
@@ -323,11 +317,6 @@ class TestCorpusReadsAlike:
     ):
         set_chunk(monkeypatch, chunk)
         graphs, colorings = corpus_reads
-        for path in DOCUMENTS:
-            g = read_chunked(path, chunked.read_pair_graph)
-            assert (g is None) == (path not in graphs), path
-            if g is not None:
-                assert g.pairs == graphs[path].pairs
         for gpath, g in graphs.items():
             for path in DOCUMENTS:
                 c = read_chunked(path, chunked.read_vertex_coloring, g)
@@ -336,40 +325,39 @@ class TestCorpusReadsAlike:
                     assert same_coloring(c, colorings[gpath, path])
 
     def test_the_clique_reader_takes_the_clique_documents(
-        self, corpus_clique_reads
+        self, corpus_reads
     ):
-        names = {p.name for p in corpus_clique_reads}
+        names = {p.name for p in corpus_reads[0]}
         assert {"to_efl_fano.stdout", "to_efl_k30_mixed.stdout",
                 "cliques_compact.json", "cliques_only.json",
                 "cliques_general_pair.json"} <= names
-        # another key order, a trailing key, a cut, a rule broken, pair
-        # graphs and the other kinds are refused
+        # another key order, a trailing key, a cut, a rule broken and the
+        # other kinds are refused
         assert not names & {
             "cliques_first.json", "cliques_extra_key.json",
             "cliques_truncated.json", "cliques_two_shared.json",
             "cliques_stray_slot.json", "cliques_contradicting_pairs.json",
-            "gen_all_7.stdout", "g4_compact.json", "decompose_7.stdout",
-            "fano.json", "color_7.stdout",
+            "decompose_7.stdout", "fano.json", "color_7.stdout",
         }
 
     def test_clique_graphs_as_the_whole_document_reader_builds_them(
-        self, corpus_clique_reads
+        self, corpus_reads
     ):
-        for path, g in corpus_clique_reads.items():
+        for path, g in corpus_reads[0].items():
             whole = whole_graph(path)
-            assert g == whole and g.pairs == whole.pairs
             assert "".join(graph_text(g)) == "".join(graph_text(whole))
 
     @pytest.mark.parametrize("chunk", CHUNKS[1:])
     def test_every_chunk_size_reads_the_cliques_the_same(
-        self, monkeypatch, corpus_clique_reads, chunk
+        self, monkeypatch, corpus_reads, chunk
     ):
         set_chunk(monkeypatch, chunk)
+        graphs = corpus_reads[0]
         for path in DOCUMENTS:
-            g = read_chunked(path, chunked.read_clique_graph)
-            assert (g is None) == (path not in corpus_clique_reads), path
+            g = read_chunked(path, chunked.read_graph)
+            assert (g is None) == (path not in graphs), path
             if g is not None:
-                assert g == corpus_clique_reads[path]
+                assert g == graphs[path] and g.pairs == graphs[path].pairs
 
     def test_clique_documents_through_the_cli(self, monkeypatch):
         for path in DOCUMENTS:
@@ -429,7 +417,7 @@ def graph_variants(n):
         ("extra key between", doc(n=n, note=[1], shared_pairs=pairs),
          False),
         ("cliques after", doc(n=n, shared_pairs=pairs, cliques=cliques),
-         False),
+         True),
         ("escaped key", text.replace('"n"', '"\\u006e"', 1), False),
         ("duplicate key",
          text.replace('"n"', f'"n": {n + 1}, "n"', 1), False),
@@ -663,7 +651,8 @@ def variant_reads(variants, read, *args):
             if args:
                 assert same_coloring(got, whole_coloring(path, *args)), name
             else:
-                assert got.pairs == whole_graph(path).pairs, name
+                whole = whole_graph(path)
+                assert got == whole and got.pairs == whole.pairs, name
         taken.append(got is not None)
     return taken
 
@@ -702,7 +691,7 @@ class TestVariantsReadAlike:
     ):
         set_chunk(monkeypatch, chunk)
         for n, (_, _, graphs, colorings) in variant_files.items():
-            assert variant_reads(graphs, chunked.read_pair_graph) \
+            assert variant_reads(graphs, chunked.read_graph) \
                 == [ok for _, _, ok in graphs]
             assert variant_reads(
                 colorings, chunked.read_vertex_coloring, build_maximal(n)
@@ -733,7 +722,7 @@ class TestVariantsReadAlike:
         g = build_maximal(4)
         for path, args in ((graph, ()), (coloring, (g,))):
             read = chunked.read_vertex_coloring if args \
-                else chunked.read_pair_graph
+                else chunked.read_graph
             data = open(path, "rb").read()
             cut = tmp_path / "cut.json"
             for end in range(len(data.rstrip())):
@@ -763,7 +752,7 @@ class TestVariantsReadAlike:
         set_chunk(monkeypatch, chunk)
         _, _, graphs = clique_variant_files
         for name, path, ok in graphs:
-            got = read_chunked(path, chunked.read_clique_graph)
+            got = read_chunked(path, chunked.read_graph)
             assert (got is not None) == ok, name
             if got is not None:
                 assert got == whole_graph(path) == keyed_graph(), name
@@ -793,7 +782,7 @@ class TestVariantsReadAlike:
         cut = tmp_path / "cut.json"
         for end in range(len(data.rstrip())):
             cut.write_bytes(data[:end])
-            assert read_chunked(cut, chunked.read_clique_graph) is None, end
+            assert read_chunked(cut, chunked.read_graph) is None, end
 
 
 @pytest.fixture(scope="module")
@@ -845,10 +834,10 @@ class TestChunkedMemory:
         g = decomposition_to_efl(packing)
         path = tmp_path / "efl.json"
         cli._emit(graph_text(g), str(path))
-        assert read_chunked(path, chunked.read_clique_graph) == g
+        assert read_chunked(path, chunked.read_graph) == g
         decoded = traced_held(lambda: cli._read_json(str(path)))
         peak = traced_peak(
-            lambda: read_chunked(path, chunked.read_clique_graph)
+            lambda: read_chunked(path, chunked.read_graph)
         )
         assert peak < decoded, (peak, decoded)
 
@@ -875,13 +864,10 @@ class TestChunkedMemory:
                 self.reads += 1
                 return self.fh.read(size)
 
-            def seek(self, *args):
-                return self.fh.seek(*args)
-
         with open(path, "rb") as fh:
             counted = Counted(fh)
             with pytest.raises(ValueError):
-                chunked.read_clique_graph(counted)
+                chunked.read_graph(counted)
         # one read per chunk would be over 3,000, most of them after the
         # open string; the pairs before it take about 70
         assert len(text) > 100_000 and counted.reads < 200, counted.reads
