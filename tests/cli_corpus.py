@@ -297,6 +297,41 @@ CASES = [
     ("verify_general_pair_extend",
      ["verify", "--graph", "@inputs/cliques_general_pair.json",
       "--coloring", "@color_general_pair_extend.stdout"]),
+    # which of two defects is reported: a bad vertex in a later clique
+    # comes before an order above the limit, a short clique 1 in a
+    # document with "cliques" first or in the canonical layout
+    ("decompose_order_above_limit_bad_vertex",
+     ["decompose", "--in", "@inputs/cliques_order_above_limit_bad_vertex.json"]),
+    ("decompose_first_short_bad_shared",
+     ["decompose", "--in", "@inputs/cliques_first_short_bad_shared.json"]),
+    ("decompose_short_bad_general",
+     ["decompose", "--in", "@inputs/cliques_short_bad_general.json"]),
+    # a host that is neither complete nor one edge per clique: a triangle
+    # and an edge at order 5, there and back
+    ("to_efl_triangle_and_edge",
+     ["to-efl", "--in", "@inputs/decomposition_triangle_and_edge.json"]),
+    ("decompose_triangle_and_edge",
+     ["decompose", "--in", "@to_efl_triangle_and_edge.stdout"]),
+    # decomposition documents refused for their host or their cliques
+    ("to_efl_host_edges_int",
+     ["to-efl", "--in", "@inputs/decomposition_host_edges_int.json"]),
+    ("to_efl_host_loop",
+     ["to-efl", "--in", "@inputs/decomposition_host_loop.json"]),
+    ("to_efl_host_edge_out_of_range",
+     ["to-efl", "--in", "@inputs/decomposition_host_edge_out_of_range.json"]),
+    ("to_efl_no_cliques",
+     ["to-efl", "--in", "@inputs/decomposition_no_cliques.json"]),
+    ("verify_invalid_decomposition_missing_coloring",
+     ["verify", "--graph", "@inputs/decomposition_host_loop.json",
+      "--coloring", "no/such/coloring.json"]),
+    # K_3's decomposition and a coloring that also names clique 7
+    ("decompose_3", ["decompose", "--in", "@gen_all_3.stdout"]),
+    ("verify_k3_unknown_clique",
+     ["verify", "--graph", "@decompose_3.stdout",
+      "--coloring", "@inputs/k3_coloring_unknown_clique.json"]),
+    # a graph that the chunked reader refuses, drawn by export-dot
+    ("export_dot_cliques_first",
+     ["export-dot", "--in", "@inputs/cliques_first.json"]),
 ]
 
 

@@ -509,13 +509,17 @@ NESTED = "[" * 100_000 + "]" * 100_000
 class TestNestedJson:
     """JSON nested too deeply to decode is an input error in the reader's
     usual words, on the whole-document path and on the chunked one, which
-    meets it in an element after the document's head passed."""
+    meets it in a list element after the document's head passed, in the
+    value of "n" or in one clique of "cliques"."""
 
-    @pytest.mark.parametrize(
-        "pairs", [NESTED, f"[{NESTED}, [1, 2]]"], ids=["whole", "chunked"]
-    )
-    def test_graph_exits_2(self, tmp_path, capsys, pairs):
-        graph = write(tmp_path, "g.json", f'{{"n": 3, "shared_pairs": {pairs}}}')
+    @pytest.mark.parametrize("document", [
+        f'{{"n": 3, "shared_pairs": {NESTED}}}',
+        f'{{"n": 3, "shared_pairs": [{NESTED}, [1, 2]]}}',
+        f'{{"n": {NESTED}, "shared_pairs": [[1, 2]]}}',
+        f'{{"n": 3, "cliques": [[["shared", 1, 2]], {NESTED}]}}',
+    ], ids=["whole", "chunked", "n", "clique"])
+    def test_graph_exits_2(self, tmp_path, capsys, document):
+        graph = write(tmp_path, "g.json", document)
         with open(graph, "rb") as fh, pytest.raises(ValueError):
             read_graph(fh)
         assert main(["color", "--in", graph]) == 2

@@ -8,9 +8,16 @@ import json
 
 import pytest
 
-from cli_corpus import CORPUS, run
+from cli_corpus import CASES, CORPUS, run
 
 MANIFEST = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))
+
+
+def test_manifest_lists_every_case_in_order():
+    # a case added to CASES but never captured would never be replayed
+    assert [(case["name"], case["argv"]) for case in MANIFEST] == [
+        (name, argv) for name, argv in CASES
+    ]
 
 
 def test_corpus_covers_every_subcommand():
