@@ -6,9 +6,10 @@ document, with either list or both, and :func:`read_vertex_coloring` a
 A list of pairs or of assignments is decoded by ``json``'s C decoder a
 chunk of complete elements at a time, each chunk placed and dropped
 before the next is read, and the ints a read keeps are taken from one
-shared table; cliques are decoded one at a time, each taken by the rule
-scan of :func:`eflcolor.core.validate_keys` before the next.  So no
-document is held whole.  They read nothing else: a document with other
+shared table; cliques are decoded one at a time, each screened by
+``serialize.graph_from_json``'s own function and taken by the rule scan
+of :func:`eflcolor.core.validate_keys` before the next.  So no document
+is held whole.  They read nothing else: a document with other
 keys, another key order or any defect raises ValueError, for the
 whole-document readers of :mod:`eflcolor.serialize` to read or report
 as they always have.  The result is what those readers give for the
@@ -32,8 +33,8 @@ from .core import (
 )
 from .serialize import (
     _Assignment,
+    _clique_keys,
     _numbered_coloring,
-    _screened_keys,
     fold_assignment,
 )
 
@@ -198,15 +199,6 @@ def read_vertex_coloring(fh, g: EflGraph):
     return coloring
 
 
-def _clique(q) -> chain:
-    """The vertex keys of one clique of a "cliques" list, by the screen
-    of ``serialize.graph_from_json``; ValueError when it refuses them."""
-    keys = _screened_keys(q) if type(q) is list else None
-    if keys is None:
-        raise ValueError("not a clique of vertex lists")
-    return keys
-
-
 def read_graph(fh) -> EflGraph:
     """The graph of a {"n", "shared_pairs", "cliques"} document in the
     binary file fh, with either list or both, as
@@ -216,9 +208,9 @@ def read_graph(fh) -> EflGraph:
     The pairs are read a chunk at a time into ``build_from_pairs``, each
     int taken from one shared table.  A document that ends there is that
     pair graph.  The cliques, whose elements are nested lists that no cut
-    of the text can separate, are decoded one at a time, each screened as
-    ``graph_from_json`` screens it and taken by the rule scan before the
-    next is read; the pairs, when listed, must then be the graph's.
+    of the text can separate, are decoded one at a time, each screened by
+    ``graph_from_json``'s ``_clique_keys``, then taken by the rule scan
+    before the next is read; the pairs, when listed, must be the graph's.
     """
     text, decoder = _Text(fh), json.JSONDecoder()
     text.need("{")
@@ -235,7 +227,7 @@ def read_graph(fh) -> EflGraph:
                 text.end()
                 return listed
         text.need('"cliques"', ":", "[")
-        g = validate_keys(map(_clique, text.items(decoder)), n)
+        g = validate_keys(map(_clique_keys, text.items(decoder)), n)
     text.end()
     if isinstance(g, Rejection) \
             or listed is not None and listed.pairs != g.pairs:

@@ -27,6 +27,7 @@ from .coloring import ProperCheck, check_proper, color_shared, extend_to_full
 from .core import build_from_pairs, build_maximal
 from .decomposition import (
     CliqueCapacityError,
+    CliqueDecomposition,
     check_decomposition_coloring,
     decomposition_to_efl,
     efl_to_decomposition,
@@ -72,6 +73,13 @@ def _read_chunked(path: str, reader, *args):
             return reader(fh, *args)
     except (OSError, ValueError):
         return None
+
+
+def _model(data):
+    """The decomposition of a "host_edges" document, else its EFL graph."""
+    if isinstance(data, dict) and "host_edges" in data:
+        return serialize.decomposition_from_json(data)
+    return serialize.graph_from_json(data)
 
 
 def _read_graph(path: str):
@@ -153,21 +161,15 @@ def _cmd_verify(args) -> int:
     # read; a conversion error waits until the coloring file has been
     # read, so an unreadable coloring is still reported first.
     graph = _read_chunked(args.graph, read_graph)
-    is_decomposition = False
     error = coloring = None
     if graph is None:
         gdata = _read_json(args.graph)
-        is_decomposition = isinstance(gdata, dict) and "host_edges" in gdata
-        convert = (
-            serialize.decomposition_from_json
-            if is_decomposition
-            else serialize.graph_from_json
-        )
         try:
-            graph = convert(gdata)
+            graph = _model(gdata)
         except Exception as e:  # re-raised below
             error = e
         del gdata
+    is_decomposition = isinstance(graph, CliqueDecomposition)
     if error is None and not is_decomposition:
         coloring = _read_chunked(
             args.coloring, read_vertex_coloring, graph
@@ -254,15 +256,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    g = _read_chunked(args.infile, read_graph)
-    if g is None:
-        data = _read_json(args.infile)
-        if isinstance(data, dict) and "host_edges" in data:
-            d = serialize.decomposition_from_json(data)
-        else:
-            g = serialize.graph_from_json(data)
-    if g is not None:
-        d = efl_to_decomposition(g)
+    d = _read_chunked(args.infile, read_graph)
+    if d is None:
+        d = _model(_read_json(args.infile))
+    if not isinstance(d, CliqueDecomposition):
+        d = efl_to_decomposition(d)
     if args.view == "host":
         chunks = serialize.host_dot(d.host)
     else:

@@ -15,17 +15,17 @@ float or boolean is a FormatError, never coerced.
 The writers (``graph_text``, ``coloring_text``, ``decomposition_text``,
 ``sweep_text`` and the DOT exports) yield their output in chunks, one per
 pair, clique, assignment or line, so no caller holds a whole document.
-A vertex coloring is read with :func:`fold_assignment` as ``json.load``'s
-object hook, which turns each well-formed entry into a tuple of ints the
-moment it is decoded; :func:`vertex_coloring_on` then places each entry
-by its vertex number, so a pair graph's graph and coloring documents are
-written and read with no vertex object.
+A vertex coloring read whole is decoded with :func:`fold_assignment` as
+``json.load``'s object hook, which turns each well-formed entry into a
+tuple of ints the moment it is decoded; :func:`vertex_coloring_on` then
+places each entry by its vertex number, with no vertex object.
 
 The readers here take a whole decoded document.  The CLI reads every
 graph document with :func:`eflcolor.chunked.read_graph` (its pairs a
 chunk at a time, its cliques one at a time) and vertex colorings with
 :func:`eflcolor.chunked.read_vertex_coloring`, which screen and place
-what they decode with the helpers here; a document they refuse is read
+what they decode with the helpers here (a clique by ``_clique_keys``,
+the screen of :func:`graph_from_json`); a document they refuse is read
 whole by the readers here.
 """
 
@@ -214,15 +214,15 @@ def pairs_from_json(pairs, what: str) -> list:
     if not isinstance(pairs, list):
         raise FormatError(f"{what} must be a list of [i, j] pairs")
     # screened without a Python-level loop; the loop names an offender
-    if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2} \
-            and set(map(type, chain.from_iterable(pairs))) <= {int}:
-        return list(map(tuple, pairs))
-    for p in pairs:
-        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))):
-            raise FormatError(
-                f"{what} entries must be [i, j] integer pairs, got {p!r}"
-            )
-    return [tuple(p) for p in pairs]
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int}):
+        for p in pairs:
+            if not (isinstance(p, list) and len(p) == 2
+                    and all(map(_is_int, p))):
+                raise FormatError(
+                    f"{what} entries must be [i, j] integer pairs, got {p!r}"
+                )
+    return list(map(tuple, pairs))
 
 
 def _screened_keys(q: list):
@@ -253,18 +253,17 @@ def _screened_keys(q: list):
     )
 
 
-def _clique_keys(cliques: list):
-    """Yields each clique of a "cliques" document as its vertex_key
-    tuples.  A clique's vertex lists are screened in bulk, and read one
+def _clique_keys(q):
+    """The vertex_key tuples of one clique of a "cliques" list, whichever
+    reader meets it.  Its vertex lists are screened in bulk, and read one
     by one with :func:`vertex_from_json` only when the screen fails, so
-    the first vertex it refuses, in document order, is the FormatError.
-    Each parsed clique list is dropped from ``cliques`` once converted."""
-    for t, q in enumerate(cliques):
-        keys = _screened_keys(q)
-        if keys is None:
-            keys = [vertex_key(vertex_from_json(v)) for v in q]
-        cliques[t] = None
-        yield keys
+    the first vertex it refuses, in document order, is the FormatError."""
+    if not isinstance(q, list):
+        raise FormatError('"cliques" must be a list of vertex lists')
+    keys = _screened_keys(q)
+    if keys is None:
+        keys = [vertex_key(vertex_from_json(v)) for v in q]
+    return keys
 
 
 def _check_pairs(pairs, g: EflGraph):
@@ -298,7 +297,13 @@ def graph_from_json(data) -> EflGraph:
             isinstance(q, list) for q in data["cliques"]
         ):
             raise FormatError('"cliques" must be a list of vertex lists')
-        keys = _clique_keys(data["cliques"])
+
+        def taken(cliques):
+            for t, q in enumerate(cliques):
+                cliques[t] = None
+                yield _clique_keys(q)
+
+        keys = taken(data["cliques"])
         g = validate_keys(keys, n)
         if isinstance(g, Rejection):
             list(keys)  # a bad vertex is reported before a bad order
@@ -324,17 +329,6 @@ def coloring_to_json(coloring) -> dict:
             {"vertex": vertex_to_json(v), "color": c} for v, c in items
         ],
     }
-
-
-def _in_key_order(vertices):
-    """The vertices sorted by :func:`vertex_key`, one group sharing the
-    key's first two fields (a pair's first clique, a slot's clique) at a
-    time, so the sort keys of a whole graph are never held at once."""
-    groups = {}
-    for v in vertices:
-        groups.setdefault(vertex_key(v)[:2], []).append(v)
-    for k in sorted(groups):
-        yield from sorted(groups.pop(k), key=vertex_key)
 
 
 def _assignment_text(vertex: str, color) -> str:
@@ -373,15 +367,9 @@ def coloring_text(coloring):
     else:
         yield from _json_list(
             _assignment_text(_vertex_text(v), colors[v])
-            for v in _in_key_order(colors)
+            for v in sorted(colors, key=vertex_key)
         )
     yield "\n}\n"
-
-
-def _key_json(kind: int, a: int, b: int) -> list:
-    """The JSON list of the vertex whose :func:`vertex_key` is
-    (kind, a, b), or (2, a) for kind 2."""
-    return [_TAGS[kind], a] if kind == 2 else [_TAGS[kind], a, b]
 
 
 class _Assignment(tuple):
@@ -395,7 +383,8 @@ class _Assignment(tuple):
 
     def __repr__(self):
         kind, a, b, color = self
-        return repr({"vertex": _key_json(kind, a, b), "color": color})
+        vertex = vertex_to_json(key_vertex(kind, a, b))
+        return repr({"vertex": vertex, "color": color})
 
 
 def fold_assignment(obj: dict):
@@ -452,7 +441,8 @@ def _assignments(data, read=_assignment) -> tuple:
 
 
 def _assigned_twice(kind: int, a: int, b: int) -> FormatError:
-    return FormatError(f"vertex {_key_json(kind, a, b)!r} is assigned twice")
+    vertex = vertex_to_json(key_vertex(kind, a, b))
+    return FormatError(f"vertex {vertex!r} is assigned twice")
 
 
 def vertex_coloring_from_json(data) -> tuple:

@@ -427,7 +427,7 @@ SHARD_DEPTH = 12
 
 
 def enumerate_two_r_decompositions(
-    n: int, r: int, shard: int = 0, shards: int = 1
+    n: int, r: int
 ) -> Iterator[CliqueDecomposition]:
     """Yield every labeled decomposition of K_n into 2-cliques and r-cliques.
 
@@ -438,17 +438,10 @@ def enumerate_two_r_decompositions(
     first instance yielded is therefore the greedy lexicographic r-clique
     packing.  Labeled level only: no isomorph rejection.  r may equal n
     (the whole of K_n is then one admissible clique).
-
-    shard i of k yields the instances below the search prefixes of
-    SHARD_DEPTH choices whose index in search order is i modulo k; a leaf
-    shallower than that is its own prefix.  The k shards partition the
-    stream, and each keeps its order.
     """
     _check_two_r(n, r)
-    if not 0 <= shard < shards:
-        raise ValueError(f"need 0 <= shard < shards, got {shard}/{shards}")
     host = complete_host(n)
-    for twos, chosen, _, _ in _two_r_leaves(n, r, shard, shards):
+    for twos, chosen, _, _ in _two_r_leaves(n, r, 0, 1):
         yield CliqueDecomposition(host, tuple(twos) + tuple(chosen))
 
 
@@ -459,6 +452,11 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
     bitmasks from which :func:`_leaf_masks` builds the leaf's intersection
     masks.  All four are the enumerator's own lists, valid until the next
     leaf is asked for.
+
+    shard i of k yields the leaves below the search prefixes of
+    SHARD_DEPTH choices whose index in search order is i modulo k; a leaf
+    shallower than that is its own prefix.  The k shards partition the
+    leaves, and each keeps their order.
 
     The enumeration is iterative over edge bitmasks: edges are numbered
     lexicographically, the covered edges are one int, the next edge to

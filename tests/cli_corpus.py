@@ -301,7 +301,8 @@ CASES = [
     # comes before an order above the limit, a short clique 1 in a
     # document with "cliques" first or in the canonical layout
     ("decompose_order_above_limit_bad_vertex",
-     ["decompose", "--in", "@inputs/cliques_order_above_limit_bad_vertex.json"]),
+     ["decompose", "--in",
+      "@inputs/cliques_order_above_limit_bad_vertex.json"]),
     ("decompose_first_short_bad_shared",
      ["decompose", "--in", "@inputs/cliques_first_short_bad_shared.json"]),
     ("decompose_short_bad_general",

@@ -509,8 +509,8 @@ NESTED = "[" * 100_000 + "]" * 100_000
 class TestNestedJson:
     """JSON nested too deeply to decode is an input error in the reader's
     usual words, on the whole-document path and on the chunked one, which
-    meets it in a list element after the document's head passed, in the
-    value of "n" or in one clique of "cliques"."""
+    meets it in the value of "n", in a chunk of pairs after the document's
+    head passed, or in one clique of "cliques"."""
 
     @pytest.mark.parametrize("document", [
         f'{{"n": 3, "shared_pairs": {NESTED}}}',
