@@ -19,10 +19,10 @@ is exhausted or the counting bound refutes the palette; running out of
 node budget is a distinct outcome, never conflated with a proof.
 Sweeps split their instance stream into deterministic shards, one per
 usable CPU, swept in forked workers; the merged report is the same
-whatever the CPU count.  A sweep colors each leaf of the enumeration from
-the intersection masks the enumerator keeps as it places and undoes
-cliques, through the same mask-level search core as
-:func:`color_decomposition`, and builds no decomposition object for it.
+whatever the CPU count.  A sweep leaf whose first-fit coloring, kept by
+the enumerator, passes first_clash is certified at 0 nodes; any other is
+searched on the intersection masks the enumerator keeps, through the
+mask-level search core of :func:`color_decomposition`.
 """
 
 from __future__ import annotations
@@ -377,6 +377,13 @@ def _mask_search(nb, preset, palette: int, cfg: SearchConfig) -> tuple:
         return Status.BUDGET_EXHAUSTED, None, e.nodes
     if not found:
         return Status.NOT_COLORABLE, None, nodes
+    return Status.COLORABLE, _checked_colors(nb, colors), nodes
+
+
+def _checked_colors(nb, colors) -> list:
+    """colors (colors[t] is clique t + 1's), once first_clash finds no
+    two intersecting cliques in nb sharing a color; AssertionError
+    otherwise."""
     clash = first_clash(nb, colors)
     if clash:
         s, t = clash
@@ -384,7 +391,7 @@ def _mask_search(nb, preset, palette: int, cfg: SearchConfig) -> tuple:
             f"solver certificate failed verification: cliques {s} and {t} "
             f"share a vertex and color {colors[s - 1]}"
         )
-    return Status.COLORABLE, colors, nodes
+    return colors
 
 
 def _decomposition_search(
@@ -441,17 +448,19 @@ def enumerate_two_r_decompositions(
     """
     _check_two_r(n, r)
     host = complete_host(n)
-    for twos, chosen, _, _ in _two_r_leaves(n, r, 0, 1):
+    for twos, chosen, _, _, _ in _two_r_leaves(n, r, 0, 1):
         yield CliqueDecomposition(host, tuple(twos) + tuple(chosen))
 
 
 def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
     """The leaves of :func:`enumerate_two_r_decompositions`'s search, in
-    its order: (twos, chosen, two_of, r_of) with the 2-cliques and the
-    r-cliques, each a list in lexicographic order, and the membership
+    its order: (twos, chosen, two_of, r_of, colors) with the 2-cliques
+    and the r-cliques, each a list in lexicographic order, the membership
     bitmasks from which :func:`_leaf_masks` builds the leaf's intersection
-    masks.  All four are the enumerator's own lists, valid until the next
-    leaf is asked for.
+    masks, and the leaf's first-fit colors in canonical clique order, or
+    None when some clique found no free color in 1..n.  The first four
+    are the enumerator's own lists, valid until the next leaf is asked
+    for.
 
     shard i of k yields the leaves below the search prefixes of
     SHARD_DEPTH choices whose index in search order is i modulo k; a leaf
@@ -464,7 +473,10 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
     one frame on an explicit stack.  Each host vertex keeps a bitmask of
     the placed 2-cliques and one of the placed r-cliques that contain it,
     by their index in twos and chosen, set when a clique is placed and
-    cleared when it is undone, so a leaf's masks are ORs of them.
+    cleared when it is undone, so a leaf's masks are ORs of them.  A
+    placed clique takes the least color free at all its vertices, and
+    undoing it frees the color, so each color is chosen once per node
+    for every leaf below it: first-fit in the order of least edges.
     """
     edges = list(combinations(range(1, n + 1), 2))  # in lexicographic order
     bit = {e: 1 << t for t, e in enumerate(edges)}
@@ -474,8 +486,14 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
     # r-cliques containing host vertex v
     two_of = [0] * (n + 1)
     r_of = [0] * (n + 1)
+    # used[v]: the colors at host vertex v, color c as bit c; two_hues
+    # and r_hues: the colors of twos and chosen
+    used = [0] * (n + 1)
+    palette = (1 << n + 1) - 2  # colors 1..n
+    two_hues, r_hues = [], []
+    stuck = 0  # the placed cliques that found no free color
     # options[t]: the cliques that may cover edge t, each with its edge
-    # mask, the list it is placed on and its vertices' membership masks:
+    # mask, the lists of placed cliques, memberships and colors it joins:
     # the r-cliques through it in lexicographic order, then the edge
     # itself as a 2-clique, which is always free when t is branched on
     options = []
@@ -486,14 +504,14 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
             cand = tuple(sorted((i, j) + extra))
             opts.append((
                 cand, sum(bit[f] for f in combinations(cand, 2)),
-                chosen, r_of,
+                chosen, r_of, r_hues,
             ))
-        opts.append(((i, j), bit[i, j], twos, two_of))
+        opts.append(((i, j), bit[i, j], twos, two_of, two_hues))
         options.append(opts)
     full = (1 << len(edges)) - 1
     covered = 0
     # (edge, index of its option in force, that option's edge mask, the
-    # list holding its clique, the membership masks and the clique's bit)
+    # lists it joined, the clique's bit and its color's bit, 0 if none)
     frames = []
     e = k = 0  # the edge to cover and the first of its options to try
     prefix = 0  # the search-order index of the next prefix
@@ -502,13 +520,21 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
         # edge e is uncovered, so its own 2-clique, the last option, fits
         while opts[k][1] & covered:
             k += 1
-        clique, mask, placed, member = opts[k]
+        clique, mask, placed, member, hues = opts[k]
         own = 1 << len(placed)
+        taken = 0
         for v in clique:
             member[v] |= own
+            taken |= used[v]
+        hue = palette & ~taken
+        hue &= -hue
+        for v in clique:
+            used[v] |= hue
+        stuck += not hue
         placed.append(clique)
+        hues.append(hue.bit_length() - 1)
         covered |= mask
-        frames.append((e, k, mask, placed, member, own))
+        frames.append((e, k, mask, placed, member, own, hues, hue))
         free = full ^ covered
         ours = True
         depth = len(frames)
@@ -520,15 +546,20 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
             k = 0
             continue
         if ours:
-            yield twos, chosen, two_of, r_of
+            yield twos, chosen, two_of, r_of, (
+                None if stuck else two_hues + r_hues
+            )
         # undo choices, deepest first, until one has an option after it
         while True:
             if not frames:
                 return
-            e, k, mask, placed, member, own = frames.pop()
+            e, k, mask, placed, member, own, hues, hue = frames.pop()
             covered ^= mask
             for v in placed.pop():
                 member[v] ^= own
+                used[v] ^= hue
+            hues.pop()
+            stuck -= not hue
             k += 1
             if k < len(options[e]):
                 break
@@ -562,6 +593,8 @@ class SweepReport:
     at palette n, or, with minimum palettes, on a downward probe.  Such a
     probe settles no minimum, so the instance is counted colorable (the
     palette n search succeeded) but has no min_palettes entry.
+    max_nodes is the most search nodes of an instance at palette n; one
+    certified by its first-fit coloring counts 0.
     """
 
     n: int
@@ -579,7 +612,8 @@ def _color_leaf(n, r, leaf, preset, palette: int, cfg) -> tuple:
     the decomposition of a leaf of :func:`_two_r_leaves`, given as
     (twos, chosen, nb) with nb from :func:`_leaf_masks`, from the leaf and
     its greedy preset: the capacity bound from its clique counts, then
-    :func:`_mask_search` on its masks."""
+    :func:`_mask_search` on its masks.  At palette n, a sweep calls it
+    only for a leaf whose first-fit colors are None."""
     twos, chosen, nb = leaf
     if _refuted_by_capacity(
         n, 2 * len(twos) + r * len(chosen),
@@ -595,23 +629,32 @@ def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
     (instances, colorable, max_nodes, not_colorable, budget_exhausted,
     min_palettes).
 
-    Each leaf is colored by :func:`_color_leaf`, and its greedy preset
-    serves every palette probed; its clique lists are built only when it
-    is listed.
+    A leaf whose first-fit colors pass first_clash is COLORABLE at 0
+    nodes; any other is colored by :func:`_color_leaf`.  A leaf's greedy
+    preset, built when first needed, serves every palette probed; its
+    clique lists are built only when it is listed.
     """
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
-    for twos, chosen, two_of, r_of in _two_r_leaves(n, r, shard, shards):
+    leaves = _two_r_leaves(n, r, shard, shards)
+    for twos, chosen, two_of, r_of, colors in leaves:
         nb = _leaf_masks(twos, chosen, two_of, r_of)
         leaf = twos, chosen, nb
         total += 1
-        preset = _greedy_preset(nb)
-        status, nodes = _color_leaf(n, r, leaf, preset, n, cfg)
-        max_nodes = max(max_nodes, nodes)
+        preset = None
+        if colors is None:
+            preset = _greedy_preset(nb)
+            status, nodes = _color_leaf(n, r, leaf, preset, n, cfg)
+            max_nodes = max(max_nodes, nodes)
+        else:
+            _checked_colors(nb, colors)
+            status = Status.COLORABLE
         if status is Status.COLORABLE:
             colorable += 1
             if not minimum_palettes:
                 continue
+            if preset is None:
+                preset = _greedy_preset(nb)
             p = n
             while p > 0:
                 probe = _color_leaf(n, r, leaf, preset, p - 1, cfg)[0]

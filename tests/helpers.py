@@ -2,13 +2,13 @@
 
 Everything here recomputes answers from first principles (pairwise scans,
 exhaustive enumeration, graph rebuilds, the recursive search engine and
-enumerator, the serial sweep, the round-robin edge coloring, the
-dict-at-a-time coloring reader, the per-vertex closed form and
-properness check, the sweep report as a dict for the JSON encoder) so
-the library's own fast paths are never trusted to check themselves.
-The explicit-clique graph reader and the decomposition validator are
-copied here as they were on vertex objects and edge tuples, with seeded
-triangle packings of K_n to run them on.
+enumerator, the first-fit clique coloring, the serial sweep, the
+round-robin edge coloring, the dict-at-a-time coloring reader, the
+per-vertex closed form and properness check, the sweep report as a dict
+for the JSON encoder) so the library's own fast paths are never trusted
+to check themselves.  The explicit-clique graph reader and the
+decomposition validator are copied here as they were on vertex objects
+and edge tuples, with seeded triangle packings of K_n to run them on.
 """
 
 from itertools import combinations, product
@@ -564,19 +564,43 @@ def reference_enumerate_two_r(n, r):
     yield from rec()
 
 
+def first_fit_colors(cliques, palette):
+    """The first-fit coloring of cliques in the order of their least
+    edges: each takes the least color in 1..palette that no clique
+    colored before it has at one of its vertices.  colors[t] is
+    cliques[t]'s color; None when some clique finds no free color."""
+    colors = [0] * len(cliques)
+    taken = {}  # host vertex -> the colors of the cliques colored at it
+    least_edges = [sorted(c)[:2] for c in cliques]
+    for t in sorted(range(len(cliques)), key=least_edges.__getitem__):
+        near = set().union(*(taken.get(v, ()) for v in cliques[t]))
+        free = [c for c in range(1, palette + 1) if c not in near]
+        if not free:
+            return None
+        colors[t] = free[0]
+        for v in cliques[t]:
+            taken.setdefault(v, set()).add(free[0])
+    return colors
+
+
 def reference_sweep(n, r, cfg, minimum_palettes=False):
     """The sweep as one serial loop over reference_enumerate_two_r: the
-    report that eflcolor.solver's sharded sweep must reproduce."""
+    report that eflcolor.solver's sharded sweep must reproduce.  An
+    instance that first_fit_colors colors within palette n is colorable
+    at 0 nodes; any other is searched by color_decomposition."""
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
     for d in reference_enumerate_two_r(n, r):
         cliques = [list(c) for c in d.cliques]
-        out = color_decomposition(d, n, cfg)
         total += 1
-        max_nodes = max(max_nodes, out.nodes)
-        if out.status is Status.NOT_COLORABLE:
+        status = Status.COLORABLE
+        if first_fit_colors(d.cliques, n) is None:
+            out = color_decomposition(d, n, cfg)
+            status = out.status
+            max_nodes = max(max_nodes, out.nodes)
+        if status is Status.NOT_COLORABLE:
             not_col.append(cliques)
-        elif out.status is Status.BUDGET_EXHAUSTED:
+        elif status is Status.BUDGET_EXHAUSTED:
             budget.append(cliques)
         else:
             colorable += 1

@@ -295,8 +295,10 @@ class TestSweep:
         assert data["not_colorable"] == []
 
     def test_budget_exits_4(self, capsys):
+        # first-fit colors every instance of (4, 3) before any search, but
+        # not K_5's edges at palette 5, which are searched
         assert main([
-            "sweep", "--n", "4", "--r", "3", "--node-limit", "1"
+            "sweep", "--n", "5", "--r", "3", "--node-limit", "1"
         ]) == 4
         data = json.loads(capsys.readouterr().out)
         assert data["budget_exhausted"]

@@ -2,8 +2,9 @@
 replaced, also at palettes above the vertex count, the node counts it
 must not exceed, and instances deeper than the interpreter's recursion
 limit; the bitmask (2, r) enumerator against the recursive one it
-replaced, and the intersection masks it keeps for each leaf against
-those of the decomposition."""
+replaced, the intersection masks it keeps for each leaf against those of
+the decomposition, and the first-fit coloring it keeps against an
+independent model."""
 
 import random
 import tracemalloc
@@ -14,6 +15,8 @@ import pytest
 from eflcolor import solver
 from eflcolor.core import GeneralVertex, build_maximal, validate, vertex_key
 from eflcolor.decomposition import (
+    DecompositionColoring,
+    check_decomposition_coloring,
     complete_host,
     decomposition_to_efl,
     intersection_masks,
@@ -30,6 +33,7 @@ from eflcolor.solver import (
 )
 from helpers import (
     FANO_TRIANGLES,
+    first_fit_colors,
     reference_enumerate_two_r,
     reference_search,
 )
@@ -165,7 +169,7 @@ def test_enumeration_8_3_prefix_and_count():
 def test_leaves_carry_the_masks_and_outcomes_of_their_decompositions(n, r):
     cfg = SearchConfig()
     leaves = solver._two_r_leaves(n, r, 0, 1)
-    for d, (twos, chosen, two_of, r_of) in zip(
+    for d, (twos, chosen, two_of, r_of, _) in zip(
         reference_enumerate_two_r(n, r), leaves, strict=True
     ):
         nb = solver._leaf_masks(twos, chosen, two_of, r_of)
@@ -178,6 +182,28 @@ def test_leaves_carry_the_masks_and_outcomes_of_their_decompositions(n, r):
             assert solver._color_leaf(n, r, leaf, preset, palette, cfg) == (
                 out.status, out.nodes
             ), (d.cliques, palette)
+
+
+@pytest.mark.parametrize(
+    "n,r", [(n, r) for n in range(3, 8) for r in range(3, n + 1)]
+)
+def test_leaf_certificates_are_first_fit_colorings(n, r):
+    certified = 0
+    leaves = solver._two_r_leaves(n, r, 0, 1)
+    for d, (*_, colors) in zip(
+        reference_enumerate_two_r(n, r), leaves, strict=True
+    ):
+        assert colors == first_fit_colors(d.cliques, n), d.cliques
+        if colors is None:
+            continue
+        certified += 1
+        checked = check_decomposition_coloring(
+            validate_decomposition(d.host, d.cliques),
+            DecompositionColoring(n, dict(enumerate(colors, 1))),
+        )
+        assert checked, (d.cliques, checked.reason)
+    if (n, r) == (7, 3):
+        assert certified == 5041  # of 5,596
 
 
 @pytest.fixture
@@ -287,9 +313,11 @@ class TestNodeCeilings:
         assert out.nodes <= 6
 
     def test_sweep_7_3(self):
+        # first-fit certifies K_7's edges, which take 262 nodes to
+        # search; the hardest instance it leaves takes 24
         report = sweep_two_r_decompositions(7, 3)
         assert report.colorable == report.instances == 5596
-        assert report.max_nodes <= 262
+        assert report.max_nodes == 24
 
 
 def clique_masks(g):

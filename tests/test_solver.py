@@ -340,11 +340,13 @@ class TestSweep:
         assert all(e["cliques"] != cliques for e in report.min_palettes)
 
     def test_budget_entries_are_reported(self):
-        report = sweep_two_r_decompositions(4, 3, SearchConfig(node_limit=1))
-        assert report.instances == 5
+        # first-fit colors every instance of (4, 3) before any search, but
+        # not K_5's edges at palette 5, which are searched
+        report = sweep_two_r_decompositions(5, 3, SearchConfig(node_limit=1))
+        assert report.instances == 26
         assert len(report.budget_exhausted) + report.colorable + len(
             report.not_colorable
-        ) == 5
+        ) == 26
         assert report.budget_exhausted  # limit 1 cannot finish every search
 
     def test_report_json_schema(self):

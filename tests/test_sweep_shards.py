@@ -29,7 +29,9 @@ def cliques(n, r, shard=0, shards=1):
     the enumerator's own lists."""
     return [
         tuple(twos) + tuple(chosen)
-        for twos, chosen, _, _ in solver._two_r_leaves(n, r, shard, shards)
+        for twos, chosen, _, _, _ in solver._two_r_leaves(
+            n, r, shard, shards
+        )
     ]
 
 
@@ -144,6 +146,30 @@ class TestMergedReport:
     def test_orders_up_to_the_limit_are_accepted(self, n, r):
         first = next(enumerate_two_r_decompositions(n, r))
         assert first.host.vertex_count == n
+
+
+def test_improper_first_fit_certificate_exits_5(cpus, monkeypatch, capsys):
+    # every leaf's first-fit coloring becomes one color for every clique:
+    # the sweep's re-check of a certificate no search produced must catch
+    # it
+    cpus(1)
+    leaves = solver._two_r_leaves
+
+    def one_color(n, r, shard, shards):
+        for *leaf, colors in leaves(n, r, shard, shards):
+            yield *leaf, None if colors is None else [1] * len(colors)
+
+    monkeypatch.setattr(solver, "_two_r_leaves", one_color)
+    with pytest.raises(AssertionError, match="^solver certificate failed "):
+        sweep_two_r_decompositions(5, 3)
+    assert cli.main(["sweep", "--n", "5", "--r", "3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: AssertionError: solver certificate failed "
+        "verification: cliques "
+    )
+    assert captured.err.count("\n") == 1
 
 
 class TestWorkerFailures:
