@@ -31,6 +31,7 @@ __all__ = [
     "validate_decomposition",
     "intersection_graph",
     "intersection_masks",
+    "clique_masks",
     "first_clash",
     "efl_to_decomposition",
     "decomposition_to_efl",
@@ -194,7 +195,12 @@ def validate_decomposition(host: HostGraph, cliques: Iterable):
 
 
 def intersection_masks(d: CliqueDecomposition) -> list:
-    """Neighbor bitmask of every clique in d's intersection graph.
+    """The :func:`clique_masks` of d's cliques."""
+    return clique_masks(d.cliques)
+
+
+def clique_masks(cliques) -> list:
+    """Neighbor bitmask of every clique in the cliques' intersection graph.
 
     Entry t - 1 has bit s - 1 set when cliques t and s (1-based, s != t)
     share a host vertex.  Built from membership: each host vertex maps to
@@ -202,12 +208,12 @@ def intersection_masks(d: CliqueDecomposition) -> list:
     total clique size rather than quadratic in the clique count.
     """
     member: dict = {}
-    for t, c in enumerate(d.cliques):
+    for t, c in enumerate(cliques):
         bit = 1 << t
         for v in c:
             member[v] = member.get(v, 0) | bit
     masks = []
-    for t, c in enumerate(d.cliques):
+    for t, c in enumerate(cliques):
         mask = 0
         for v in c:
             mask |= member[v]

@@ -20,9 +20,10 @@ node budget is a distinct outcome, never conflated with a proof.
 Sweeps split their instance stream into deterministic shards, one per
 usable CPU, swept in forked workers; the merged report is the same
 whatever the CPU count.  A sweep leaf whose first-fit coloring, kept by
-the enumerator, passes first_clash is certified at 0 nodes; any other is
-searched on the intersection masks the enumerator keeps, through the
-mask-level search core of :func:`color_decomposition`.
+the enumerator, gives no two cliques of one color a common vertex is
+certified at 0 nodes; any other is searched on the intersection masks of
+its clique list, through the mask-level search core of
+:func:`color_decomposition`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import EflGraph, vertex_key
 from .decomposition import (
     CliqueDecomposition,
     DecompositionColoring,
+    clique_masks,
     complete_host,
     first_clash,
     intersection_masks,
@@ -448,19 +450,18 @@ def enumerate_two_r_decompositions(
     """
     _check_two_r(n, r)
     host = complete_host(n)
-    for twos, chosen, _, _, _ in _two_r_leaves(n, r, 0, 1):
+    for twos, chosen, _ in _two_r_leaves(n, r, 0, 1):
         yield CliqueDecomposition(host, tuple(twos) + tuple(chosen))
 
 
 def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
     """The leaves of :func:`enumerate_two_r_decompositions`'s search, in
-    its order: (twos, chosen, two_of, r_of, colors) with the 2-cliques
-    and the r-cliques, each a list in lexicographic order, the membership
-    bitmasks from which :func:`_leaf_masks` builds the leaf's intersection
-    masks, and the leaf's first-fit colors in canonical clique order, or
-    None when some clique found no free color in 1..n.  The first four
-    are the enumerator's own lists, valid until the next leaf is asked
-    for.
+    its order: (twos, chosen, colors) with the 2-cliques and the
+    r-cliques, each a list in lexicographic order, so twos + chosen is
+    the canonical clique order, and the leaf's first-fit colors in that
+    order, or None when some clique found no free color in 1..n.  twos
+    and chosen are the enumerator's own lists, valid until the next leaf
+    is asked for.
 
     shard i of k yields the leaves below the search prefixes of
     SHARD_DEPTH choices whose index in search order is i modulo k; a leaf
@@ -470,22 +471,16 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
     The enumeration is iterative over edge bitmasks: edges are numbered
     lexicographically, the covered edges are one int, the next edge to
     branch on is the lowest bit of the uncovered ones, and each choice is
-    one frame on an explicit stack.  Each host vertex keeps a bitmask of
-    the placed 2-cliques and one of the placed r-cliques that contain it,
-    by their index in twos and chosen, set when a clique is placed and
-    cleared when it is undone, so a leaf's masks are ORs of them.  A
-    placed clique takes the least color free at all its vertices, and
-    undoing it frees the color, so each color is chosen once per node
-    for every leaf below it: first-fit in the order of least edges.
+    one frame on an explicit stack.  Each host vertex keeps the bitmask
+    of the colors of the placed cliques at it: a placed clique takes the
+    least color free at all its vertices, and undoing it frees the color,
+    so each color is chosen once per node for every leaf below it:
+    first-fit in the order of least edges.
     """
     edges = list(combinations(range(1, n + 1), 2))  # in lexicographic order
     bit = {e: 1 << t for t, e in enumerate(edges)}
     twos = []  # the edges settled as 2-cliques
     chosen = []  # the r-cliques
-    # two_of[v] and r_of[v]: the bitmasks of the 2-cliques and of the
-    # r-cliques containing host vertex v
-    two_of = [0] * (n + 1)
-    r_of = [0] * (n + 1)
     # used[v]: the colors at host vertex v, color c as bit c; two_hues
     # and r_hues: the colors of twos and chosen
     used = [0] * (n + 1)
@@ -493,7 +488,7 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
     two_hues, r_hues = [], []
     stuck = 0  # the placed cliques that found no free color
     # options[t]: the cliques that may cover edge t, each with its edge
-    # mask, the lists of placed cliques, memberships and colors it joins:
+    # mask and the lists of placed cliques and of colors it joins:
     # the r-cliques through it in lexicographic order, then the edge
     # itself as a 2-clique, which is always free when t is branched on
     options = []
@@ -504,14 +499,14 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
             cand = tuple(sorted((i, j) + extra))
             opts.append((
                 cand, sum(bit[f] for f in combinations(cand, 2)),
-                chosen, r_of, r_hues,
+                chosen, r_hues,
             ))
-        opts.append(((i, j), bit[i, j], twos, two_of, two_hues))
+        opts.append(((i, j), bit[i, j], twos, two_hues))
         options.append(opts)
     full = (1 << len(edges)) - 1
     covered = 0
     # (edge, index of its option in force, that option's edge mask, the
-    # lists it joined, the clique's bit and its color's bit, 0 if none)
+    # lists it joined and its color's bit, 0 if none)
     frames = []
     e = k = 0  # the edge to cover and the first of its options to try
     prefix = 0  # the search-order index of the next prefix
@@ -520,11 +515,9 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
         # edge e is uncovered, so its own 2-clique, the last option, fits
         while opts[k][1] & covered:
             k += 1
-        clique, mask, placed, member, hues = opts[k]
-        own = 1 << len(placed)
+        clique, mask, placed, hues = opts[k]
         taken = 0
         for v in clique:
-            member[v] |= own
             taken |= used[v]
         hue = palette & ~taken
         hue &= -hue
@@ -534,7 +527,7 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
         placed.append(clique)
         hues.append(hue.bit_length() - 1)
         covered |= mask
-        frames.append((e, k, mask, placed, member, own, hues, hue))
+        frames.append((e, k, mask, placed, hues, hue))
         free = full ^ covered
         ours = True
         depth = len(frames)
@@ -546,43 +539,20 @@ def _two_r_leaves(n: int, r: int, shard: int, shards: int) -> Iterator:
             k = 0
             continue
         if ours:
-            yield twos, chosen, two_of, r_of, (
-                None if stuck else two_hues + r_hues
-            )
+            yield twos, chosen, None if stuck else two_hues + r_hues
         # undo choices, deepest first, until one has an option after it
         while True:
             if not frames:
                 return
-            e, k, mask, placed, member, own, hues, hue = frames.pop()
+            e, k, mask, placed, hues, hue = frames.pop()
             covered ^= mask
             for v in placed.pop():
-                member[v] ^= own
                 used[v] ^= hue
             hues.pop()
             stuck -= not hue
             k += 1
             if k < len(options[e]):
                 break
-
-
-def _leaf_masks(twos, chosen, two_of, r_of) -> list:
-    """The intersection masks of a leaf of :func:`_two_r_leaves` in
-    canonical clique order (the 2-cliques, then the r-cliques), as from
-    :func:`intersection_masks`.
-
-    Both lists grow in lexicographic order, so the 2-cliques then the
-    r-cliques are the canonical (size, lexicographic) order, and an
-    r-clique's index is shifted past the 2-cliques'.
-    """
-    a = len(twos)
-    of = [x | y << a for x, y in zip(two_of, r_of)]
-    nb = [(of[i] | of[j]) ^ 1 << t for t, (i, j) in enumerate(twos)]
-    for t, c in enumerate(chosen, a):
-        m = 0
-        for v in c:
-            m |= of[v]
-        nb.append(m ^ 1 << t)
-    return nb
 
 
 @dataclass
@@ -594,7 +564,8 @@ class SweepReport:
     probe settles no minimum, so the instance is counted colorable (the
     palette n search succeeded) but has no min_palettes entry.
     max_nodes is the most search nodes of an instance at palette n; one
-    certified by its first-fit coloring counts 0.
+    certified by its first-fit coloring, checked by color class on its
+    cliques, counts 0.
     """
 
     n: int
@@ -610,10 +581,10 @@ class SweepReport:
 def _color_leaf(n, r, leaf, preset, palette: int, cfg) -> tuple:
     """(status, nodes) of :func:`color_decomposition` at palette >= 0 for
     the decomposition of a leaf of :func:`_two_r_leaves`, given as
-    (twos, chosen, nb) with nb from :func:`_leaf_masks`, from the leaf and
-    its greedy preset: the capacity bound from its clique counts, then
-    :func:`_mask_search` on its masks.  At palette n, a sweep calls it
-    only for a leaf whose first-fit colors are None."""
+    (twos, chosen, nb) with nb the :func:`clique_masks` of twos + chosen,
+    from the leaf and its greedy preset: the capacity bound from its
+    clique counts, then :func:`_mask_search` on its masks.  At palette n,
+    a sweep calls it only for a leaf whose first-fit colors are None."""
     twos, chosen, nb = leaf
     if _refuted_by_capacity(
         n, 2 * len(twos) + r * len(chosen),
@@ -624,54 +595,75 @@ def _color_leaf(n, r, leaf, preset, palette: int, cfg) -> tuple:
     return status, nodes
 
 
+def _vertex_bits(n: int, r: int) -> dict:
+    """The bitmask, vertex v as bit v, of every clique a (2, r) leaf may
+    hold: each 2-subset and r-subset of 1..n, as an ascending tuple."""
+    return {
+        q: sum(1 << v for v in q)
+        for k in (2, r) for q in combinations(range(1, n + 1), k)
+    }
+
+
+def _classes_disjoint(bits, n: int, cliques, colors) -> bool:
+    """True when no two cliques of one color share a vertex, as when
+    first_clash finds no clash: each clique's mask in bits is shifted into
+    its color's field of n + 1 bits, and the shifted masks sum to their OR
+    exactly when no two of them overlap."""
+    width = n + 1
+    total = union = 0
+    for q, c in zip(cliques, colors):
+        m = bits[q] << c * width
+        total += m
+        union |= m
+    return total == union
+
+
 def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
     """The sweep of one shard of the (2, r) stream, its lists unsorted:
     (instances, colorable, max_nodes, not_colorable, budget_exhausted,
     min_palettes).
 
-    A leaf whose first-fit colors pass first_clash is COLORABLE at 0
-    nodes; any other is colored by :func:`_color_leaf`.  A leaf's greedy
-    preset, built when first needed, serves every palette probed; its
-    clique lists are built only when it is listed.
+    A leaf whose first-fit colors pass :func:`_classes_disjoint` is
+    COLORABLE at 0 nodes; should they fail, :func:`_checked_colors` on its
+    masks raises.  Any other leaf is colored by :func:`_color_leaf`.  A
+    leaf's intersection masks and greedy preset are built only when it is
+    searched or probed, and serve every palette probed.
     """
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
-    leaves = _two_r_leaves(n, r, shard, shards)
-    for twos, chosen, two_of, r_of, colors in leaves:
-        nb = _leaf_masks(twos, chosen, two_of, r_of)
-        leaf = twos, chosen, nb
+    bits = _vertex_bits(n, r)
+    for twos, chosen, colors in _two_r_leaves(n, r, shard, shards):
         total += 1
-        preset = None
+        cliques = twos + chosen
+        if colors is None or minimum_palettes:
+            nb = clique_masks(cliques)
+            leaf, preset = (twos, chosen, nb), _greedy_preset(nb)
         if colors is None:
-            preset = _greedy_preset(nb)
             status, nodes = _color_leaf(n, r, leaf, preset, n, cfg)
             max_nodes = max(max_nodes, nodes)
         else:
-            _checked_colors(nb, colors)
+            if not _classes_disjoint(bits, n, cliques, colors):
+                _checked_colors(clique_masks(cliques), colors)
             status = Status.COLORABLE
         if status is Status.COLORABLE:
             colorable += 1
             if not minimum_palettes:
                 continue
-            if preset is None:
-                preset = _greedy_preset(nb)
             p = n
             while p > 0:
                 probe = _color_leaf(n, r, leaf, preset, p - 1, cfg)[0]
                 if probe is not Status.COLORABLE:
                     break
                 p -= 1
-            cliques = [list(c) for c in chain(twos, chosen)]
             if probe is Status.BUDGET_EXHAUSTED:
-                budget.append(cliques)
-            else:
-                minimums.append({"cliques": cliques, "min_palette": p})
+                status = probe
+        listed = [list(c) for c in cliques]
+        if status is Status.COLORABLE:
+            minimums.append({"cliques": listed, "min_palette": p})
+        elif status is Status.NOT_COLORABLE:
+            not_col.append(listed)
         else:
-            cliques = [list(c) for c in chain(twos, chosen)]
-            if status is Status.NOT_COLORABLE:
-                not_col.append(cliques)
-            else:
-                budget.append(cliques)
+            budget.append(listed)
     return total, colorable, max_nodes, not_col, budget, minimums
 
 

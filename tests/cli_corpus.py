@@ -98,6 +98,10 @@ CASES = [
     ("sweep_6_3_min_palettes",
      ["sweep", "--n", "6", "--r", "3", "--min-palettes"]),
     ("sweep_6_4", ["sweep", "--n", "6", "--r", "4"]),
+    ("sweep_7_3", ["sweep", "--n", "7", "--r", "3"]),
+    # certified leaves build their intersection masks for the probes
+    ("sweep_6_4_min_palettes",
+     ["sweep", "--n", "6", "--r", "4", "--min-palettes"]),
     # a downward probe that runs out of budget settles no minimum: exit 4
     ("sweep_6_3_min_palettes_budget",
      ["sweep", "--n", "6", "--r", "3", "--min-palettes",

@@ -2,9 +2,10 @@
 replaced, also at palettes above the vertex count, the node counts it
 must not exceed, and instances deeper than the interpreter's recursion
 limit; the bitmask (2, r) enumerator against the recursive one it
-replaced, the intersection masks it keeps for each leaf against those of
-the decomposition, and the first-fit coloring it keeps against an
-independent model."""
+replaced, the intersection masks of each leaf's clique list against those
+of the decomposition, the first-fit coloring it keeps against an
+independent model, and the sweep's check of a coloring by color class
+against first_clash."""
 
 import random
 import tracemalloc
@@ -12,13 +13,14 @@ from itertools import combinations, islice
 
 import pytest
 
-from eflcolor import solver
+from eflcolor import decomposition, solver
 from eflcolor.core import GeneralVertex, build_maximal, validate, vertex_key
 from eflcolor.decomposition import (
     DecompositionColoring,
     check_decomposition_coloring,
     complete_host,
     decomposition_to_efl,
+    first_clash,
     intersection_masks,
     validate_decomposition,
 )
@@ -169,10 +171,10 @@ def test_enumeration_8_3_prefix_and_count():
 def test_leaves_carry_the_masks_and_outcomes_of_their_decompositions(n, r):
     cfg = SearchConfig()
     leaves = solver._two_r_leaves(n, r, 0, 1)
-    for d, (twos, chosen, two_of, r_of, _) in zip(
+    for d, (twos, chosen, _) in zip(
         reference_enumerate_two_r(n, r), leaves, strict=True
     ):
-        nb = solver._leaf_masks(twos, chosen, two_of, r_of)
+        nb = decomposition.clique_masks(twos + chosen)
         leaf = twos, chosen, nb
         assert tuple(twos) + tuple(chosen) == d.cliques
         assert nb == intersection_masks(d), d.cliques
@@ -204,6 +206,47 @@ def test_leaf_certificates_are_first_fit_colorings(n, r):
         assert checked, (d.cliques, checked.reason)
     if (n, r) == (7, 3):
         assert certified == 5041  # of 5,596
+
+
+@pytest.mark.parametrize(
+    "n,r", [(n, r) for n in range(3, 8) for r in range(3, n + 1)]
+)
+def test_class_check_agrees_with_first_clash(monkeypatch, n, r):
+    # on each leaf: its first-fit colors, a first-fit coloring with one
+    # clique recolored at random, and one color for every clique; where
+    # a coloring clashes, a sweep given it raises first_clash's message
+    rng = random.Random(10 * n + r)
+    bits = solver._vertex_bits(n, r)
+    leaves = solver._two_r_leaves(n, r, 0, 1)
+    clashes = 0
+    for d, (twos, chosen, colors) in zip(
+        reference_enumerate_two_r(n, r), leaves, strict=True
+    ):
+        nb = intersection_masks(d)
+        recolored = first_fit_colors(d.cliques, len(d.cliques))
+        recolored[rng.randrange(len(nb))] = rng.randint(1, n)
+        for trial in (colors, recolored, [1] * len(nb)):
+            if trial is None:
+                continue
+            clash = first_clash(nb, trial)
+            assert solver._classes_disjoint(bits, n, d.cliques, trial) == (
+                clash is None
+            ), (d.cliques, trial)
+            if clash is None:
+                continue
+            clashes += 1
+            leaf = list(twos), list(chosen), trial
+            monkeypatch.setattr(
+                solver, "_two_r_leaves", lambda *_, leaf=leaf: iter([leaf])
+            )
+            with pytest.raises(AssertionError) as failed:
+                solver._sweep_shard(n, r, SearchConfig(), False, 0, 1)
+            s, t = clash
+            assert str(failed.value) == (
+                f"solver certificate failed verification: cliques {s} and "
+                f"{t} share a vertex and color {trial[s - 1]}"
+            )
+    assert clashes
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ def cliques(n, r, shard=0, shards=1):
     the enumerator's own lists."""
     return [
         tuple(twos) + tuple(chosen)
-        for twos, chosen, _, _, _ in solver._two_r_leaves(
+        for twos, chosen, _ in solver._two_r_leaves(
             n, r, shard, shards
         )
     ]
@@ -207,6 +207,35 @@ class TestWorkerFailures:
             "verification: cliques "
         )
         assert captured.err.count("\n") == 1
+
+    def test_improper_first_fit_certificate_in_a_worker_exits_5(
+        self, cpus, monkeypatch, capsys
+    ):
+        # the worker's leaves get one color for every clique: its re-check
+        # of the certificates raises there, and the parent raises it again
+        cpus(2)
+        leaves = solver._two_r_leaves
+
+        def one_color(n, r, shard, shards):
+            for twos, chosen, colors in leaves(n, r, shard, shards):
+                if colors is not None and in_worker():
+                    colors = [1] * len(colors)
+                yield twos, chosen, colors
+
+        monkeypatch.setattr(solver, "_two_r_leaves", one_color)
+        with pytest.raises(AssertionError,
+                           match="^solver certificate failed "):
+            sweep_two_r_decompositions(5, 3)
+        assert children() == []
+        assert cli.main(["sweep", "--n", "5", "--r", "3"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal error: AssertionError: solver certificate failed "
+            "verification: cliques "
+        )
+        assert captured.err.count("\n") == 1
+        assert children() == []
 
     def test_parent_exception_reaps_the_workers(self, cpus, monkeypatch):
         cpus(3)
