@@ -126,7 +126,7 @@ def _cmd_color(args) -> int:
     if not g.is_two_clique:
         print(
             "error: a shared vertex lies in three or more defining cliques; "
-            "use `decompose` and `sweep` instead",
+            "use `chromatic --in FILE --out W` for a checked coloring",
             file=sys.stderr,
         )
         return EXIT_UNSUPPORTED

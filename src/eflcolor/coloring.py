@@ -7,9 +7,9 @@ n - 1 and the vertex shared by Q_i and Q_j gets i + j (mod n-1), except
 that the j = n column gets 2i (mod n-1).  For odd n the palette is n and
 every shared vertex gets i + j (mod n).
 
-A proper shared coloring extends to a proper n-coloring of the whole
-graph: inside each defining clique the unshared vertices take the colors
-its shared vertices do not use.
+A proper shared coloring of any EFL graph extends to a proper
+n-coloring of the whole graph: inside each defining clique the unshared
+vertices take the colors its shared vertices do not use.
 
 The colorings are lists of colors by vertex number (:class:`NumberedColors`
 over :class:`eflcolor.core.Numbering`): the shared vertices in the order
@@ -142,14 +142,6 @@ def _numbered(g: EflGraph, colors) -> NumberedColors:
     return NumberedColors(g, by_number, extra)
 
 
-def _two_clique_only(g: EflGraph):
-    if not g.is_two_clique:
-        raise ValueError(
-            "graph has a shared vertex in three or more defining cliques; "
-            "translate to a clique decomposition and search instead"
-        )
-
-
 def color_shared(g: EflGraph) -> SharedColoring:
     """Proper coloring of the shared vertices of a two-clique EFL graph.
 
@@ -160,7 +152,11 @@ def color_shared(g: EflGraph) -> SharedColoring:
     stays proper).  Raises ValueError when some shared vertex lies in
     three or more cliques.
     """
-    _two_clique_only(g)
+    if not g.is_two_clique:
+        raise ValueError(
+            "graph has a shared vertex in three or more defining cliques; "
+            "translate to a clique decomposition and search instead"
+        )
     n = g.n
     # one int object per color, not per shared vertex
     ints = list(range(n + 1))
@@ -209,40 +205,49 @@ def extend_to_full(g: EflGraph, shared: SharedColoring) -> FullColoring:
 
     Shared vertices keep their colors.  Within each defining clique the
     unshared vertices receive the clique's free colors, smallest color to
-    smallest vertex, cliques processed in ascending index order.  Raises
+    smallest vertex, cliques processed in ascending index order; a clique
+    with s shared vertices has n - s of each, on any graph.  Raises
     ValueError when the shared coloring misses a shared vertex, colors a
     non-shared vertex, repeats a color inside some clique, or uses a color
-    above n; the message names the offending clique.  Like
-    :func:`color_shared`, it takes two-clique graphs only.
+    above n; the message names the offending clique.
     """
-    _two_clique_only(g)
-    n = g.n
     colors = _numbered(g, shared.colors)
-    P = len(g.pairs)
+    P = len(g.numbering.shared_cliques)
     v = _least_uncolored(g, colors.by_number, P)
     if v is not None:
         raise ValueError(f"shared coloring misses shared vertex {v!r}")
     v = _least_not_shared(g, colors)
     if v is not None:
         raise ValueError(f"shared coloring colors non-shared vertex {v!r}")
-    palette = set(range(1, n + 1))
-    full = colors.by_number[:P]
+    return _fill(g, colors.by_number[:P], g.n)
+
+
+def _fill(g: EflGraph, full: list, palette: int) -> FullColoring:
+    """:func:`extend_to_full`'s fill of full, the colors of g's shared
+    vertices by number, within palette >= n; full is extended in place.
+    Raises ValueError for the first clique that repeats a color or holds
+    one outside 1..palette, at its least such vertex."""
+    colors = set(range(1, palette + 1))
     for idx, used in enumerate(_clique_colors(g, full), start=1):
-        free = palette.difference(used)
-        if len(free) + len(used) != n:  # a repeat, or a color outside
-            seen = set()
-            for c in used:
-                if not 1 <= c <= n:
+        free = colors.difference(used)
+        if len(free) + len(used) != palette:  # a repeat, or a color outside
+            numbering, seen = g.numbering, set()
+            at = [k for k, ix in enumerate(numbering.shared_cliques)
+                  if idx in ix]
+            for k in sorted(at, key=numbering.key):
+                c = full[k]
+                if not 1 <= c <= palette:
                     raise ValueError(
-                        f"clique {idx}: color {c} outside the palette 1..{n}"
+                        f"clique {idx}: color {c} outside the palette "
+                        f"1..{palette}"
                     )
                 if c in seen:
                     raise ValueError(
                         f"clique {idx}: shared coloring repeats color {c}"
                     )
                 seen.add(c)
-        full += sorted(free)
-    return FullColoring(n, NumberedColors(g, full))
+        full += sorted(free)[:g.n - len(used)]
+    return FullColoring(palette, NumberedColors(g, full))
 
 
 def check_proper(g: EflGraph, coloring) -> ProperCheck:

@@ -5,25 +5,27 @@ Three engines: the chromatic number of a small EFL graph, palette-limited
 coloring of a clique decomposition, and exhaustive enumeration of the
 decompositions of K_n whose cliques all have size 2 or size r, swept for
 n-colorability.  The chromatic number of a two-clique EFL graph is n,
-certified by the checked closed-form coloring; a palette whose color
-classes cannot cover a decomposition's clique-vertex incidences is
-refuted by counting.  Searches are deterministic: fail-first branching
+certified by the checked closed-form coloring; any other graph is colored
+on the cliques of its decomposition, palettes n, n + 1, ... in turn.
+Every palette question goes to one mask-level function over the
+cliques' intersection masks, :func:`_color_masks`: a palette whose color
+classes cannot cover the clique-vertex incidences is refuted by
+counting; any other is searched, deterministically: fail-first branching
 (fewest feasible colors, ties to the lowest index, colors in ascending
-order), with symmetry fixing that pre-colors one clique to collapse color
-permutations.  The engine is iterative and bit-parallel: an explicit
-stack instead of recursion, so there is no recursion-depth limit, and
-graphs and color domains held as int bitmasks.  Its branching order, and
-so every node count, verdict and witness, is that of the recursive engine
-it replaced.  A negative answer is reported only after the search space
-is exhausted or the counting bound refutes the palette; running out of
-node budget is a distinct outcome, never conflated with a proof.
-Sweeps split their instance stream into deterministic shards, one per
-usable CPU, swept in forked workers; the merged report is the same
-whatever the CPU count.  A sweep leaf whose first-fit coloring, kept by
-the enumerator, gives no two cliques of one color a common vertex is
-certified at 0 nodes; any other is searched on the intersection masks of
-its clique list, through the mask-level search core of
-:func:`color_decomposition`.
+order), with symmetry fixing that pre-colors a greedy clique to collapse
+color permutations.  The engine is iterative and bit-parallel: an
+explicit stack instead of recursion, so there is no recursion-depth
+limit, and graphs and color domains held as int bitmasks.  Its branching
+order, and so every node count, verdict and witness, is that of the
+recursive engine it replaced.  A negative answer is reported only after
+the search space is exhausted or the counting bound refutes the palette;
+running out of node budget is a distinct outcome, never conflated with a
+proof.  Sweeps split their instance stream into deterministic shards,
+one per usable CPU, swept in forked workers; the merged report is the
+same whatever the CPU count.  A sweep leaf whose first-fit coloring,
+kept by the enumerator, gives no two cliques of one color a common
+vertex is certified at 0 nodes; any other goes to :func:`_color_masks`
+on the intersection masks of its clique list.
 """
 
 from __future__ import annotations
@@ -37,13 +39,20 @@ from time import perf_counter
 from typing import Callable, Iterator, Optional
 
 from . import shards as _shards
-from .coloring import FullColoring, check_proper, color_shared, extend_to_full
-from .core import EflGraph, vertex_key
+from .coloring import (
+    FullColoring,
+    check_proper,
+    color_shared,
+    extend_to_full,
+    _fill,
+)
+from .core import EflGraph
 from .decomposition import (
     CliqueDecomposition,
     DecompositionColoring,
     clique_masks,
     complete_host,
+    efl_to_decomposition,
     first_clash,
     intersection_masks,
 )
@@ -245,16 +254,6 @@ def _greedy_clique(nb):
     return sorted(clique)
 
 
-def _checked_witness(g: EflGraph, witness: FullColoring) -> FullColoring:
-    """witness, once check_proper passes it; AssertionError otherwise."""
-    chk = check_proper(g, witness)
-    if not chk:
-        raise AssertionError(
-            f"solver produced an improper witness: {chk.reason}"
-        )
-    return witness
-
-
 def chromatic_number(
     g: EflGraph, cfg: SearchConfig = SearchConfig()
 ) -> ChromaticResult:
@@ -262,77 +261,52 @@ def chromatic_number(
 
     The defining clique Q_1 forces chi >= n.  When every shared vertex
     lies in exactly two defining cliques, the closed-form coloring
-    extended to all vertices uses n colors; once it passes check_proper it
-    certifies chi = n with no search (0 nodes).  Any other graph goes to
-    the palette search of :func:`_chromatic_search`.  Raises
-    AssertionError when a witness fails its check, and BudgetExhausted
-    when the search's node budget runs out.
-    """
-    if not g.is_two_clique:
-        return _chromatic_search(g, cfg)
-    t0 = perf_counter()
-    try:
-        witness = extend_to_full(g, color_shared(g))
-    except ValueError as e:  # the shared coloring repeats a color
-        raise AssertionError(
-            f"closed form produced an improper coloring: {e}"
-        ) from None
-    return ChromaticResult(
-        g.n, _checked_witness(g, witness), 0, perf_counter() - t0
-    )
-
-
-def _chromatic_search(g: EflGraph, cfg: SearchConfig) -> ChromaticResult:
-    """Chromatic number by search, palettes tried upward from n.
-
-    Q_1 forces chi >= n, so the first success is exact.  Symmetry fixing
-    pre-colors Q_1 1..n in vertex order, which is sound because any
-    proper coloring permutes onto such an assignment.  Raises
-    BudgetExhausted when the cumulative node budget runs out.
+    extended to all vertices certifies chi = n with no search (0 nodes).
+    Otherwise shared vertices are adjacent exactly when their cliques
+    meet, and at a palette k >= n a clique's unshared vertices fit in the
+    colors its shared vertices leave free, so chi is the least k >= n at
+    which :func:`efl_to_decomposition` colors, tried upward against one
+    cumulative node budget; the witness gives each shared vertex its
+    clique's color and fills the rest as :func:`extend_to_full` does.
+    Raises AssertionError when a witness fails check_proper, and
+    BudgetExhausted when the node budget runs out.
     """
     t0 = perf_counter()
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    nb = [0] * len(verts)
-    for q in g.cliques:
-        qi = [index[v] for v in q]
-        mask = sum(1 << i for i in qi)
-        for i in qi:
-            nb[i] |= mask ^ (1 << i)
-    q1 = sorted(g.cliques[0], key=vertex_key)
-    preset = [(index[v], c) for c, v in enumerate(q1, start=1)]
-    total_nodes = 0
     k = g.n
-    while True:
+    total = 0
+    if g.is_two_clique:
         try:
-            found, colors, nodes = _search(
-                nb, k, preset, cfg.node_limit - total_nodes, cfg.progress
+            witness = extend_to_full(g, color_shared(g))
+        except ValueError as e:  # the shared coloring repeats a color
+            raise AssertionError(
+                f"closed form produced an improper coloring: {e}"
+            ) from None
+    else:
+        d = efl_to_decomposition(g)
+        nb = intersection_masks(d)
+        preset = _greedy_preset(nb)
+        sizes = [len(c) for c in d.cliques]
+        while True:
+            status, colors, nodes = _color_masks(
+                nb, preset, k, sum(sizes), gcd(*sizes), g.n,
+                cfg.node_limit - total, cfg.progress,
             )
-        except BudgetExhausted as e:
-            raise BudgetExhausted(total_nodes + e.nodes) from None
-        total_nodes += nodes
-        if found:
-            witness = FullColoring(
-                k, {verts[i]: c for i, c in enumerate(colors)}
-            )
-            return ChromaticResult(
-                k, _checked_witness(g, witness), total_nodes,
-                perf_counter() - t0,
-            )
-        k += 1
-
-
-def _refuted_by_capacity(n: int, incidences: int, g: int, palette: int
-                         ) -> bool:
-    """True when palette colors cannot cover the clique-vertex incidences
-    of cliques, with sizes of gcd g, decomposing a host of order n.
-
-    A color class is a set of pairwise vertex-disjoint cliques, so it
-    covers at most n host vertices, and a multiple of g of them: at most
-    n - n % g.  More incidences than palette such classes can hold means
-    no coloring exists.
-    """
-    return incidences > palette * (n - n % g)
+            total += nodes
+            if status is Status.COLORABLE:
+                break
+            if status is Status.BUDGET_EXHAUSTED:
+                raise BudgetExhausted(total)
+            k += 1
+        color_of = dict(zip(d.cliques, colors))
+        witness = _fill(
+            g, [color_of[ix] for ix in g.numbering.shared_cliques], k
+        )
+    chk = check_proper(g, witness)
+    if not chk:
+        raise AssertionError(
+            f"solver produced an improper witness: {chk.reason}"
+        )
+    return ChromaticResult(k, witness, total, perf_counter() - t0)
 
 
 def color_decomposition(
@@ -341,18 +315,21 @@ def color_decomposition(
     """Color d's cliques within the given palette, or prove it impossible.
 
     A palette that fails the color-class capacity bound is NOT_COLORABLE
-    at 0 nodes; any other goes to the search of
-    :func:`_decomposition_search`.
+    at 0 nodes; any other is searched on d's intersection masks, both by
+    :func:`_color_masks`.  A COLORABLE certificate keeps the caller's
+    palette.
     """
     t0 = perf_counter()
+    nb = intersection_masks(d)
     sizes = [len(c) for c in d.cliques]
-    if sizes and _refuted_by_capacity(
-        d.host.vertex_count, sum(sizes), gcd(*sizes), max(palette, 0)
-    ):
-        return SearchOutcome(
-            Status.NOT_COLORABLE, None, 0, perf_counter() - t0
-        )
-    return _decomposition_search(d, palette, cfg)
+    status, colors, nodes = _color_masks(
+        nb, _greedy_preset(nb), max(palette, 0), sum(sizes), gcd(*sizes),
+        d.host.vertex_count, cfg.node_limit, cfg.progress,
+    )
+    cert = None
+    if status is Status.COLORABLE:
+        cert = DecompositionColoring(palette, dict(enumerate(colors, 1)))
+    return SearchOutcome(status, cert, nodes, perf_counter() - t0)
 
 
 def _greedy_preset(nb) -> list:
@@ -362,18 +339,25 @@ def _greedy_preset(nb) -> list:
     return [(v, c) for c, v in enumerate(_greedy_clique(nb), start=1)]
 
 
-def _mask_search(nb, preset, palette: int, cfg: SearchConfig) -> tuple:
+def _color_masks(nb, preset, palette: int, incidences: int, step: int,
+                 order: int, node_limit: int, progress) -> tuple:
     """(status, colors, nodes) of coloring the intersection graph nb
-    within palette >= 0, with preset from :func:`_greedy_preset`.
+    within palette >= 0, with preset from :func:`_greedy_preset`, of
+    cliques with that many clique-vertex incidences and sizes of gcd step
+    decomposing a host of the given order.
 
-    Branches with fail-first ordering; when the preset alone exceeds the
-    palette the space is exhausted with no search.  A COLORABLE list of
-    colors (colors[t] is clique t + 1's) is re-checked for properness
-    before returning; colors is None otherwise.
+    A color class is a set of pairwise vertex-disjoint cliques, so it
+    covers at most order host vertices, and a multiple of step of them:
+    more incidences than palette such classes hold is NOT_COLORABLE at 0
+    nodes.  Any other palette is searched, node_limit nodes at most.  A
+    COLORABLE list of colors (colors[t] is clique t + 1's) is re-checked
+    for properness; colors is None otherwise.
     """
+    if incidences > palette * (order - order % (step or 1)):
+        return Status.NOT_COLORABLE, None, 0
     try:
         found, colors, nodes = _search(
-            nb, palette, preset, cfg.node_limit, cfg.progress
+            nb, palette, preset, node_limit, progress
         )
     except BudgetExhausted as e:
         return Status.BUDGET_EXHAUSTED, None, e.nodes
@@ -394,23 +378,6 @@ def _checked_colors(nb, colors) -> list:
             f"share a vertex and color {colors[s - 1]}"
         )
     return colors
-
-
-def _decomposition_search(
-    d: CliqueDecomposition, palette: int, cfg: SearchConfig
-) -> SearchOutcome:
-    """Search for a coloring of d's cliques within the given palette, on
-    its intersection masks (:func:`_mask_search`).  A COLORABLE
-    certificate keeps the caller's palette."""
-    t0 = perf_counter()
-    nb = intersection_masks(d)
-    status, colors, nodes = _mask_search(
-        nb, _greedy_preset(nb), max(palette, 0), cfg
-    )
-    cert = None
-    if status is Status.COLORABLE:
-        cert = DecompositionColoring(palette, dict(enumerate(colors, 1)))
-    return SearchOutcome(status, cert, nodes, perf_counter() - t0)
 
 
 # the largest order a sweep accepts.  The enumerator builds its table of
@@ -582,16 +549,16 @@ def _color_leaf(n, r, leaf, preset, palette: int, cfg) -> tuple:
     """(status, nodes) of :func:`color_decomposition` at palette >= 0 for
     the decomposition of a leaf of :func:`_two_r_leaves`, given as
     (twos, chosen, nb) with nb the :func:`clique_masks` of twos + chosen,
-    from the leaf and its greedy preset: the capacity bound from its
-    clique counts, then :func:`_mask_search` on its masks.  At palette n,
-    a sweep calls it only for a leaf whose first-fit colors are None."""
+    from the leaf and its greedy preset: :func:`_color_masks` with the
+    capacity bound's counts taken from the leaf's clique counts.  At
+    palette n, a sweep calls it only for a leaf whose first-fit colors
+    are None."""
     twos, chosen, nb = leaf
-    if _refuted_by_capacity(
-        n, 2 * len(twos) + r * len(chosen),
-        gcd(2 if twos else 0, r if chosen else 0), palette,
-    ):
-        return Status.NOT_COLORABLE, 0
-    status, _, nodes = _mask_search(nb, preset, palette, cfg)
+    status, _, nodes = _color_masks(
+        nb, preset, palette, 2 * len(twos) + r * len(chosen),
+        gcd(2 if twos else 0, r if chosen else 0), n,
+        cfg.node_limit, cfg.progress,
+    )
     return status, nodes
 
 

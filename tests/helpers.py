@@ -2,13 +2,15 @@
 
 Everything here recomputes answers from first principles (pairwise scans,
 exhaustive enumeration, graph rebuilds, the recursive search engine and
-enumerator, the first-fit clique coloring, the serial sweep, the
+enumerator, a chromatic number searched over every vertex of an EFL
+graph, the first-fit clique coloring, the serial sweep, the
 round-robin edge coloring, the dict-at-a-time coloring reader, the
 per-vertex closed form and properness check, the sweep report as a dict
 for the JSON encoder) so the library's own fast paths are never trusted
 to check themselves.  The explicit-clique graph reader and the
 decomposition validator are copied here as they were on vertex objects
-and edge tuples, with seeded triangle packings of K_n to run them on.
+and edge tuples, with seeded triangle and 4-clique packings of K_n to
+run them on.
 """
 
 from itertools import combinations, product
@@ -354,6 +356,32 @@ def triangle_packing(n: int, rng) -> list:
     return sorted(free) + sorted(triangles)
 
 
+def four_clique_packing(n: int, rng) -> list:
+    """A decomposition of K_n into seeded edge-disjoint 4-cliques and the
+    2-cliques they leave, as :func:`triangle_packing` builds one of
+    triangles."""
+    free = set(combinations(range(1, n + 1), 2))
+    quads = list(combinations(range(1, n + 1), 4))
+    rng.shuffle(quads)
+    kept = []
+    for q in quads:
+        edges = set(combinations(q, 2))
+        if edges <= free:
+            free -= edges
+            kept.append(q)
+    return sorted(free) + sorted(kept)
+
+
+def complete_with_triangle(n: int) -> EflGraph:
+    """The EFL graph of K_n's edges with the triangle (1, 2, 3) in place
+    of its three edges: one shared vertex in three defining cliques."""
+    cliques = [e for e in combinations(range(1, n + 1), 2)
+               if not set(e) <= {1, 2, 3}]
+    return decomposition_to_efl(
+        validate_decomposition(complete_host(n), cliques + [(1, 2, 3)])
+    )
+
+
 def mixed_graph(n: int, rng) -> EflGraph:
     """The EFL graph of a seeded triangle packing of K_n, on vertex
     objects, with a general vertex in one clique (the last slot of a
@@ -511,6 +539,26 @@ def reference_search(neighbors, palette, preset, node_limit, progress=None,
 
     found = extend()
     return found, (color[:] if found else None), state["nodes"]
+
+
+def reference_chromatic(g: EflGraph, node_limit: int = 10**6) -> tuple:
+    """(chi, witness) of g by :func:`reference_search` over every vertex
+    of g, with no preset, palettes tried upward from n, which the
+    defining clique Q_1 forces: a vertex-level search that shares no code
+    with the solver's search on the decomposition's cliques."""
+    verts = sorted(g.vertex_set, key=vertex_key)
+    index = {v: i for i, v in enumerate(verts)}
+    neighbors = [set() for _ in verts]
+    for q in g.cliques:
+        for u in q:
+            neighbors[index[u]].update(index[w] for w in q if w != u)
+    neighbors = [sorted(s) for s in neighbors]
+    k = g.n
+    while True:
+        found, colors, _ = reference_search(neighbors, k, [], node_limit)
+        if found:
+            return k, FullColoring(k, dict(zip(verts, colors)))
+        k += 1
 
 
 def reference_enumerate_two_r(n, r):

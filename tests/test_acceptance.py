@@ -28,9 +28,7 @@ from eflcolor.decomposition import (
     validate_decomposition,
 )
 from eflcolor.serialize import dumps, graph_to_json
-from eflcolor import solver
 from eflcolor.solver import (
-    SearchConfig,
     Status,
     chromatic_number,
     color_decomposition,
@@ -41,6 +39,7 @@ from helpers import (
     FANO_TRIANGLES,
     edge_disjoint_r_families,
     family_to_clique_list,
+    reference_chromatic,
     round_robin_edge_coloring,
 )
 
@@ -138,13 +137,14 @@ def test_criterion_4_chromatic_numbers_match(capsys):
     for n in range(2, 7):
         g = build_maximal(n)
         result = chromatic_number(g)
-        # the closed-form certificate, confirmed by exhaustive search
-        searched = solver._chromatic_search(g, SearchConfig())
+        # the closed-form certificate, confirmed by an independent
+        # vertex-level search with no preset
+        searched_value, searched_witness = reference_chromatic(g)
         constructive = extend_to_full(g, color_shared(g))
         upper = len(set(constructive.colors.values()))
         if result.value != n or upper != n or not check_proper(g, result.witness):
             bad.append(n)
-        if searched.value != n or not check_proper(g, searched.witness):
+        if searched_value != n or not check_proper(g, searched_witness):
             bad.append(n)
     elapsed = time.perf_counter() - t0
     with capsys.disabled():

@@ -18,7 +18,11 @@ from eflcolor import coloring, solver
 from eflcolor.cli import main
 from eflcolor.coloring import FullColoring
 from eflcolor.core import build_from_pairs, build_maximal
-from eflcolor.decomposition import complete_host, validate_decomposition
+from eflcolor.decomposition import (
+    complete_host,
+    intersection_masks,
+    validate_decomposition,
+)
 from eflcolor.serialize import dumps, graph_to_json
 from eflcolor.solver import (
     SearchConfig,
@@ -27,6 +31,7 @@ from eflcolor.solver import (
     color_decomposition,
     enumerate_two_r_decompositions,
 )
+from helpers import reference_chromatic
 
 CFG = SearchConfig()
 
@@ -51,30 +56,39 @@ def affine_plane_of_order_3():
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The outcomes of every search color_decomposition delegates to."""
+    """The outcomes of every search color_decomposition runs, each as
+    (found, colors, nodes) from the engine."""
     calls = []
-    search = solver._decomposition_search
+    search = solver._search
 
-    def spy(d, palette, cfg):
-        calls.append(search(d, palette, cfg))
+    def spy(*args):
+        calls.append(search(*args))
         return calls[-1]
 
-    monkeypatch.setattr(solver, "_decomposition_search", spy)
+    monkeypatch.setattr(solver, "_search", spy)
     return calls
 
 
 def assert_matches_search(d, palette, searches):
     """color_decomposition either returns the search's own outcome, or
-    refutes the palette at 0 nodes where the search exhausts it.  Returns
-    the outcome and whether the bound refuted the palette."""
+    refutes the palette at 0 nodes where the search, run with no bound,
+    exhausts it.  Returns the outcome and whether the bound refuted the
+    palette."""
     searches.clear()
     got = color_decomposition(d, palette)
     if searches:
-        assert got is searches[0]
+        found, colors, nodes = searches[0]
+        assert (got.status is Status.COLORABLE) == found
+        assert got.nodes == nodes
+        if found:
+            assert got.certificate.colors == dict(enumerate(colors, 1))
         return got, False
     assert (got.status, got.nodes) == (Status.NOT_COLORABLE, 0)
-    out = solver._decomposition_search(d, palette, CFG)
-    assert out.status is Status.NOT_COLORABLE, (d.cliques, palette)
+    nb = intersection_masks(d)
+    found, _, _ = solver._search(
+        nb, max(palette, 0), solver._greedy_preset(nb), CFG.node_limit
+    )
+    assert not found, (d.cliques, palette)
     return got, True
 
 
@@ -121,7 +135,7 @@ def test_random_pair_subsets_match_search():
         g = build_from_pairs(n, pairs)
         got = chromatic_number(g)
         assert (got.value, got.nodes) == (n, 0)
-        assert solver._chromatic_search(g, CFG).value == n
+        assert reference_chromatic(g)[0] == n
 
 
 @pytest.mark.parametrize("n", [11, 13, 60])

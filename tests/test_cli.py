@@ -19,13 +19,12 @@ from eflcolor.serialize import (
     graph_to_json,
 )
 from eflcolor.decomposition import (
-    HostGraph,
     complete_host,
     decomposition_to_efl,
     efl_to_decomposition,
     validate_decomposition,
 )
-from helpers import FANO_TRIANGLES
+from helpers import FANO_TRIANGLES, complete_with_triangle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -97,7 +96,12 @@ class TestColor:
         gfile = str(tmp_path / "hub.json")
         assert main(["to-efl", "--in", dfile, "--out", gfile]) == 0
         assert main(["color", "--in", gfile]) == 3
-        assert "decompose" in capsys.readouterr().err
+        assert "`chromatic --in FILE --out W`" in capsys.readouterr().err
+        # which writes a coloring that verify accepts
+        witness = str(tmp_path / "w.json")
+        assert main(["chromatic", "--in", gfile, "--out", witness]) == 0
+        assert main(["verify", "--graph", gfile, "--coloring", witness]) == 0
+        assert capsys.readouterr().out == "3\nproper\n"
 
 
 class TestVerify:
@@ -256,19 +260,16 @@ class TestChromatic:
         ]) == 4
 
     def test_search_deeper_than_recursion_limit(self, tmp_path, capsys):
-        # 1,595 vertices, one node each, and host vertices 5, 6, 7 share
-        # one vertex, so the graph is searched: the recursive engine
-        # raised RecursionError here
-        cliques = [(1, 2), (2, 3), (3, 4), (5, 6, 7)]
-        edges = [e for c in cliques for e in combinations(c, 2)]
-        d = validate_decomposition(HostGraph.from_edges(40, edges), cliques)
-        g = decomposition_to_efl(d)
-        assert len(g.vertex_set) == 1595
+        # K_46's edges with one triangle: the search on its 1,033 cliques
+        # holds one frame per colored clique, deeper than the recursion
+        # limit that a recursive engine would raise RecursionError at
+        g = complete_with_triangle(46)
+        assert len(efl_to_decomposition(g).cliques) == 1033
         graph = write(tmp_path, "g.json", graph_to_json(g))
         assert main(["chromatic", "--in", graph]) == 0
         out = capsys.readouterr()
-        assert out.out == "40\n"
-        assert "nodes explored: 1595" in out.err
+        assert out.out == "46\n"
+        assert "nodes explored: 1633" in out.err
 
 
 class TestDecomposeAndBack:

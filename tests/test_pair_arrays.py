@@ -56,6 +56,7 @@ from eflcolor.serialize import (
 from eflcolor.solver import chromatic_number
 from helpers import (
     FANO_TRIANGLES,
+    four_clique_packing,
     reference_check_proper,
     reference_color_shared,
     reference_extend_to_full,
@@ -176,22 +177,6 @@ def test_corruptions_give_the_oracle_answers(name, g):
                 reference_extend_to_full, g, c
             ), kind
     assert seen["missing"] and seen["outside"] and seen["unknown"]
-
-
-def four_clique_packing(n: int, rng) -> list:
-    """A decomposition of K_n into seeded edge-disjoint 4-cliques and the
-    2-cliques they leave, as :func:`helpers.triangle_packing` builds one
-    of triangles."""
-    free = set(combinations(range(1, n + 1), 2))
-    quads = list(combinations(range(1, n + 1), 4))
-    rng.shuffle(quads)
-    kept = []
-    for q in quads:
-        edges = set(combinations(q, 2))
-        if edges <= free:
-            free -= edges
-            kept.append(q)
-    return sorted(free) + sorted(kept)
 
 
 def _packed_graphs():

@@ -35,6 +35,7 @@ from eflcolor.solver import (
 )
 from helpers import (
     FANO_TRIANGLES,
+    complete_with_triangle,
     first_fit_colors,
     reference_enumerate_two_r,
     reference_search,
@@ -276,18 +277,6 @@ def test_sweep_instances_match_reference(reference_solver):
         ), (d.cliques, p)
 
 
-def test_chromatic_numbers_match_reference(reference_solver):
-    # the search behind chromatic_number, which certifies these two-clique
-    # graphs by the closed form without searching
-    graphs = [build_maximal(n) for n in range(2, 9)]
-    cfg = SearchConfig()
-    got = [solver._chromatic_search(g, cfg) for g in graphs]
-    reference_solver()
-    want = [solver._chromatic_search(g, cfg) for g in graphs]
-    for a, b in zip(got, want):
-        assert (a.value, a.nodes, a.witness) == (b.value, b.nodes, b.witness)
-
-
 def test_chromatic_search_on_three_clique_graphs_matches_reference(
     reference_solver,
 ):
@@ -326,14 +315,29 @@ def two_clique_decomposition(n):
     )
 
 
+SEARCHED = {
+    "fano": lambda: decomposition_to_efl(
+        validate_decomposition(complete_host(7), FANO_TRIANGLES)
+    ),
+    "K9_triangle": lambda: complete_with_triangle(9),
+    "K11_triangle": lambda: complete_with_triangle(11),
+}
+
+
 class TestNodeCeilings:
     """Node counts of the engine at the time these tests were written;
     pruning may lower them, nothing may raise them."""
 
-    @pytest.mark.parametrize("n,ceiling", [(7, 305), (8, 36)])
-    def test_chromatic(self, n, ceiling):
-        result = solver._chromatic_search(build_maximal(n), SearchConfig())
-        assert result.value == n
+    @pytest.mark.parametrize(
+        "name,ceiling",
+        [("fano", 7), ("K9_triangle", 158), ("K11_triangle", 141252)],
+    )
+    def test_chromatic(self, name, ceiling):
+        # graphs that are not two-clique, so chromatic_number searches
+        # their decompositions' cliques
+        g = SEARCHED[name]()
+        result = chromatic_number(g, SearchConfig(node_limit=10**6))
+        assert result.value == g.n
         assert result.nodes <= ceiling
 
     @pytest.mark.parametrize(
@@ -365,7 +369,7 @@ class TestNodeCeilings:
 
 def clique_masks(g):
     """Neighbor bitmasks over g.vertices, and Q_1 pre-colored 1..n in
-    vertex order, as the chromatic search sets them up."""
+    vertex order: a search over every vertex of an EFL graph."""
     index = {v: i for i, v in enumerate(g.vertices)}
     nb = [0] * len(index)
     for q in g.cliques:
@@ -378,8 +382,8 @@ def clique_masks(g):
 
 
 def test_budget_past_recursion_limit():
-    # G_46's 1,081 vertices at palette 46 with Q_1 pre-colored, as the
-    # chromatic search starts: the recursive engine raised RecursionError
+    # G_46's 1,081 vertices at palette 46 with Q_1 pre-colored: the
+    # recursive engine raised RecursionError
     g = build_maximal(46)
     nb, preset = clique_masks(g)
     with pytest.raises(BudgetExhausted) as info:

@@ -82,12 +82,12 @@ class TestChromaticNumber:
         assert chromatic_number(g).value == 3
 
     def test_symmetry_fixing_matches_plain_search(self):
-        g = build_maximal(4)
-        # the search behind chromatic_number, which certifies G_4 by the
-        # closed form without searching
-        fixed = solver._chromatic_search(g, SearchConfig())
-        # plain search: the same engine with no preset, palettes upward
-        # from n as the chromatic search tries them
+        # the Fano EFL graph is not two-clique, so chromatic_number
+        # searches its decomposition's cliques with a greedy preset
+        g = decomposition_to_efl(fano_decomposition())
+        fixed = chromatic_number(g)
+        # plain search: the same engine on every vertex of the graph with
+        # no preset, palettes upward from n
         verts = g.vertices
         nb = [
             sum(1 << i for i, u in enumerate(verts) if adjacency(g, u, v))
@@ -100,7 +100,7 @@ class TestChromaticNumber:
             if found:
                 break
             palette += 1
-        assert fixed.value == palette == 4
+        assert fixed.value == palette == 7
         assert fixed.nodes <= plain_nodes
 
     def test_budget_exhaustion_raises(self):
