@@ -4,28 +4,30 @@ first, backtracking search only when neither settles the question.
 Three engines: the chromatic number of a small EFL graph, palette-limited
 coloring of a clique decomposition, and exhaustive enumeration of the
 decompositions of K_n whose cliques all have size 2 or size r, swept for
-n-colorability.  The chromatic number of a two-clique EFL graph is n,
-certified by the checked closed-form coloring; any other graph is colored
-on the cliques of its decomposition, palettes n, n + 1, ... in turn.
-Every palette question goes to one mask-level function over the
-cliques' intersection masks, :func:`_color_masks`: a palette whose color
-classes cannot cover the clique-vertex incidences is refuted by
-counting; any other is searched, deterministically: fail-first branching
-(fewest feasible colors, ties to the lowest index, colors in ascending
-order), with symmetry fixing that pre-colors a greedy clique to collapse
-color permutations.  The engine is iterative and bit-parallel: an
-explicit stack instead of recursion, so there is no recursion-depth
-limit, and graphs and color domains held as int bitmasks.  Its branching
-order, and so every node count, verdict and witness, is that of the
-recursive engine it replaced.  A negative answer is reported only after
-the search space is exhausted or the counting bound refutes the palette;
-running out of node budget is a distinct outcome, never conflated with a
-proof.  Sweeps split their instance stream into deterministic shards,
-one per usable CPU, swept in forked workers; the merged report is the
-same whatever the CPU count.  A sweep leaf whose first-fit coloring,
-kept by the enumerator, gives no two cliques of one color a common
-vertex is certified at 0 nodes; any other goes to :func:`_color_masks`
-on the intersection masks of its clique list.
+n-colorability.  Every palette question is asked of a list of cliques,
+by one function, :func:`_color_cliques`: a graph is colored on the
+cliques of its decomposition, palettes n, n + 1, ... in turn.  A palette
+whose color classes cannot cover the clique-vertex incidences is refuted
+by counting.  A decomposition made only of 2-cliques is colored, at any
+palette the closed form fits in, by the paper's coloring: the clique
+(i, j) stands for the vertex shared by Q_i and Q_j, and takes
+:func:`eflcolor.coloring.pair_color`, an edge coloring of K_n.  Any other
+palette is searched, deterministically: fail-first branching (fewest
+feasible colors, ties to the lowest index, colors in ascending order),
+with symmetry fixing that pre-colors a greedy clique to collapse color
+permutations.  The engine is iterative and bit-parallel: an explicit
+stack instead of recursion, so there is no recursion-depth limit, and
+graphs and color domains held as int bitmasks.  Its branching order, and
+so every node count, verdict and witness, is that of the recursive
+engine it replaced.  A negative answer is reported only after the search
+space is exhausted or the counting bound refutes the palette; running
+out of node budget is a distinct outcome, never conflated with a proof.
+Every certificate is checked before it leaves this module, by the caller
+that hands it out.  Sweeps split their instance stream into
+deterministic shards, one per usable CPU, swept in forked workers; the
+merged report is the same whatever the CPU count.  A sweep leaf whose
+first-fit coloring, kept by the enumerator, fits in palette n is
+certified at 0 nodes; any other goes to :func:`_color_cliques`.
 """
 
 from __future__ import annotations
@@ -39,13 +41,7 @@ from time import perf_counter
 from typing import Callable, Iterator, Optional
 
 from . import shards as _shards
-from .coloring import (
-    FullColoring,
-    check_proper,
-    color_shared,
-    extend_to_full,
-    _fill,
-)
+from .coloring import FullColoring, check_proper, pair_color, _fill
 from .core import EflGraph
 from .decomposition import (
     CliqueDecomposition,
@@ -259,48 +255,42 @@ def chromatic_number(
 ) -> ChromaticResult:
     """Exact chromatic number of an EFL graph, with a verified witness.
 
-    The defining clique Q_1 forces chi >= n.  When every shared vertex
-    lies in exactly two defining cliques, the closed-form coloring
-    extended to all vertices certifies chi = n with no search (0 nodes).
-    Otherwise shared vertices are adjacent exactly when their cliques
-    meet, and at a palette k >= n a clique's unshared vertices fit in the
-    colors its shared vertices leave free, so chi is the least k >= n at
-    which :func:`efl_to_decomposition` colors, tried upward against one
-    cumulative node budget; the witness gives each shared vertex its
-    clique's color and fills the rest as :func:`extend_to_full` does.
-    Raises AssertionError when a witness fails check_proper, and
+    The defining clique Q_1 forces chi >= n.  Shared vertices are
+    adjacent exactly when their cliques meet, and at a palette k >= n a
+    clique's unshared vertices fit in the colors its shared vertices
+    leave free, so chi is the least k >= n at which the cliques of
+    :func:`efl_to_decomposition` color, tried upward against one
+    cumulative node budget.  A two-clique graph's cliques are all
+    2-cliques, colored at k = n by the closed form (0 nodes).  The
+    witness gives each shared vertex its clique's color and fills the
+    rest as :func:`eflcolor.coloring.extend_to_full` does.  Raises
+    AssertionError when the fill or check_proper rejects the witness, and
     BudgetExhausted when the node budget runs out.
     """
     t0 = perf_counter()
+    d = efl_to_decomposition(g)
     k = g.n
     total = 0
-    if g.is_two_clique:
-        try:
-            witness = extend_to_full(g, color_shared(g))
-        except ValueError as e:  # the shared coloring repeats a color
-            raise AssertionError(
-                f"closed form produced an improper coloring: {e}"
-            ) from None
-    else:
-        d = efl_to_decomposition(g)
-        nb = intersection_masks(d)
-        preset = _greedy_preset(nb)
-        sizes = [len(c) for c in d.cliques]
-        while True:
-            status, colors, nodes = _color_masks(
-                nb, preset, k, sum(sizes), gcd(*sizes), g.n,
-                cfg.node_limit - total, cfg.progress,
-            )
-            total += nodes
-            if status is Status.COLORABLE:
-                break
-            if status is Status.BUDGET_EXHAUSTED:
-                raise BudgetExhausted(total)
-            k += 1
-        color_of = dict(zip(d.cliques, colors))
-        witness = _fill(
-            g, [color_of[ix] for ix in g.numbering.shared_cliques], k
+    while True:
+        status, colors, nodes = _color_cliques(
+            d.cliques, k, g.n, cfg.node_limit - total, cfg.progress
         )
+        total += nodes
+        if status is Status.COLORABLE:
+            break
+        if status is Status.BUDGET_EXHAUSTED:
+            raise BudgetExhausted(total)
+        k += 1
+    shared = g.numbering.shared_cliques
+    if d.cliques != shared:  # d orders its cliques by size first
+        color_of = dict(zip(d.cliques, colors))
+        colors = [color_of[ix] for ix in shared]
+    try:
+        witness = _fill(g, colors, k)
+    except ValueError as e:  # a clique repeats a color, or holds one above k
+        raise AssertionError(
+            f"solver produced an improper witness: {e}"
+        ) from None
     chk = check_proper(g, witness)
     if not chk:
         raise AssertionError(
@@ -314,20 +304,20 @@ def color_decomposition(
 ) -> SearchOutcome:
     """Color d's cliques within the given palette, or prove it impossible.
 
-    A palette that fails the color-class capacity bound is NOT_COLORABLE
-    at 0 nodes; any other is searched on d's intersection masks, both by
-    :func:`_color_masks`.  A COLORABLE certificate keeps the caller's
-    palette.
+    :func:`_color_cliques` answers: a palette that fails the color-class
+    capacity bound is NOT_COLORABLE at 0 nodes, the closed form colors
+    2-cliques at 0 nodes, and any other palette is searched.  A COLORABLE
+    certificate passes first_clash on d's intersection masks, and keeps
+    the caller's palette.
     """
     t0 = perf_counter()
-    nb = intersection_masks(d)
-    sizes = [len(c) for c in d.cliques]
-    status, colors, nodes = _color_masks(
-        nb, _greedy_preset(nb), max(palette, 0), sum(sizes), gcd(*sizes),
-        d.host.vertex_count, cfg.node_limit, cfg.progress,
+    status, colors, nodes = _color_cliques(
+        d.cliques, max(palette, 0), d.host.vertex_count, cfg.node_limit,
+        cfg.progress,
     )
     cert = None
     if status is Status.COLORABLE:
+        _checked_colors(intersection_masks(d), colors)
         cert = DecompositionColoring(palette, dict(enumerate(colors, 1)))
     return SearchOutcome(status, cert, nodes, perf_counter() - t0)
 
@@ -339,31 +329,39 @@ def _greedy_preset(nb) -> list:
     return [(v, c) for c, v in enumerate(_greedy_clique(nb), start=1)]
 
 
-def _color_masks(nb, preset, palette: int, incidences: int, step: int,
-                 order: int, node_limit: int, progress) -> tuple:
-    """(status, colors, nodes) of coloring the intersection graph nb
-    within palette >= 0, with preset from :func:`_greedy_preset`, of
-    cliques with that many clique-vertex incidences and sizes of gcd step
-    decomposing a host of the given order.
+def _color_cliques(cliques, palette: int, order: int, node_limit: int,
+                   progress) -> tuple:
+    """(status, colors, nodes) of coloring cliques, those of a
+    decomposition of a host of the given order, within palette >= 0:
+    colors[t] is clique t + 1's color when COLORABLE, and None otherwise.
+    The colors are not checked here: each caller checks the certificate
+    it hands out.
 
     A color class is a set of pairwise vertex-disjoint cliques, so it
-    covers at most order host vertices, and a multiple of step of them:
-    more incidences than palette such classes hold is NOT_COLORABLE at 0
-    nodes.  Any other palette is searched, node_limit nodes at most.  A
-    COLORABLE list of colors (colors[t] is clique t + 1's) is re-checked
-    for properness; colors is None otherwise.
+    covers at most order host vertices, and a multiple of the gcd of the
+    clique sizes: more clique-vertex incidences than palette such classes
+    hold is NOT_COLORABLE at 0 nodes.  When every clique is a 2-clique
+    and the palette holds the closed form's, n - 1 for an even order n
+    and n for an odd one, clique (i, j) takes pair_color(order, i, j) at
+    0 nodes.  Any other palette is searched on the cliques' intersection
+    masks, node_limit nodes at most.
     """
-    if incidences > palette * (order - order % (step or 1)):
+    sizes = [len(c) for c in cliques]
+    step = gcd(*sizes) or 1
+    if sum(sizes) > palette * (order - order % step):
         return Status.NOT_COLORABLE, None, 0
+    if set(sizes) <= {2} and palette >= order - 1 + order % 2:
+        return Status.COLORABLE, [pair_color(order, *c) for c in cliques], 0
+    nb = clique_masks(cliques)
     try:
         found, colors, nodes = _search(
-            nb, palette, preset, node_limit, progress
+            nb, palette, _greedy_preset(nb), node_limit, progress
         )
     except BudgetExhausted as e:
         return Status.BUDGET_EXHAUSTED, None, e.nodes
     if not found:
         return Status.NOT_COLORABLE, None, nodes
-    return Status.COLORABLE, _checked_colors(nb, colors), nodes
+    return Status.COLORABLE, colors, nodes
 
 
 def _checked_colors(nb, colors) -> list:
@@ -531,8 +529,7 @@ class SweepReport:
     probe settles no minimum, so the instance is counted colorable (the
     palette n search succeeded) but has no min_palettes entry.
     max_nodes is the most search nodes of an instance at palette n; one
-    certified by its first-fit coloring, checked by color class on its
-    cliques, counts 0.
+    certified by its first-fit coloring or by the closed form counts 0.
     """
 
     n: int
@@ -543,23 +540,6 @@ class SweepReport:
     budget_exhausted: list
     max_nodes: int
     min_palettes: Optional[list] = None
-
-
-def _color_leaf(n, r, leaf, preset, palette: int, cfg) -> tuple:
-    """(status, nodes) of :func:`color_decomposition` at palette >= 0 for
-    the decomposition of a leaf of :func:`_two_r_leaves`, given as
-    (twos, chosen, nb) with nb the :func:`clique_masks` of twos + chosen,
-    from the leaf and its greedy preset: :func:`_color_masks` with the
-    capacity bound's counts taken from the leaf's clique counts.  At
-    palette n, a sweep calls it only for a leaf whose first-fit colors
-    are None."""
-    twos, chosen, nb = leaf
-    status, _, nodes = _color_masks(
-        nb, preset, palette, 2 * len(twos) + r * len(chosen),
-        gcd(2 if twos else 0, r if chosen else 0), n,
-        cfg.node_limit, cfg.progress,
-    )
-    return status, nodes
 
 
 def _vertex_bits(n: int, r: int) -> dict:
@@ -590,37 +570,43 @@ def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
     (instances, colorable, max_nodes, not_colorable, budget_exhausted,
     min_palettes).
 
-    A leaf whose first-fit colors pass :func:`_classes_disjoint` is
-    COLORABLE at 0 nodes; should they fail, :func:`_checked_colors` on its
-    masks raises.  Any other leaf is colored by :func:`_color_leaf`.  A
-    leaf's intersection masks and greedy preset are built only when it is
-    searched or probed, and serve every palette probed.
+    A leaf with first-fit colors is COLORABLE at 0 nodes; any other is
+    colored at palette n by :func:`_color_cliques`.  Every coloring, of
+    the leaf or of a downward probe, must pass :func:`_classes_disjoint`;
+    should it fail, :func:`_checked_colors` on the leaf's masks raises.
+    A coloring whose largest color is m proves every palette >= m, so
+    the probes start at palette m - 1.
     """
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
     bits = _vertex_bits(n, r)
+
+    def check(colors):
+        if not _classes_disjoint(bits, n, cliques, colors):
+            _checked_colors(clique_masks(cliques), colors)
+
     for twos, chosen, colors in _two_r_leaves(n, r, shard, shards):
         total += 1
         cliques = twos + chosen
-        if colors is None or minimum_palettes:
-            nb = clique_masks(cliques)
-            leaf, preset = (twos, chosen, nb), _greedy_preset(nb)
+        status = Status.COLORABLE
         if colors is None:
-            status, nodes = _color_leaf(n, r, leaf, preset, n, cfg)
+            status, colors, nodes = _color_cliques(
+                cliques, n, n, cfg.node_limit, cfg.progress
+            )
             max_nodes = max(max_nodes, nodes)
-        else:
-            if not _classes_disjoint(bits, n, cliques, colors):
-                _checked_colors(clique_masks(cliques), colors)
-            status = Status.COLORABLE
         if status is Status.COLORABLE:
+            check(colors)
             colorable += 1
             if not minimum_palettes:
                 continue
-            p = n
+            p = max(colors)
             while p > 0:
-                probe = _color_leaf(n, r, leaf, preset, p - 1, cfg)[0]
+                probe, low, _ = _color_cliques(
+                    cliques, p - 1, n, cfg.node_limit, cfg.progress
+                )
                 if probe is not Status.COLORABLE:
                     break
+                check(low)
                 p -= 1
             if probe is Status.BUDGET_EXHAUSTED:
                 status = probe

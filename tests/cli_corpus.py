@@ -8,9 +8,13 @@ replays every step from the pinned bytes of the step before.
 
 ``python tests/cli_corpus.py`` captures the corpus into
 ``tests/fixtures/cli_corpus/``: one ``<case>.stdout`` per case plus
-``manifest.json`` with the argv, exit code and stderr of each.  Capture
-only on a commit whose outputs are trusted; ``test_cli_corpus.py``
-replays the manifest and requires the same bytes.
+``manifest.json`` with the argv, exit code and stderr of each.
+``python tests/cli_corpus.py NAME ...`` recaptures only the named cases,
+so a change that means to alter some outputs alters no other: every
+other ``.stdout`` and manifest entry is kept byte for byte, and a name
+that is not a case is refused.  Capture only on a commit whose outputs
+are trusted; ``test_cli_corpus.py`` replays the manifest and requires
+the same bytes.
 """
 
 import contextlib
@@ -355,20 +359,41 @@ def run(argv):
     return code, out.getvalue(), err.getvalue().replace(f"{CORPUS}/", "@")
 
 
-def capture():
-    manifest = []
+def capture(names=None):
+    """Capture every case, or only those named, keeping the manifest
+    entries of the others; returns the captured entries."""
+    if names is None:
+        names, kept = [name for name, _ in CASES], {}
+    else:
+        unknown = sorted(set(names) - {name for name, _ in CASES})
+        if unknown:
+            raise SystemExit(f"no such case: {', '.join(unknown)}")
+        manifest = json.loads(
+            (CORPUS / "manifest.json").read_text(encoding="utf-8")
+        )
+        kept = {case["name"]: case for case in manifest}
+        missing = [name for name, _ in CASES
+                   if name not in names and name not in kept]
+        if missing:
+            raise SystemExit(
+                f"cases never captured: {', '.join(missing)}; name them too"
+            )
+    entries = []
     for name, argv in CASES:
+        if name not in names:
+            entries.append(kept[name])
+            continue
         code, out, err = run(argv)
         (CORPUS / f"{name}.stdout").write_text(out, encoding="utf-8")
-        manifest.append(
+        entries.append(
             {"name": name, "argv": argv, "exit": code, "stderr": err}
         )
     (CORPUS / "manifest.json").write_text(
-        json.dumps(manifest, indent=1) + "\n", encoding="utf-8"
+        json.dumps(entries, indent=1) + "\n", encoding="utf-8"
     )
-    return manifest
+    return [case for case in entries if case["name"] in names]
 
 
 if __name__ == "__main__":
-    for case in capture():
+    for case in capture(sys.argv[1:] or None):
         print(f"{case['exit']}  {case['name']}", file=sys.stderr)

@@ -3,14 +3,14 @@
 Everything here recomputes answers from first principles (pairwise scans,
 exhaustive enumeration, graph rebuilds, the recursive search engine and
 enumerator, a chromatic number searched over every vertex of an EFL
-graph, the first-fit clique coloring, the serial sweep, the
-round-robin edge coloring, the dict-at-a-time coloring reader, the
-per-vertex closed form and properness check, the sweep report as a dict
-for the JSON encoder) so the library's own fast paths are never trusted
-to check themselves.  The explicit-clique graph reader and the
-decomposition validator are copied here as they were on vertex objects
-and edge tuples, with seeded triangle and 4-clique packings of K_n to
-run them on.
+graph, the first-fit clique coloring, the serial sweep with its closed
+form and its downward probes, the round-robin edge coloring, the
+dict-at-a-time coloring reader, the per-vertex closed form and
+properness check, the sweep report as a dict for the JSON encoder) so
+the library's own fast paths are never trusted to check themselves.  The
+explicit-clique graph reader and the decomposition validator are copied
+here as they were on vertex objects and edge tuples, with seeded
+triangle and 4-clique packings of K_n to run them on.
 """
 
 from itertools import combinations, product
@@ -635,17 +635,26 @@ def reference_sweep(n, r, cfg, minimum_palettes=False):
     """The sweep as one serial loop over reference_enumerate_two_r: the
     report that eflcolor.solver's sharded sweep must reproduce.  An
     instance that first_fit_colors colors within palette n is colorable
-    at 0 nodes; any other is searched by color_decomposition."""
+    at 0 nodes, and so is K_n's edges, which the closed form colors as
+    round_robin_edge_coloring does, in its chromatic index of colors; any
+    other is searched by color_decomposition.  A coloring whose largest
+    color is m proves every palette from m up, so the downward probes for
+    the least palette start at m - 1."""
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
     for d in reference_enumerate_two_r(n, r):
         cliques = [list(c) for c in d.cliques]
         total += 1
         status = Status.COLORABLE
-        if first_fit_colors(d.cliques, n) is None:
+        colors = first_fit_colors(d.cliques, n)
+        if colors is None and all(len(c) == 2 for c in d.cliques):
+            colors = list(round_robin_edge_coloring(n).values())
+        if colors is None:
             out = color_decomposition(d, n, cfg)
             status = out.status
             max_nodes = max(max_nodes, out.nodes)
+            if out.certificate is not None:
+                colors = list(out.certificate.colors.values())
         if status is Status.NOT_COLORABLE:
             not_col.append(cliques)
         elif status is Status.BUDGET_EXHAUSTED:
@@ -653,7 +662,7 @@ def reference_sweep(n, r, cfg, minimum_palettes=False):
         else:
             colorable += 1
             if minimum_palettes:
-                p = n
+                p = max(colors)
                 probe = Status.NOT_COLORABLE
                 while p > 0:
                     probe = color_decomposition(d, p - 1, cfg).status

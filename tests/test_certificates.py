@@ -1,10 +1,11 @@
-"""The two answers that skip the search, checked against the search.
+"""The answers that skip the search, checked against the search.
 
-chromatic_number certifies chi = n for a two-clique EFL graph with the
-checked closed-form coloring, and color_decomposition refutes a palette
-whose color classes cannot cover the clique-vertex incidences.  Each
-shortcut must agree with the search path it bypasses on every instance
-small enough to search.
+color_decomposition refutes a palette whose color classes cannot cover
+the clique-vertex incidences, and colors a decomposition made only of
+2-cliques by the paper's closed form at any palette that holds it;
+chromatic_number answers a two-clique EFL graph with that closed form on
+its decomposition's cliques.  Each shortcut must agree with the search
+path it bypasses on every instance small enough to search.
 """
 
 import random
@@ -14,22 +15,27 @@ from pathlib import Path
 
 import pytest
 
-from eflcolor import coloring, solver
+from eflcolor import solver
 from eflcolor.cli import main
-from eflcolor.coloring import FullColoring
+from eflcolor.coloring import FullColoring, pair_color
 from eflcolor.core import build_from_pairs, build_maximal
 from eflcolor.decomposition import (
+    DecompositionColoring,
+    HostGraph,
+    check_decomposition_coloring,
     complete_host,
     intersection_masks,
     validate_decomposition,
 )
 from eflcolor.serialize import dumps, graph_to_json
 from eflcolor.solver import (
+    BudgetExhausted,
     SearchConfig,
     Status,
     chromatic_number,
     color_decomposition,
     enumerate_two_r_decompositions,
+    sweep_two_r_decompositions,
 )
 from helpers import reference_chromatic
 
@@ -69,11 +75,41 @@ def searches(monkeypatch):
     return calls
 
 
+def closed_form_palette(n):
+    """The least palette the closed form colors K_n's edges in, its
+    chromatic index: n - 1 for even n, n for odd n."""
+    return n - 1 + n % 2
+
+
+def bound_free_search(d, palette, node_limit=CFG.node_limit):
+    """Whether _search, with neither the capacity bound nor the closed
+    form in front of it, colors d's intersection masks."""
+    nb = intersection_masks(d)
+    return solver._search(
+        nb, max(palette, 0), solver._greedy_preset(nb), node_limit
+    )[0]
+
+
+def assert_closed_form(d, got):
+    """got is the closed form's coloring of d's 2-cliques at 0 nodes, and
+    proper as an n-coloring of d."""
+    n = d.host.vertex_count
+    assert (got.status, got.nodes) == (Status.COLORABLE, 0)
+    assert got.certificate.colors == {
+        t: pair_color(n, *c) for t, c in enumerate(d.cliques, start=1)
+    }
+    checked = check_decomposition_coloring(
+        d, DecompositionColoring(n, got.certificate.colors)
+    )
+    assert checked, (d.cliques, checked.reason)
+
+
 def assert_matches_search(d, palette, searches):
     """color_decomposition either returns the search's own outcome, or
-    refutes the palette at 0 nodes where the search, run with no bound,
-    exhausts it.  Returns the outcome and whether the bound refuted the
-    palette."""
+    answers at 0 nodes with no search where the search, run with no
+    bound and no closed form, agrees: the bound refutes the palette, or
+    the closed form colors 2-cliques.  Returns the outcome and whether the
+    bound refuted the palette."""
     searches.clear()
     got = color_decomposition(d, palette)
     if searches:
@@ -83,13 +119,13 @@ def assert_matches_search(d, palette, searches):
         if found:
             assert got.certificate.colors == dict(enumerate(colors, 1))
         return got, False
-    assert (got.status, got.nodes) == (Status.NOT_COLORABLE, 0)
-    nb = intersection_masks(d)
-    found, _, _ = solver._search(
-        nb, max(palette, 0), solver._greedy_preset(nb), CFG.node_limit
-    )
-    assert not found, (d.cliques, palette)
-    return got, True
+    refuted = got.status is Status.NOT_COLORABLE
+    if refuted:
+        assert got.nodes == 0
+    else:
+        assert_closed_form(d, got)
+    assert bound_free_search(d, palette) != refuted, (d.cliques, palette)
+    return got, refuted
 
 
 def test_sweep_instances_every_palette(searches):
@@ -102,13 +138,61 @@ def test_sweep_instances_every_palette(searches):
     assert refuted  # the bound fires on some of them
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_complete_graph_edges(n, searches):
+    # K_n's edges are settled with no search at every palette: the bound
+    # refutes those below the chromatic index, and the closed form colors
+    # the others.  The bound-free search agrees wherever it finishes in
+    # 10^4 nodes (it takes at most 690 where it does): everywhere but K_9
+    # at palettes 8 and 9, which take 7,612,056 and 1,685,343 nodes
+    # (about 24 s together), and K_11 at palettes 10 and 11.
+    d = complete_edges(n)
+    unfinished = []
     for palette in range(max(n - 2, 0), n + 1):
-        got, _ = assert_matches_search(complete_edges(n), palette, searches)
-        # the chromatic index of K_n: n - 1 for even n, n for odd n
-        colorable = palette >= (n if n % 2 else n - 1)
-        assert (got.status is Status.COLORABLE) == colorable
+        searches.clear()
+        got = color_decomposition(d, palette)
+        assert searches == []
+        colorable = palette >= closed_form_palette(n)
+        if colorable:
+            assert_closed_form(d, got)
+        else:
+            assert (got.status, got.nodes) == (Status.NOT_COLORABLE, 0)
+        try:
+            assert bound_free_search(d, palette, 10**4) == colorable
+        except BudgetExhausted:
+            unfinished.append(palette)
+    assert unfinished == {9: [8, 9], 11: [10, 11]}.get(n, [])
+
+
+def labeled_graphs(order):
+    """Every labeled simple graph on 1..order, as the decomposition of
+    its edges into 2-cliques."""
+    pairs = list(combinations(range(1, order + 1), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [e for t, e in enumerate(pairs) if mask >> t & 1]
+        yield validate_decomposition(
+            HostGraph(order, frozenset(edges)), edges
+        )
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_edge_decompositions_of_small_graphs(order, searches):
+    graphs = 0
+    for d in labeled_graphs(order):
+        graphs += 1
+        for palette in range(order + 2):
+            got, _ = assert_matches_search(d, palette, searches)
+            if palette >= closed_form_palette(order):
+                assert_closed_form(d, got)
+    assert graphs == 2 ** (order * (order - 1) // 2)
+
+
+def test_sweep_9_4_searches_no_complete_edges():
+    # K_9's edges, the one leaf with no 4-clique, took 1,685,343 nodes to
+    # search at palette 9; the closed form colors them at 0
+    report = sweep_two_r_decompositions(9, 4)
+    assert report.colorable == report.instances == 10522
+    assert report.max_nodes == 42
 
 
 def test_affine_plane(searches):
@@ -147,16 +231,17 @@ def test_two_clique_chromatic_under_a_second(n):
 
 
 def test_faulty_closed_form_raises(monkeypatch):
-    monkeypatch.setattr(coloring, "pair_color", lambda n, i, j: 1)
-    with pytest.raises(AssertionError, match="closed form"):
+    # the fill of the unshared vertices finds clique 1 repeating color 1
+    monkeypatch.setattr(solver, "pair_color", lambda n, i, j: 1)
+    with pytest.raises(AssertionError, match="improper witness: clique 1"):
         chromatic_number(build_maximal(4))
 
 
 def test_improper_extension_raises(monkeypatch):
-    def monochromatic(g, shared):
+    def monochromatic(g, *_):
         return FullColoring(g.n, dict.fromkeys(g.vertex_set, 1))
 
-    monkeypatch.setattr(solver, "extend_to_full", monochromatic)
+    monkeypatch.setattr(solver, "_fill", monochromatic)
     with pytest.raises(AssertionError, match="improper witness"):
         chromatic_number(build_maximal(4))
 

@@ -296,10 +296,11 @@ class TestSweep:
         assert data["not_colorable"] == []
 
     def test_budget_exits_4(self, capsys):
-        # first-fit colors every instance of (4, 3) before any search, but
-        # not K_5's edges at palette 5, which are searched
+        # first fit, or the closed form for K_6's edges, colors 219 of the
+        # instances of (6, 3) before any search; the other 52, each with
+        # a triangle, are searched
         assert main([
-            "sweep", "--n", "5", "--r", "3", "--node-limit", "1"
+            "sweep", "--n", "6", "--r", "3", "--node-limit", "1"
         ]) == 4
         data = json.loads(capsys.readouterr().out)
         assert data["budget_exhausted"]
@@ -324,23 +325,26 @@ class TestInternalError:
         "argv", [["color"], ["color", "--extend"], ["chromatic"]]
     )
     def test_broken_pair_color(self, graph, monkeypatch, capsys, argv):
-        monkeypatch.setattr(coloring, "pair_color", lambda n, i, j: 1)
+        # chromatic colors the graph's cliques with the name solver holds
+        module = solver if argv[0] == "chromatic" else coloring
+        monkeypatch.setattr(module, "pair_color", lambda n, i, j: 1)
         self.expect_internal(
             [argv[0], "--in", graph, *argv[1:]], capsys, "AssertionError"
         )
 
     @pytest.mark.parametrize(
-        "module,argv",
-        [(cli, ["color", "--extend"]), (solver, ["chromatic"])],
+        "module,name,argv",
+        [(cli, "extend_to_full", ["color", "--extend"]),
+         (solver, "_fill", ["chromatic"])],
         ids=["color", "chromatic"],
     )
     def test_monochromatic_extension(
-        self, graph, monkeypatch, capsys, module, argv
+        self, graph, monkeypatch, capsys, module, name, argv
     ):
-        def monochromatic(g, shared):
+        def monochromatic(g, *_):
             return FullColoring(g.n, {v: 1 for v in g.vertex_set})
 
-        monkeypatch.setattr(module, "extend_to_full", monochromatic)
+        monkeypatch.setattr(module, name, monochromatic)
         self.expect_internal(
             [argv[0], "--in", graph, *argv[1:]], capsys, "AssertionError"
         )

@@ -5,9 +5,11 @@ tests/cli_corpus.py.  Refactors must leave every case byte-identical.
 """
 
 import json
+import shutil
 
 import pytest
 
+import cli_corpus
 from cli_corpus import CASES, CORPUS, run
 
 MANIFEST = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))
@@ -36,3 +38,21 @@ def test_replay_is_byte_identical(case):
     assert code == case["exit"]
     assert out == expected
     assert err == case["stderr"]
+
+
+def test_named_capture_keeps_every_other_case(tmp_path, monkeypatch):
+    # recapturing named cases into a copy of the corpus rewrites only
+    # their files, from the same bytes, and refuses an unknown name
+    copy = tmp_path / "cli_corpus"
+    shutil.copytree(CORPUS, copy)
+    monkeypatch.setattr(cli_corpus, "CORPUS", copy)
+    (copy / "sweep_5_3.stdout").write_text("stale\n", encoding="utf-8")
+    captured = cli_corpus.capture(["sweep_5_3", "gen_all_2"])
+    assert [case["name"] for case in captured] == ["gen_all_2", "sweep_5_3"]
+    for path in sorted(CORPUS.rglob("*")):
+        if path.is_file():
+            assert (copy / path.relative_to(CORPUS)).read_bytes() == (
+                path.read_bytes()
+            ), path.name
+    with pytest.raises(SystemExit, match="no such case: nope"):
+        cli_corpus.capture(["nope"])

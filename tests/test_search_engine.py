@@ -175,16 +175,20 @@ def test_leaves_carry_the_masks_and_outcomes_of_their_decompositions(n, r):
     for d, (twos, chosen, _) in zip(
         reference_enumerate_two_r(n, r), leaves, strict=True
     ):
-        nb = decomposition.clique_masks(twos + chosen)
-        leaf = twos, chosen, nb
-        assert tuple(twos) + tuple(chosen) == d.cliques
-        assert nb == intersection_masks(d), d.cliques
-        preset = solver._greedy_preset(nb)
+        cliques = twos + chosen
+        assert tuple(cliques) == d.cliques
+        assert decomposition.clique_masks(cliques) == intersection_masks(d)
         for palette in (n, n - 1):
             out = color_decomposition(d, palette)
-            assert solver._color_leaf(n, r, leaf, preset, palette, cfg) == (
-                out.status, out.nodes
-            ), (d.cliques, palette)
+            status, colors, nodes = solver._color_cliques(
+                cliques, palette, n, cfg.node_limit, cfg.progress
+            )
+            assert (status, nodes) == (out.status, out.nodes), (
+                d.cliques, palette
+            )
+            assert colors == (
+                out.certificate and list(out.certificate.colors.values())
+            )
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,16 @@ def two_clique_decomposition(n):
     return d
 
 
+def triangle_decomposition(n):
+    """K_n's edges with the triangle (1, 2, 3) in place of its three
+    edges: not all 2-cliques, so the closed form does not color it."""
+    edges = set(combinations(range(1, n + 1), 2))
+    edges -= {(1, 2), (1, 3), (2, 3)}
+    d = validate_decomposition(complete_host(n), [*edges, (1, 2, 3)])
+    assert isinstance(d, CliqueDecomposition)
+    return d
+
+
 def fano_decomposition():
     d = validate_decomposition(complete_host(7), FANO_TRIANGLES)
     assert isinstance(d, CliqueDecomposition)
@@ -154,12 +164,13 @@ class TestColorDecomposition:
 
     @pytest.mark.parametrize("palette", [4, 5, 9])
     def test_improper_certificate_never_returned(self, palette, monkeypatch):
-        # a faulty engine claiming one color for every edge of K_4
+        # a faulty engine claiming one color for every clique of K_4 with
+        # a triangle, whose cliques 1 and 2 are (1, 4) and (2, 4)
         def stub(nb, palette, preset, node_limit, progress):
             return True, [1] * len(nb), 1
 
         monkeypatch.setattr(solver, "_search", stub)
-        d = two_clique_decomposition(4)
+        d = triangle_decomposition(4)
         with pytest.raises(AssertionError, match="cliques 1 and 2 share"):
             color_decomposition(d, palette)
 
@@ -172,8 +183,10 @@ class TestColorDecomposition:
         assert out.certificate.colors == {}
 
     def test_budget_outcome_not_conflated_with_proof(self):
-        # colorable, so the capacity bound cannot settle it
-        d = two_clique_decomposition(7)
+        # colorable, so the capacity bound cannot settle it, and not all
+        # 2-cliques, so the closed form does not
+        d = triangle_decomposition(7)
+        assert color_decomposition(d, 7).status is Status.COLORABLE
         out = color_decomposition(d, 7, SearchConfig(node_limit=2))
         assert out.status is Status.BUDGET_EXHAUSTED
         assert out.certificate is None
@@ -340,13 +353,14 @@ class TestSweep:
         assert all(e["cliques"] != cliques for e in report.min_palettes)
 
     def test_budget_entries_are_reported(self):
-        # first-fit colors every instance of (4, 3) before any search, but
-        # not K_5's edges at palette 5, which are searched
-        report = sweep_two_r_decompositions(5, 3, SearchConfig(node_limit=1))
-        assert report.instances == 26
+        # first fit, or the closed form for K_6's edges, colors 219 of the
+        # instances of (6, 3) before any search; the other 52, each with
+        # a triangle, are searched
+        report = sweep_two_r_decompositions(6, 3, SearchConfig(node_limit=1))
+        assert report.instances == 271
         assert len(report.budget_exhausted) + report.colorable + len(
             report.not_colorable
-        ) == 26
+        ) == 271
         assert report.budget_exhausted  # limit 1 cannot finish every search
 
     def test_report_json_schema(self):

@@ -176,20 +176,23 @@ class TestWorkerFailures:
     def test_worker_exception_is_raised_in_the_parent(self, cpus,
                                                       monkeypatch):
         cpus(2)
-        search = solver._color_leaf
+        search = solver._color_cliques
 
-        def failing(n, r, leaf, preset, palette, cfg):
+        def failing(cliques, palette, *args):
             if in_worker():
                 raise ValueError(f"no palette {palette} here")
-            return search(n, r, leaf, preset, palette, cfg)
+            return search(cliques, palette, *args)
 
-        monkeypatch.setattr(solver, "_color_leaf", failing)
+        monkeypatch.setattr(solver, "_color_cliques", failing)
         with pytest.raises(ValueError, match="^no palette 5 here$"):
             sweep_two_r_decompositions(5, 3)
         assert children() == []
 
     def test_improper_worker_certificate_exits_5(self, cpus, monkeypatch,
                                                  capsys):
+        # (6, 3) has leaves with a triangle that first-fit leaves to the
+        # search in both shards; (5, 3) searches none since the closed
+        # form colors K_5's edges
         cpus(2)
         search = solver._search
 
@@ -199,7 +202,7 @@ class TestWorkerFailures:
             return search(nb, palette, preset, node_limit, progress)
 
         monkeypatch.setattr(solver, "_search", faulty)
-        assert cli.main(["sweep", "--n", "5", "--r", "3"]) == 5
+        assert cli.main(["sweep", "--n", "6", "--r", "3"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
@@ -240,12 +243,12 @@ class TestWorkerFailures:
     def test_parent_exception_reaps_the_workers(self, cpus, monkeypatch):
         cpus(3)
 
-        def failing(n, r, leaf, preset, palette, cfg):
+        def failing(*args):
             if not in_worker():
                 raise ZeroDivisionError("in the parent's shard")
             time.sleep(60)  # still busy: the parent must kill it
 
-        monkeypatch.setattr(solver, "_color_leaf", failing)
+        monkeypatch.setattr(solver, "_color_cliques", failing)
         start = time.monotonic()
         with pytest.raises(ZeroDivisionError):
             sweep_two_r_decompositions(6, 3)
@@ -259,14 +262,14 @@ class TestWorkerFailures:
     def test_a_worker_without_a_result_exits_5(self, cpus, monkeypatch,
                                                capsys, death, how):
         cpus(2)
-        search = solver._color_leaf
+        search = solver._color_cliques
 
-        def dying(n, r, leaf, preset, palette, cfg):
+        def dying(*args):
             if in_worker():
                 death()
-            return search(n, r, leaf, preset, palette, cfg)
+            return search(*args)
 
-        monkeypatch.setattr(solver, "_color_leaf", dying)
+        monkeypatch.setattr(solver, "_color_cliques", dying)
         assert cli.main(["sweep", "--n", "5", "--r", "3"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
