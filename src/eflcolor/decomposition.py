@@ -4,10 +4,12 @@ A clique decomposition of a simple host graph H is a family of cliques
 covering every edge of H exactly once.  Coloring the decomposition means
 assigning colors to its cliques so that vertex-intersecting cliques
 differ, which is exactly a proper coloring of the family's intersection
-graph.  EFL graphs and clique decompositions translate into each other:
-defining cliques become host vertices and shared vertices become
-decomposition cliques, so an n-coloring of the decomposition transports
-back to a proper coloring of the shared vertices.
+graph; :func:`first_clash` checks it on the clique-vertex incidences,
+without building that graph.  EFL graphs and clique decompositions
+translate into each other: defining cliques become host vertices and
+shared vertices become decomposition cliques, so an n-coloring of the
+decomposition transports back to a proper coloring of the shared
+vertices.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ __all__ = [
     "complete_host",
     "validate_decomposition",
     "intersection_graph",
-    "intersection_masks",
     "clique_masks",
     "first_clash",
+    "efl_cliques",
     "efl_to_decomposition",
     "decomposition_to_efl",
     "check_decomposition_coloring",
@@ -194,11 +196,6 @@ def validate_decomposition(host: HostGraph, cliques: Iterable):
     return CliqueDecomposition(host, tuple(canon))
 
 
-def intersection_masks(d: CliqueDecomposition) -> list:
-    """The :func:`clique_masks` of d's cliques."""
-    return clique_masks(d.cliques)
-
-
 def clique_masks(cliques) -> list:
     """Neighbor bitmask of every clique in the cliques' intersection graph.
 
@@ -221,23 +218,31 @@ def clique_masks(cliques) -> list:
     return masks
 
 
-def first_clash(masks: list, colors) -> tuple | None:
-    """The lexicographically first pair (s, t), s < t, of same-colored
-    neighbors, or None when the coloring is proper.
+def first_clash(cliques, colors) -> tuple | None:
+    """The lexicographically first pair (s, t), s < t, of cliques that
+    share a host vertex and a color, or None when the coloring is proper.
 
-    masks are neighbor bitmasks as from :func:`intersection_masks`, and
-    colors[t - 1] is the color of vertex t (both 1-based).
+    colors[t - 1] is the color of clique t (both 1-based).  The cost is
+    linear in the clique-vertex incidences: each color class lists the
+    vertices of its cliques, and the coloring is proper exactly when no
+    class repeats a vertex.  On a clash the cliques are bucketed by
+    (vertex, color); every clashing pair lies in one bucket, whose two
+    least indices form a pair no later than it, so the least such pair
+    over the buckets is the answer.
     """
-    classes: dict = {}  # color -> bitmask of the vertices holding it
-    for t, c in enumerate(colors):
-        classes[c] = classes.get(c, 0) | 1 << t
-    # the first s with a same-colored neighbor t > s gives the
-    # lexicographically first pair
-    for s, (mask, c) in enumerate(zip(masks, colors), start=1):
-        clash = (mask & classes[c]) >> s
-        if clash:
-            return s, s + (clash & -clash).bit_length()
-    return None
+    classes: dict = {}  # color -> the vertices of its cliques
+    for c, q in zip(colors, cliques):
+        classes.setdefault(c, []).extend(q)
+    for vs in classes.values():
+        if len(set(vs)) < len(vs):
+            break
+    else:
+        return None
+    buckets: dict = {}  # (vertex, color) -> the cliques holding both
+    for t, (c, q) in enumerate(zip(colors, cliques), start=1):
+        for v in q:
+            buckets.setdefault((v, c), []).append(t)
+    return min(tuple(b[:2]) for b in buckets.values() if len(b) > 1)
 
 
 def intersection_graph(d: CliqueDecomposition) -> HostGraph:
@@ -247,7 +252,7 @@ def intersection_graph(d: CliqueDecomposition) -> HostGraph:
     coloring of this graph.
     """
     edges = set()
-    for t, mask in enumerate(intersection_masks(d), start=1):
+    for t, mask in enumerate(clique_masks(d.cliques), start=1):
         mask >>= t  # the neighbors s > t
         s = t
         while mask:
@@ -258,25 +263,34 @@ def intersection_graph(d: CliqueDecomposition) -> HostGraph:
     return HostGraph._of_valid(len(d.cliques), frozenset(edges))
 
 
+def efl_cliques(g: EflGraph) -> tuple:
+    """The cliques of :func:`efl_to_decomposition`'s decomposition of g,
+    in canonical order, with no host built: every shared vertex
+    contributes the clique of the indices of the defining cliques
+    containing it, so a pair graph's cliques are its pairs."""
+    if g.is_pair_graph:
+        return g.pairs
+    return tuple(
+        _canonical_order(ix for ix in g.keyed.values() if len(ix) > 1)
+    )
+
+
 def efl_to_decomposition(g: EflGraph) -> CliqueDecomposition:
     """Translate an EFL graph into a clique decomposition of its index graph.
 
     Host vertex i stands for defining clique Q_i; {i, j} is a host edge
-    iff Q_i and Q_j intersect; every shared vertex contributes the clique
-    of the indices containing it, so a pair graph's cliques and host edges
-    are its pairs.  Works for any EFL graph, including shared vertices in
-    three or more cliques.  The EFL invariants make this a valid
-    decomposition, with cliques in canonical order.
+    iff Q_i and Q_j intersect, and the cliques are :func:`efl_cliques`,
+    so a pair graph's cliques and host edges are its pairs.  Works for
+    any EFL graph, including shared vertices in three or more cliques.
+    The EFL invariants make this a valid decomposition, with cliques in
+    canonical order.
     """
+    cliques = efl_cliques(g)
     if g.is_pair_graph:
-        host = HostGraph._of_valid(g.n, frozenset(g.pairs))
-        return CliqueDecomposition(host, g.pairs)
-    cliques = _canonical_order(ix for ix in g.keyed.values() if len(ix) > 1)
-    edges = set()
-    for c in cliques:
-        edges.update(combinations(c, 2))
-    host = HostGraph._of_valid(g.n, frozenset(edges))
-    return CliqueDecomposition(host, tuple(cliques))
+        edges = frozenset(cliques)
+    else:
+        edges = frozenset(e for c in cliques for e in combinations(c, 2))
+    return CliqueDecomposition(HostGraph._of_valid(g.n, edges), cliques)
 
 
 def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:
@@ -337,9 +351,10 @@ def check_decomposition_coloring(
 
     n is the host order: a coloring whose palette exceeds it is not an
     n-coloring and fails.  Vertex-intersecting cliques must receive
-    distinct colors; the first violating index pair (lexicographic) is
-    reported.  Raises ValueError when the coloring is not total on the
-    cliques or steps outside its own palette.
+    distinct colors; :func:`first_clash` on d's cliques reports the
+    first violating index pair (lexicographic).  Raises ValueError when
+    the coloring is not total on the cliques or steps outside its own
+    palette.
     """
     k = len(d.cliques)
     cmap = coloring.colors
@@ -361,9 +376,7 @@ def check_decomposition_coloring(
             f"palette {coloring.palette_size} exceeds the host order "
             f"{d.host.vertex_count}",
         )
-    clash = first_clash(
-        intersection_masks(d), [cmap[t] for t in range(1, k + 1)]
-    )
+    clash = first_clash(d.cliques, [cmap[t] for t in range(1, k + 1)])
     if clash:
         s, t = clash
         return ProperCheck(

@@ -23,9 +23,11 @@ engine it replaced.  A negative answer is reported only after the search
 space is exhausted or the counting bound refutes the palette; running
 out of node budget is a distinct outcome, never conflated with a proof.
 Every certificate is checked before it leaves this module, by the caller
-that hands it out.  Sweeps split their instance stream into
-deterministic shards, one per usable CPU, swept in forked workers; the
-merged report is the same whatever the CPU count.  A sweep leaf whose
+that hands it out, with one check: :func:`_checked_colors`, which runs
+:func:`eflcolor.decomposition.first_clash` on the cliques in time linear
+in their clique-vertex incidences.  Sweeps split their instance stream
+into deterministic shards, one per usable CPU, swept in forked workers;
+the merged report is the same whatever the CPU count.  A sweep leaf whose
 first-fit coloring, kept by the enumerator, fits in palette n is
 certified at 0 nodes; any other goes to :func:`_color_cliques`.
 """
@@ -48,9 +50,8 @@ from .decomposition import (
     DecompositionColoring,
     clique_masks,
     complete_host,
-    efl_to_decomposition,
+    efl_cliques,
     first_clash,
-    intersection_masks,
 )
 
 __all__ = [
@@ -106,10 +107,10 @@ class SearchOutcome:
     """Result of one palette-limited search.
 
     A COLORABLE certificate gives intersecting cliques distinct colors
-    within the palette, checked before returning whatever the palette
-    (check_decomposition_coloring also fails a palette above the host
-    order); NOT_COLORABLE means the space was exhausted or the capacity
-    bound refuted the palette (0 nodes).
+    within the palette, checked by first_clash on the cliques before
+    returning whatever the palette (check_decomposition_coloring also
+    fails a palette above the host order); NOT_COLORABLE means the space
+    was exhausted or the capacity bound refuted the palette (0 nodes).
     """
 
     status: Status
@@ -259,8 +260,8 @@ def chromatic_number(
     adjacent exactly when their cliques meet, and at a palette k >= n a
     clique's unshared vertices fit in the colors its shared vertices
     leave free, so chi is the least k >= n at which the cliques of
-    :func:`efl_to_decomposition` color, tried upward against one
-    cumulative node budget.  A two-clique graph's cliques are all
+    :func:`eflcolor.decomposition.efl_cliques` color, tried upward
+    against one cumulative node budget.  A two-clique graph's cliques are all
     2-cliques, colored at k = n by the closed form (0 nodes).  The
     witness gives each shared vertex its clique's color and fills the
     rest as :func:`eflcolor.coloring.extend_to_full` does.  Raises
@@ -268,12 +269,12 @@ def chromatic_number(
     BudgetExhausted when the node budget runs out.
     """
     t0 = perf_counter()
-    d = efl_to_decomposition(g)
+    cliques = efl_cliques(g)
     k = g.n
     total = 0
     while True:
         status, colors, nodes = _color_cliques(
-            d.cliques, k, g.n, cfg.node_limit - total, cfg.progress
+            cliques, k, g.n, cfg.node_limit - total, cfg.progress
         )
         total += nodes
         if status is Status.COLORABLE:
@@ -282,8 +283,8 @@ def chromatic_number(
             raise BudgetExhausted(total)
         k += 1
     shared = g.numbering.shared_cliques
-    if d.cliques != shared:  # d orders its cliques by size first
-        color_of = dict(zip(d.cliques, colors))
+    if cliques != shared:  # canonical order puts size first
+        color_of = dict(zip(cliques, colors))
         colors = [color_of[ix] for ix in shared]
     try:
         witness = _fill(g, colors, k)
@@ -307,7 +308,7 @@ def color_decomposition(
     :func:`_color_cliques` answers: a palette that fails the color-class
     capacity bound is NOT_COLORABLE at 0 nodes, the closed form colors
     2-cliques at 0 nodes, and any other palette is searched.  A COLORABLE
-    certificate passes first_clash on d's intersection masks, and keeps
+    certificate passes :func:`_checked_colors` on d's cliques, and keeps
     the caller's palette.
     """
     t0 = perf_counter()
@@ -317,7 +318,7 @@ def color_decomposition(
     )
     cert = None
     if status is Status.COLORABLE:
-        _checked_colors(intersection_masks(d), colors)
+        _checked_colors(d.cliques, colors)
         cert = DecompositionColoring(palette, dict(enumerate(colors, 1)))
     return SearchOutcome(status, cert, nodes, perf_counter() - t0)
 
@@ -364,11 +365,12 @@ def _color_cliques(cliques, palette: int, order: int, node_limit: int,
     return Status.COLORABLE, colors, nodes
 
 
-def _checked_colors(nb, colors) -> list:
-    """colors (colors[t] is clique t + 1's), once first_clash finds no
-    two intersecting cliques in nb sharing a color; AssertionError
-    otherwise."""
-    clash = first_clash(nb, colors)
+def _checked_colors(cliques, colors) -> list:
+    """colors (colors[t] is cliques[t]'s), once first_clash finds no two
+    cliques sharing a host vertex and a color; AssertionError naming the
+    first such pair otherwise.  Every certificate the solver hands out
+    passes here."""
+    clash = first_clash(cliques, colors)
     if clash:
         s, t = clash
         raise AssertionError(
@@ -542,29 +544,6 @@ class SweepReport:
     min_palettes: Optional[list] = None
 
 
-def _vertex_bits(n: int, r: int) -> dict:
-    """The bitmask, vertex v as bit v, of every clique a (2, r) leaf may
-    hold: each 2-subset and r-subset of 1..n, as an ascending tuple."""
-    return {
-        q: sum(1 << v for v in q)
-        for k in (2, r) for q in combinations(range(1, n + 1), k)
-    }
-
-
-def _classes_disjoint(bits, n: int, cliques, colors) -> bool:
-    """True when no two cliques of one color share a vertex, as when
-    first_clash finds no clash: each clique's mask in bits is shifted into
-    its color's field of n + 1 bits, and the shifted masks sum to their OR
-    exactly when no two of them overlap."""
-    width = n + 1
-    total = union = 0
-    for q, c in zip(cliques, colors):
-        m = bits[q] << c * width
-        total += m
-        union |= m
-    return total == union
-
-
 def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
     """The sweep of one shard of the (2, r) stream, its lists unsorted:
     (instances, colorable, max_nodes, not_colorable, budget_exhausted,
@@ -572,19 +551,12 @@ def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
 
     A leaf with first-fit colors is COLORABLE at 0 nodes; any other is
     colored at palette n by :func:`_color_cliques`.  Every coloring, of
-    the leaf or of a downward probe, must pass :func:`_classes_disjoint`;
-    should it fail, :func:`_checked_colors` on the leaf's masks raises.
-    A coloring whose largest color is m proves every palette >= m, so
-    the probes start at palette m - 1.
+    the leaf or of a downward probe, must pass :func:`_checked_colors` on
+    the leaf's cliques.  A coloring whose largest color is m proves every
+    palette >= m, so the probes start at palette m - 1.
     """
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
-    bits = _vertex_bits(n, r)
-
-    def check(colors):
-        if not _classes_disjoint(bits, n, cliques, colors):
-            _checked_colors(clique_masks(cliques), colors)
-
     for twos, chosen, colors in _two_r_leaves(n, r, shard, shards):
         total += 1
         cliques = twos + chosen
@@ -595,7 +567,7 @@ def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
             )
             max_nodes = max(max_nodes, nodes)
         if status is Status.COLORABLE:
-            check(colors)
+            _checked_colors(cliques, colors)
             colorable += 1
             if not minimum_palettes:
                 continue
@@ -606,7 +578,7 @@ def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
                 )
                 if probe is not Status.COLORABLE:
                     break
-                check(low)
+                _checked_colors(cliques, low)
                 p -= 1
             if probe is Status.BUDGET_EXHAUSTED:
                 status = probe

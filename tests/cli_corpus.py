@@ -75,6 +75,13 @@ CASES = [
     ("verify_k4_clash",
      ["verify", "--graph", "@decompose_4.stdout",
       "--coloring", "@inputs/k4_coloring_clash.json"]),
+    # 2-cliques and two triangles, clashing at several vertices: the
+    # reported pair (1, 17) is the lexicographic first, neither the pair
+    # with the least second clique, (2, 6), nor the first at the least
+    # vertex, (2, 16)
+    ("verify_mixed_clashes",
+     ["verify", "--graph", "@inputs/k7_two_triangles.json",
+      "--coloring", "@inputs/k7_two_triangles_coloring_clashes.json"]),
     ("verify_k4_palette_5",
      ["verify", "--graph", "@decompose_4.stdout",
       "--coloring", "@inputs/k4_coloring_palette5.json"]),

@@ -3,14 +3,15 @@
 Everything here recomputes answers from first principles (pairwise scans,
 exhaustive enumeration, graph rebuilds, the recursive search engine and
 enumerator, a chromatic number searched over every vertex of an EFL
-graph, the first-fit clique coloring, the serial sweep with its closed
-form and its downward probes, the round-robin edge coloring, the
-dict-at-a-time coloring reader, the per-vertex closed form and
-properness check, the sweep report as a dict for the JSON encoder) so
-the library's own fast paths are never trusted to check themselves.  The
-explicit-clique graph reader and the decomposition validator are copied
-here as they were on vertex objects and edge tuples, with seeded
-triangle and 4-clique packings of K_n to run them on.
+graph, the first-fit clique coloring, the first clash found on
+intersection masks, the serial sweep with its closed form and its
+downward probes, the round-robin edge coloring, the dict-at-a-time
+coloring reader, the per-vertex closed form and properness check, the
+sweep report as a dict for the JSON encoder) so the library's own fast
+paths are never trusted to check themselves.  The explicit-clique graph
+reader and the decomposition validator are copied here as they were on
+vertex objects and edge tuples, with seeded triangle and 4-clique
+packings of K_n to run them on.
 """
 
 from itertools import combinations, product
@@ -629,6 +630,26 @@ def first_fit_colors(cliques, palette):
         for v in cliques[t]:
             taken.setdefault(v, set()).add(free[0])
     return colors
+
+
+def reference_first_clash(masks: list, colors) -> tuple | None:
+    """The lexicographically first pair (s, t), s < t, of same-colored
+    neighbors, or None when the coloring is proper.
+
+    masks are neighbor bitmasks as from
+    :func:`eflcolor.decomposition.clique_masks`, and colors[t - 1] is the
+    color of vertex t (both 1-based).
+    """
+    classes: dict = {}  # color -> bitmask of the vertices holding it
+    for t, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << t
+    # the first s with a same-colored neighbor t > s gives the
+    # lexicographically first pair
+    for s, (mask, c) in enumerate(zip(masks, colors), start=1):
+        clash = (mask & classes[c]) >> s
+        if clash:
+            return s, s + (clash & -clash).bit_length()
+    return None
 
 
 def reference_sweep(n, r, cfg, minimum_palettes=False):

@@ -23,8 +23,8 @@ from eflcolor.decomposition import (
     DecompositionColoring,
     HostGraph,
     check_decomposition_coloring,
+    clique_masks,
     complete_host,
-    intersection_masks,
     validate_decomposition,
 )
 from eflcolor.serialize import dumps, graph_to_json
@@ -83,8 +83,8 @@ def closed_form_palette(n):
 
 def bound_free_search(d, palette, node_limit=CFG.node_limit):
     """Whether _search, with neither the capacity bound nor the closed
-    form in front of it, colors d's intersection masks."""
-    nb = intersection_masks(d)
+    form in front of it, colors the masks of d's cliques."""
+    nb = clique_masks(d.cliques)
     return solver._search(
         nb, max(palette, 0), solver._greedy_preset(nb), node_limit
     )[0]

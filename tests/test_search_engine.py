@@ -4,8 +4,8 @@ must not exceed, and instances deeper than the interpreter's recursion
 limit; the bitmask (2, r) enumerator against the recursive one it
 replaced, the intersection masks of each leaf's clique list against those
 of the decomposition, the first-fit coloring it keeps against an
-independent model, and the sweep's check of a coloring by color class
-against first_clash."""
+independent model, and first_clash, the one check of a clique coloring,
+against the first clash found on intersection masks."""
 
 import random
 import tracemalloc
@@ -21,7 +21,6 @@ from eflcolor.decomposition import (
     complete_host,
     decomposition_to_efl,
     first_clash,
-    intersection_masks,
     validate_decomposition,
 )
 from eflcolor.solver import (
@@ -37,8 +36,11 @@ from helpers import (
     FANO_TRIANGLES,
     complete_with_triangle,
     first_fit_colors,
+    four_clique_packing,
     reference_enumerate_two_r,
+    reference_first_clash,
     reference_search,
+    triangle_packing,
 )
 
 
@@ -177,7 +179,9 @@ def test_leaves_carry_the_masks_and_outcomes_of_their_decompositions(n, r):
     ):
         cliques = twos + chosen
         assert tuple(cliques) == d.cliques
-        assert decomposition.clique_masks(cliques) == intersection_masks(d)
+        assert decomposition.clique_masks(cliques) == (
+            decomposition.clique_masks(d.cliques)
+        )
         for palette in (n, n - 1):
             out = color_decomposition(d, palette)
             status, colors, nodes = solver._color_cliques(
@@ -218,25 +222,25 @@ def test_leaf_certificates_are_first_fit_colorings(n, r):
 )
 def test_class_check_agrees_with_first_clash(monkeypatch, n, r):
     # on each leaf: its first-fit colors, a first-fit coloring with one
-    # clique recolored at random, and one color for every clique; where
-    # a coloring clashes, a sweep given it raises first_clash's message
+    # clique recolored at random, and one color for every clique; the
+    # clash pair is the one found on intersection masks, and where a
+    # coloring clashes, a sweep given it raises that pair's message
     rng = random.Random(10 * n + r)
-    bits = solver._vertex_bits(n, r)
     leaves = solver._two_r_leaves(n, r, 0, 1)
     clashes = 0
     for d, (twos, chosen, colors) in zip(
         reference_enumerate_two_r(n, r), leaves, strict=True
     ):
-        nb = intersection_masks(d)
+        nb = decomposition.clique_masks(d.cliques)
         recolored = first_fit_colors(d.cliques, len(d.cliques))
         recolored[rng.randrange(len(nb))] = rng.randint(1, n)
         for trial in (colors, recolored, [1] * len(nb)):
             if trial is None:
                 continue
-            clash = first_clash(nb, trial)
-            assert solver._classes_disjoint(bits, n, d.cliques, trial) == (
-                clash is None
-            ), (d.cliques, trial)
+            clash = first_clash(d.cliques, trial)
+            assert clash == reference_first_clash(nb, trial), (
+                d.cliques, trial
+            )
             if clash is None:
                 continue
             clashes += 1
@@ -252,6 +256,28 @@ def test_class_check_agrees_with_first_clash(monkeypatch, n, r):
                 f"{t} share a vertex and color {trial[s - 1]}"
             )
     assert clashes
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+@pytest.mark.parametrize("packing", [triangle_packing, four_clique_packing])
+def test_first_clash_on_seeded_packings(packing, n):
+    # a seeded packing of K_n, completed with 2-cliques, under a proper
+    # first-fit coloring and 20 recolorings of one to three cliques
+    rng = random.Random(n)
+    d = validate_decomposition(complete_host(n), packing(n, rng))
+    nb = decomposition.clique_masks(d.cliques)
+    base = first_fit_colors(d.cliques, len(d.cliques))
+    trials = [base]
+    for _ in range(20):
+        trial = list(base)
+        k = rng.randint(1, min(3, len(trial)))
+        for t in rng.sample(range(len(trial)), k):
+            trial[t] = rng.randint(1, n)
+        trials.append(trial)
+    got = [first_clash(d.cliques, trial) for trial in trials]
+    assert got == [reference_first_clash(nb, trial) for trial in trials]
+    assert got[0] is None
+    assert any(got) or len(d.cliques) == 1, d.cliques  # K_4 as one clique
 
 
 @pytest.fixture

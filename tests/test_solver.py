@@ -9,9 +9,9 @@ from eflcolor.core import GeneralVertex, build_maximal, validate
 from eflcolor.decomposition import (
     CliqueDecomposition,
     check_decomposition_coloring,
+    clique_masks,
     complete_host,
     decomposition_to_efl,
-    intersection_masks,
     validate_decomposition,
 )
 from eflcolor.serialize import sweep_text
@@ -200,7 +200,7 @@ class TestColorDecomposition:
 
     def test_without_symmetry_fixing_same_verdicts(self):
         d = fano_decomposition()
-        nb = intersection_masks(d)
+        nb = clique_masks(d.cliques)
         verdicts = [(7, Status.COLORABLE), (6, Status.NOT_COLORABLE)]
         for palette, status in verdicts:
             fixed = color_decomposition(d, palette)
