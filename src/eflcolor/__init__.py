@@ -31,7 +31,6 @@ from .decomposition import (
     decomposition_to_efl,
     efl_to_decomposition,
     intersection_graph,
-    transport_coloring,
     validate_decomposition,
 )
 from .solver import (

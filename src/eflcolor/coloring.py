@@ -15,13 +15,16 @@ The colorings are lists of colors by vertex number (:class:`NumberedColors`
 over :class:`eflcolor.core.Numbering`): the shared vertices in the order
 of their clique tuples, then each clique's other vertices.  Coloring,
 extending and checking work on those lists, on every graph, and on a
-pair graph build no vertex object.
+pair graph build no vertex object.  A vertex is the clique of its
+defining cliques' indices, so :func:`first_clash` judges vertex and
+clique colorings alike.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import EflGraph, vertex_key
 
@@ -31,8 +34,10 @@ __all__ = [
     "NumberedColors",
     "ProperCheck",
     "pair_color",
+    "pair_colors",
     "color_shared",
     "extend_to_full",
+    "first_clash",
     "check_proper",
 ]
 
@@ -54,6 +59,13 @@ def pair_color(n: int, i: int, j: int) -> int:
     if n % 2:
         return _mod1(i + j, n)
     return _mod1(i + j, n - 1) if j < n else _mod1(2 * i, n - 1)
+
+
+def pair_colors(n: int, pairs) -> list:
+    """:func:`pair_color` of every pair (i, j) in pairs, with one int
+    object per color, not per pair."""
+    ints = list(range(n + 1))
+    return [ints[pair_color(n, i, j)] for i, j in pairs]
 
 
 @dataclass(frozen=True)
@@ -158,22 +170,9 @@ def color_shared(g: EflGraph) -> SharedColoring:
             "translate to a clique decomposition and search instead"
         )
     n = g.n
-    # one int object per color, not per shared vertex
-    ints = list(range(n + 1))
-    by_number = [ints[pair_color(n, i, j)] for i, j in g.pairs]
+    by_number = pair_colors(n, g.pairs)
     by_number += [None] * (g.numbering.size - len(by_number))
     return SharedColoring(n if n % 2 else n - 1, NumberedColors(g, by_number))
-
-
-def _clique_colors(g: EflGraph, by_number: list) -> list:
-    """Entry c - 1 lists the colors of clique c's colored shared vertices
-    in vertex-number order."""
-    out: list = [[] for _ in range(g.n)]
-    for ix, c in zip(g.numbering.shared_cliques, by_number):
-        if c is not None:
-            for i in ix:
-                out[i - 1].append(c)
-    return out
 
 
 def _least_uncolored(g: EflGraph, by_number: list, stop: int):
@@ -227,8 +226,14 @@ def _fill(g: EflGraph, full: list, palette: int) -> FullColoring:
     vertices by number, within palette >= n; full is extended in place.
     Raises ValueError for the first clique that repeats a color or holds
     one outside 1..palette, at its least such vertex."""
+    by_clique: list = [[] for _ in range(g.n)]  # their colors, per clique
+    for ix, c in zip(g.numbering.shared_cliques, full):
+        for i in ix:
+            by_clique[i - 1].append(c)
     colors = set(range(1, palette + 1))
-    for idx, used in enumerate(_clique_colors(g, full), start=1):
+    # full's own int objects where it has them: one object per color
+    colors = {c for c in set(full) if c in colors} | colors
+    for idx, used in enumerate(by_clique, start=1):
         free = colors.difference(used)
         if len(free) + len(used) != palette:  # a repeat, or a color outside
             numbering, seen = g.numbering, set()
@@ -250,20 +255,66 @@ def _fill(g: EflGraph, full: list, palette: int) -> FullColoring:
     return FullColoring(palette, NumberedColors(g, full))
 
 
+def first_clash(cliques, colors) -> tuple | None:
+    """The lexicographically first pair (s, t), s < t, of cliques that
+    share a host vertex and a color, or None when no two do.
+
+    colors[t - 1] is the color of clique t (both 1-based); None leaves it
+    uncolored.  The cost is linear in the clique-vertex incidences: each
+    color class lists the vertices of its cliques, and there is no clash
+    exactly when no class repeats a vertex.  On a clash the cliques are
+    bucketed by (vertex, color); every clashing pair lies in one bucket,
+    whose two least indices form a pair no later than it, so the least
+    such pair over the buckets is the answer.
+    """
+    classes: dict = {}  # color -> the vertices of its cliques
+    for c, q in zip(colors, cliques):
+        classes.setdefault(c, []).extend(q)
+    classes.pop(None, None)
+    for vs in classes.values():
+        if len(set(vs)) < len(vs):
+            break
+    else:
+        return None
+    buckets: dict = {}  # (vertex, color) -> the cliques holding both
+    for t, (c, q) in enumerate(zip(colors, cliques), start=1):
+        for v in q:
+            buckets.setdefault((v, c), []).append(t)
+    return min(
+        tuple(b[:2]) for (_, c), b in buckets.items()
+        if len(b) > 1 and c is not None
+    )
+
+
+class _Joined:
+    """Sequences end to end, walked as often as :func:`first_clash` asks
+    (twice on a clash) without a copy of the shared vertices' cliques."""
+
+    def __init__(self, *parts):
+        self.parts = parts
+
+    def __iter__(self):
+        return chain(*self.parts)
+
+
 def check_proper(g: EflGraph, coloring) -> ProperCheck:
     """Check that no edge of g joins two equally colored vertices.
 
     A FullColoring must cover exactly the vertices of g; a SharedColoring
     may cover any subset of the shared vertices, and only edges inside its
-    domain are examined.  Every edge lies in exactly one defining clique,
-    so properness is a per-clique distinctness check; on failure the
-    lexicographically first monochromatic vertex pair is reported.  A
-    vertex outside the domain or a color outside 1..palette_size is a
-    ValueError naming the least such vertex.  Nothing is allocated per
-    color value, so a palette of any size costs the same.
+    domain are examined.  Two vertices are adjacent exactly when their
+    defining cliques meet, so :func:`first_clash` runs on each vertex's
+    cliques: ``numbering.shared_cliques[k]`` for shared vertex k, (c,) for
+    the others of clique c.  On failure the lexicographically first
+    monochromatic pair by :func:`vertex_key` is reported: on a keyed
+    graph, whose numbers are not in that order, a clash is found again
+    on the vertices sorted by key.  A vertex outside the domain or a
+    color outside 1..palette_size is a ValueError naming the least such
+    vertex.  Nothing is allocated per palette value.
     """
     colors = _numbered(g, coloring.colors)
     by_number, numbering = colors.by_number, g.numbering
+    cliques = numbering.shared_cliques
     if isinstance(coloring, FullColoring):
         v = _least_uncolored(g, by_number, len(by_number))
         if v is not None:
@@ -271,6 +322,8 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
         if colors.extra:
             v = min(colors.extra, key=vertex_key)
             raise ValueError(f"full coloring names unknown vertex {v!r}")
+        cliques = _Joined(cliques, [*chain.from_iterable(
+            [(c,)] * len(numbering.slots(c)) for c in range(1, g.n + 1))])
     else:
         v = _least_not_shared(g, colors)
         if v is not None:
@@ -278,8 +331,8 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
                 f"shared coloring names non-shared vertex {v!r}"
             )
     p = coloring.palette_size
-    values = [c for c in by_number if c is not None]
-    if values and not 1 <= min(values) <= max(values) <= p:
+    used = set(by_number) - {None}
+    if used and not 1 <= min(used) <= max(used) <= p:
         k = numbering.least(
             k for k, c in enumerate(by_number)
             if c is not None and not 1 <= c <= p
@@ -288,43 +341,19 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
             f"vertex {numbering.vertex(k)!r} has color {by_number[k]} "
             f"outside 1..{p}"
         )
-    clashing = []
-    for c, used in enumerate(_clique_colors(g, by_number), start=1):
-        slots = numbering.slots(c)
-        used += [x for x in by_number[slots.start:slots.stop]
-                 if x is not None]
-        if len(set(used)) < len(used):
-            clashing.append(c)
-    if not clashing:
+    clash = first_clash(cliques, by_number)
+    if not clash:
         return ProperCheck(True)
-    k, m = _first_clash(g, by_number, clashing)
+    k, m = clash[0] - 1, clash[1] - 1
+    if not g.is_pair_graph:  # numbers out of vertex_key order
+        cliques = list(cliques)
+        order = sorted(range(len(cliques)), key=numbering.key)
+        s, t = first_clash(
+            [cliques[x] for x in order], [by_number[x] for x in order]
+        )
+        k, m = order[s - 1], order[t - 1]
     u, w = numbering.vertex(k), numbering.vertex(m)
     return ProperCheck(
         False, (u, w),
         f"{u!r} and {w!r} are adjacent and share color {by_number[k]}",
     )
-
-
-def _first_clash(g: EflGraph, by_number: list, cliques: list) -> tuple:
-    """The numbers of the first pair of equally colored vertices lying
-    together in one of ``cliques``, lexicographically by
-    :func:`vertex_key`."""
-    numbering = g.numbering
-    members = {c: [] for c in cliques}
-    for k, ix in enumerate(numbering.shared_cliques):
-        for c in ix:
-            if c in members:
-                members[c].append(k)
-    first = first_key = None
-    for c, ks in members.items():
-        by_color: dict = {}
-        for k in [*ks, *numbering.slots(c)]:
-            if by_number[k] is not None:
-                by_color.setdefault(by_number[k], []).append(k)
-        for same in by_color.values():
-            if len(same) > 1:
-                same.sort(key=numbering.key)
-                key = (numbering.key(same[0]), numbering.key(same[1]))
-                if first_key is None or key < first_key:
-                    first, first_key = (same[0], same[1]), key
-    return first

@@ -4,11 +4,11 @@ A clique decomposition of a simple host graph H is a family of cliques
 covering every edge of H exactly once.  Coloring the decomposition means
 assigning colors to its cliques so that vertex-intersecting cliques
 differ, which is exactly a proper coloring of the family's intersection
-graph; :func:`first_clash` checks it on the clique-vertex incidences,
-without building that graph.  EFL graphs and clique decompositions
-translate into each other: defining cliques become host vertices and
-shared vertices become decomposition cliques, so an n-coloring of the
-decomposition transports back to a proper coloring of the shared
+graph; :func:`eflcolor.coloring.first_clash` checks it on the
+clique-vertex incidences, without building that graph.  EFL graphs and
+clique decompositions translate into each other: defining cliques become
+host vertices and shared vertices become decomposition cliques, so an
+n-coloring of the decomposition is a proper coloring of the shared
 vertices.
 """
 
@@ -21,7 +21,7 @@ from itertools import chain, combinations
 from math import comb
 from typing import Iterable
 
-from .coloring import ProperCheck, SharedColoring
+from .coloring import ProperCheck, first_clash
 from .core import EflGraph, Rejection, build_from_pairs
 
 __all__ = [
@@ -33,12 +33,10 @@ __all__ = [
     "validate_decomposition",
     "intersection_graph",
     "clique_masks",
-    "first_clash",
     "efl_cliques",
     "efl_to_decomposition",
     "decomposition_to_efl",
     "check_decomposition_coloring",
-    "transport_coloring",
 ]
 
 
@@ -218,33 +216,6 @@ def clique_masks(cliques) -> list:
     return masks
 
 
-def first_clash(cliques, colors) -> tuple | None:
-    """The lexicographically first pair (s, t), s < t, of cliques that
-    share a host vertex and a color, or None when the coloring is proper.
-
-    colors[t - 1] is the color of clique t (both 1-based).  The cost is
-    linear in the clique-vertex incidences: each color class lists the
-    vertices of its cliques, and the coloring is proper exactly when no
-    class repeats a vertex.  On a clash the cliques are bucketed by
-    (vertex, color); every clashing pair lies in one bucket, whose two
-    least indices form a pair no later than it, so the least such pair
-    over the buckets is the answer.
-    """
-    classes: dict = {}  # color -> the vertices of its cliques
-    for c, q in zip(colors, cliques):
-        classes.setdefault(c, []).extend(q)
-    for vs in classes.values():
-        if len(set(vs)) < len(vs):
-            break
-    else:
-        return None
-    buckets: dict = {}  # (vertex, color) -> the cliques holding both
-    for t, (c, q) in enumerate(zip(colors, cliques), start=1):
-        for v in q:
-            buckets.setdefault((v, c), []).append(t)
-    return min(tuple(b[:2]) for b in buckets.values() if len(b) > 1)
-
-
 def intersection_graph(d: CliqueDecomposition) -> HostGraph:
     """Graph on clique indices 1..k, joined when the cliques share a vertex.
 
@@ -351,10 +322,10 @@ def check_decomposition_coloring(
 
     n is the host order: a coloring whose palette exceeds it is not an
     n-coloring and fails.  Vertex-intersecting cliques must receive
-    distinct colors; :func:`first_clash` on d's cliques reports the
-    first violating index pair (lexicographic).  Raises ValueError when
-    the coloring is not total on the cliques or steps outside its own
-    palette.
+    distinct colors; :func:`eflcolor.coloring.first_clash` on d's
+    cliques reports the first violating index pair (lexicographic).
+    Raises ValueError when the coloring is not total on the cliques or
+    steps outside its own palette.
     """
     k = len(d.cliques)
     cmap = coloring.colors
@@ -386,24 +357,3 @@ def check_decomposition_coloring(
         )
     return ProperCheck(True)
 
-
-def transport_coloring(
-    d: CliqueDecomposition, coloring: DecompositionColoring, g: EflGraph
-) -> SharedColoring:
-    """Carry a decomposition coloring over to the shared vertices of g.
-
-    ``d`` must equal ``efl_to_decomposition(g)``; the shared vertex whose
-    containing cliques form D_t gets the color of D_t.  The result is
-    proper on the shared vertices whenever the input coloring passes
-    :func:`check_decomposition_coloring`.
-    """
-    if d != efl_to_decomposition(g):
-        raise ValueError("decomposition does not correspond to this graph")
-    chk = check_decomposition_coloring(d, coloring)
-    if not chk:
-        raise ValueError(f"invalid decomposition coloring: {chk.reason}")
-    index_of = {c: t for t, c in enumerate(d.cliques, start=1)}
-    out = {
-        v: coloring.colors[index_of[g.cliques_of(v)]] for v in g.shared
-    }
-    return SharedColoring(coloring.palette_size, out)

@@ -10,12 +10,12 @@ cliques of its decomposition, palettes n, n + 1, ... in turn.  A palette
 whose color classes cannot cover the clique-vertex incidences is refuted
 by counting.  A decomposition made only of 2-cliques is colored, at any
 palette the closed form fits in, by the paper's coloring: the clique
-(i, j) stands for the vertex shared by Q_i and Q_j, and takes
-:func:`eflcolor.coloring.pair_color`, an edge coloring of K_n.  Any other
-palette is searched, deterministically: fail-first branching (fewest
-feasible colors, ties to the lowest index, colors in ascending order),
-with symmetry fixing that pre-colors a greedy clique to collapse color
-permutations.  The engine is iterative and bit-parallel: an explicit
+(i, j) stands for the vertex shared by Q_i and Q_j, and takes its
+entry of :func:`eflcolor.coloring.pair_colors`, an edge coloring of K_n.
+Any other palette is searched, deterministically: fail-first branching
+(fewest feasible colors, ties to the lowest index, colors in ascending
+order), with symmetry fixing that pre-colors a greedy clique to collapse
+color permutations.  The engine is iterative and bit-parallel: an explicit
 stack instead of recursion, so there is no recursion-depth limit, and
 graphs and color domains held as int bitmasks.  Its branching order, and
 so every node count, verdict and witness, is that of the recursive
@@ -24,8 +24,8 @@ space is exhausted or the counting bound refutes the palette; running
 out of node budget is a distinct outcome, never conflated with a proof.
 Every certificate is checked before it leaves this module, by the caller
 that hands it out, with one check: :func:`_checked_colors`, which runs
-:func:`eflcolor.decomposition.first_clash` on the cliques in time linear
-in their clique-vertex incidences.  Sweeps split their instance stream
+:func:`eflcolor.coloring.first_clash` on the cliques in time linear in
+their clique-vertex incidences.  Sweeps split their instance stream
 into deterministic shards, one per usable CPU, swept in forked workers;
 the merged report is the same whatever the CPU count.  A sweep leaf whose
 first-fit coloring, kept by the enumerator, fits in palette n is
@@ -39,11 +39,12 @@ from enum import Enum
 from functools import partial
 from itertools import chain, combinations
 from math import gcd
-from time import perf_counter
 from typing import Callable, Iterator, Optional
 
 from . import shards as _shards
-from .coloring import FullColoring, check_proper, pair_color, _fill
+from .coloring import (
+    FullColoring, check_proper, first_clash, pair_colors, _fill,
+)
 from .core import EflGraph
 from .decomposition import (
     CliqueDecomposition,
@@ -51,7 +52,6 @@ from .decomposition import (
     clique_masks,
     complete_host,
     efl_cliques,
-    first_clash,
 )
 
 __all__ = [
@@ -116,7 +116,6 @@ class SearchOutcome:
     status: Status
     certificate: Optional[DecompositionColoring]
     nodes: int
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,6 @@ class ChromaticResult:
     value: int
     witness: FullColoring
     nodes: int
-    elapsed: float
 
 
 def _search(nb, palette, preset, node_limit, progress=None,
@@ -268,7 +266,6 @@ def chromatic_number(
     AssertionError when the fill or check_proper rejects the witness, and
     BudgetExhausted when the node budget runs out.
     """
-    t0 = perf_counter()
     cliques = efl_cliques(g)
     k = g.n
     total = 0
@@ -297,7 +294,7 @@ def chromatic_number(
         raise AssertionError(
             f"solver produced an improper witness: {chk.reason}"
         )
-    return ChromaticResult(k, witness, total, perf_counter() - t0)
+    return ChromaticResult(k, witness, total)
 
 
 def color_decomposition(
@@ -311,7 +308,6 @@ def color_decomposition(
     certificate passes :func:`_checked_colors` on d's cliques, and keeps
     the caller's palette.
     """
-    t0 = perf_counter()
     status, colors, nodes = _color_cliques(
         d.cliques, max(palette, 0), d.host.vertex_count, cfg.node_limit,
         cfg.progress,
@@ -320,7 +316,7 @@ def color_decomposition(
     if status is Status.COLORABLE:
         _checked_colors(d.cliques, colors)
         cert = DecompositionColoring(palette, dict(enumerate(colors, 1)))
-    return SearchOutcome(status, cert, nodes, perf_counter() - t0)
+    return SearchOutcome(status, cert, nodes)
 
 
 def _greedy_preset(nb) -> list:
@@ -343,16 +339,16 @@ def _color_cliques(cliques, palette: int, order: int, node_limit: int,
     clique sizes: more clique-vertex incidences than palette such classes
     hold is NOT_COLORABLE at 0 nodes.  When every clique is a 2-clique
     and the palette holds the closed form's, n - 1 for an even order n
-    and n for an odd one, clique (i, j) takes pair_color(order, i, j) at
-    0 nodes.  Any other palette is searched on the cliques' intersection
-    masks, node_limit nodes at most.
+    and n for an odd one, clique (i, j) takes pair_color(order, i, j),
+    through pair_colors, at 0 nodes.  Any other palette is searched on the
+    cliques' intersection masks, node_limit nodes at most.
     """
     sizes = [len(c) for c in cliques]
     step = gcd(*sizes) or 1
     if sum(sizes) > palette * (order - order % step):
         return Status.NOT_COLORABLE, None, 0
     if set(sizes) <= {2} and palette >= order - 1 + order % 2:
-        return Status.COLORABLE, [pair_color(order, *c) for c in cliques], 0
+        return Status.COLORABLE, pair_colors(order, cliques), 0
     nb = clique_masks(cliques)
     try:
         found, colors, nodes = _search(

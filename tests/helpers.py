@@ -721,9 +721,9 @@ def sweep_report_to_json(report: SweepReport) -> dict:
 def round_robin_edge_coloring(n: int) -> dict:
     """Proper edge coloring of K_n by the classical circle method.
 
-    An independent route to the closed-form bound: transported to shared
-    vertices it must agree with eflcolor.coloring.pair_color on palette
-    and color classes.
+    An independent route to the closed-form bound: read as a coloring of
+    the 2-cliques (i, j), it must agree with eflcolor.coloring.pair_color
+    on palette and color classes.
 
     Vertex n stays fixed; vertices 1..n-1 rotate.  Round r (color r) pairs
     r with the fixed vertex and matches r-k with r+k around the circle.

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from eflcolor import solver
+from eflcolor import coloring, solver
 from eflcolor.cli import main
 from eflcolor.coloring import FullColoring, pair_color
 from eflcolor.core import build_from_pairs, build_maximal
@@ -230,9 +230,16 @@ def test_two_clique_chromatic_under_a_second(n):
     assert (result.value, result.nodes) == (n, 0)
 
 
+def test_closed_form_witness_shares_its_color_objects():
+    # pair_colors and the fill hold one int object per color, so G_301's
+    # 45,451 colored vertices hold 301 objects, not one per color above 256
+    by_number = chromatic_number(build_maximal(301)).witness.colors.by_number
+    assert len({id(c) for c in by_number}) <= 301
+
+
 def test_faulty_closed_form_raises(monkeypatch):
     # the fill of the unshared vertices finds clique 1 repeating color 1
-    monkeypatch.setattr(solver, "pair_color", lambda n, i, j: 1)
+    monkeypatch.setattr(coloring, "pair_color", lambda n, i, j: 1)
     with pytest.raises(AssertionError, match="improper witness: clique 1"):
         chromatic_number(build_maximal(4))
 

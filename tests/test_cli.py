@@ -325,9 +325,8 @@ class TestInternalError:
         "argv", [["color"], ["color", "--extend"], ["chromatic"]]
     )
     def test_broken_pair_color(self, graph, monkeypatch, capsys, argv):
-        # chromatic colors the graph's cliques with the name solver holds
-        module = solver if argv[0] == "chromatic" else coloring
-        monkeypatch.setattr(module, "pair_color", lambda n, i, j: 1)
+        # color and chromatic both read the closed form through pair_colors
+        monkeypatch.setattr(coloring, "pair_color", lambda n, i, j: 1)
         self.expect_internal(
             [argv[0], "--in", graph, *argv[1:]], capsys, "AssertionError"
         )

@@ -3,11 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from eflcolor.coloring import check_proper
 from eflcolor.core import (
     GeneralVertex,
     Rejection,
-    SharedVertex,
     UnsharedVertex,
     build_from_pairs,
     build_maximal,
@@ -23,7 +21,6 @@ from eflcolor.decomposition import (
     decomposition_to_efl,
     efl_to_decomposition,
     intersection_graph,
-    transport_coloring,
     validate_decomposition,
 )
 from helpers import (
@@ -288,6 +285,15 @@ class TestDecompositionColoring:
             assert chk.violation == first
             assert bool(chk) == (first is None)
 
+    def test_round_robin_edge_coloring_of_g4(self):
+        # the circle method colors K_4's edges, the 2-cliques of G_4
+        d = efl_to_decomposition(build_maximal(4))
+        edge_colors = round_robin_edge_coloring(4)
+        coloring = DecompositionColoring(
+            3, {t: edge_colors[c] for t, c in enumerate(d.cliques, start=1)}
+        )
+        assert check_decomposition_coloring(d, coloring)
+
     def test_fano_bijection_is_valid(self):
         d = fano_decomposition()
         perm = {1: 4, 2: 1, 3: 7, 4: 2, 5: 6, 6: 3, 7: 5}
@@ -312,52 +318,3 @@ class TestDecompositionColoring:
             check_decomposition_coloring(
                 d, DecompositionColoring(2, {1: 1, 2: 2, 3: 3})
             )
-
-
-class TestTransport:
-    def test_round_robin_colors_transport_to_g4(self):
-        g = build_maximal(4)
-        d = efl_to_decomposition(g)
-        edge_colors = round_robin_edge_coloring(4)
-        coloring = DecompositionColoring(
-            3, {t: edge_colors[c] for t, c in enumerate(d.cliques, start=1)}
-        )
-        shared = transport_coloring(d, coloring, g)
-        assert check_proper(g, shared)
-        assert shared.colors[SharedVertex(1, 2)] == edge_colors[(1, 2)]
-
-    def test_single_shared_vertex_any_color(self):
-        g = build_from_pairs(4, [(1, 2)])
-        d = efl_to_decomposition(g)
-        shared = transport_coloring(d, DecompositionColoring(4, {1: 1}), g)
-        assert check_proper(g, shared)
-        assert shared.colors == {SharedVertex(1, 2): 1}
-
-    def test_hub_graph_single_triangle(self):
-        hub = GeneralVertex(0)
-        g = validate(
-            [
-                {hub, GeneralVertex(1), GeneralVertex(2)},
-                {hub, GeneralVertex(3), GeneralVertex(4)},
-                {hub, GeneralVertex(5), GeneralVertex(6)},
-            ],
-            3,
-        )
-        d = efl_to_decomposition(g)
-        shared = transport_coloring(d, DecompositionColoring(3, {1: 1}), g)
-        assert shared.colors == {hub: 1}
-        assert check_proper(g, shared)
-
-    def test_mismatched_graph_errors(self):
-        g = build_maximal(4)
-        d = efl_to_decomposition(build_maximal(5))
-        coloring = DecompositionColoring(5, {t: 1 for t in range(1, 11)})
-        with pytest.raises(ValueError, match="correspond"):
-            transport_coloring(d, coloring, g)
-
-    def test_invalid_coloring_errors(self):
-        g = build_maximal(3)
-        d = efl_to_decomposition(g)
-        bad = DecompositionColoring(3, {1: 1, 2: 1, 3: 1})
-        with pytest.raises(ValueError, match="invalid"):
-            transport_coloring(d, bad, g)

@@ -34,3 +34,9 @@ def test_every_exported_name_exists(name):
     namespace = {}
     exec(f"from eflcolor.{name} import *", namespace)
     assert set(exported) <= namespace.keys()
+    # a function or class is exported by the module that defines it
+    assert [
+        e for e in exported
+        if callable(getattr(module, e))
+        and getattr(module, e).__module__ != module.__name__
+    ] == []

@@ -14,13 +14,13 @@ from itertools import combinations, islice
 import pytest
 
 from eflcolor import decomposition, solver
+from eflcolor.coloring import first_clash
 from eflcolor.core import GeneralVertex, build_maximal, validate, vertex_key
 from eflcolor.decomposition import (
     DecompositionColoring,
     check_decomposition_coloring,
     complete_host,
     decomposition_to_efl,
-    first_clash,
     validate_decomposition,
 )
 from eflcolor.solver import (
