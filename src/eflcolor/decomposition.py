@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Iterable
@@ -45,33 +46,46 @@ class CliqueCapacityError(ValueError):
     n-clique can host as shared vertices."""
 
 
-@dataclass(frozen=True)
 class HostGraph:
-    """Simple graph on vertices {1, ..., vertex_count}; edges are sorted pairs."""
+    """Simple graph on vertices {1, ..., vertex_count}; edges are sorted pairs.
 
-    vertex_count: int
-    edges: frozenset
+    ``HostGraph(vertex_count, edges)`` checks the edges it is given and
+    holds them.  :func:`complete_host` and :func:`efl_to_decomposition`
+    build hosts that hold their edge count and where the edges come from
+    instead: every pair of 1..n, or cliques of int vertices meeting
+    pairwise in at most one vertex, whose pairs are the edges.  Such a
+    host builds ``edges`` the first time a caller reads it, so K_2048
+    holds no edge tuple until one is asked for; ``edge_count`` and
+    :attr:`is_complete` need none.  Equality and hash are those of
+    (vertex_count, edges), and instances are immutable.
+    """
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        for e in self.edges:
+    def __init__(self, vertex_count: int, edges: frozenset):
+        self._hold(vertex_count, edges, len(edges))
+        for e in edges:
             i, j = e
-            if not (1 <= i < j <= self.vertex_count):
+            if not (1 <= i < j <= vertex_count):
                 raise ValueError(
                     f"edge {e} invalid for a simple graph on "
-                    f"{self.vertex_count} vertices"
+                    f"{vertex_count} vertices"
                 )
+        vars(self)["edges"] = edges
 
     @classmethod
-    def _of_valid(cls, vertex_count: int, edges: frozenset) -> "HostGraph":
-        """The host on edges known to be pairs 1 <= i < j <= vertex_count
-        (those combinations gives, or a validated graph's), with no edge
-        checked again: a frozenset iterates in hash order, so the check
-        costs a cache miss per edge, 0.45 s at C(2048, 2) edges."""
-        host = cls(vertex_count, frozenset())
-        object.__setattr__(host, "edges", edges)
+    def _spanned(cls, vertex_count: int, spans, edge_count: int):
+        """The host whose edge_count edges are the pairs inside ``spans``,
+        sorted int cliques meeting pairwise in at most one vertex, or every
+        pair of 1..vertex_count when spans is None."""
+        host = cls.__new__(cls)
+        host._hold(vertex_count, spans, edge_count)
         return host
+
+    def _hold(self, vertex_count: int, spans, edge_count: int):
+        """Sets what every host holds; given edges are their own spans."""
+        if vertex_count < 0:
+            raise ValueError("vertex_count must be non-negative")
+        vars(self).update(vertex_count=vertex_count, edge_count=edge_count,
+                          _spans=spans)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable) -> "HostGraph":
@@ -81,16 +95,42 @@ class HostGraph:
             norm.add((u, v) if u < v else (v, u))
         return cls(vertex_count, frozenset(norm))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HostGraph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"HostGraph is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, HostGraph):
+            return NotImplemented
+        return (self.vertex_count == other.vertex_count
+                and self.edges == other.edges)
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self):
+        return (f"HostGraph(vertex_count={self.vertex_count!r}, "
+                f"edges={self.edges!r})")
+
+    @cached_property
+    def edges(self) -> frozenset:
+        spans = self._spans
+        if spans is None:
+            return frozenset(combinations(range(1, self.vertex_count + 1), 2))
+        if len(spans) == self.edge_count:  # every clique is an edge
+            return frozenset(spans)
+        return frozenset(chain.from_iterable(combinations(c, 2) for c in spans))
+
     @property
     def is_complete(self) -> bool:
-        return len(self.edges) == comb(self.vertex_count, 2)
+        return self.edge_count == comb(self.vertex_count, 2)
 
 
 def complete_host(n: int) -> HostGraph:
     """The complete graph K_n."""
-    return HostGraph._of_valid(
-        n, frozenset(combinations(range(1, n + 1), 2))
-    )
+    return HostGraph._spanned(n, None, n * (n - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -143,9 +183,11 @@ def validate_decomposition(host: HostGraph, cliques: Iterable):
     N = host.vertex_count
     M = N + 1
     # int vertices give each edge (i, j) of 1..N its own number; anything
-    # else is checked as the tuples host.edges holds
-    ints = set(map(type, chain.from_iterable(chain(canon, host.edges)))) \
-        <= {int}
+    # else is checked as the tuples host.edges holds.  A host's vertices are
+    # screened in what it holds, given edges or a built host's cliques, so
+    # K_n, which holds none, builds no edge for it
+    ints = set(map(type, chain.from_iterable(
+        chain(canon, host._spans or ())))) <= {int}
     if not ints:
         edges = host.edges
     elif not host.is_complete:
@@ -185,7 +227,7 @@ def validate_decomposition(host: HostGraph, cliques: Iterable):
                 )
             covered.add(e)
     # every covered edge is a host edge
-    if len(covered) < len(host.edges):
+    if len(covered) < host.edge_count:
         e = next(e for e in sorted(host.edges)
                  if (e[0] * M + e[1] if ints else e) not in covered)
         return Rejection(
@@ -231,7 +273,7 @@ def intersection_graph(d: CliqueDecomposition) -> HostGraph:
             s += low.bit_length()
             mask >>= low.bit_length()
             edges.add((t, s))
-    return HostGraph._of_valid(len(d.cliques), frozenset(edges))
+    return HostGraph(len(d.cliques), frozenset(edges))
 
 
 def efl_cliques(g: EflGraph) -> tuple:
@@ -257,11 +299,11 @@ def efl_to_decomposition(g: EflGraph) -> CliqueDecomposition:
     canonical order.
     """
     cliques = efl_cliques(g)
-    if g.is_pair_graph:
-        edges = frozenset(cliques)
-    else:
-        edges = frozenset(e for c in cliques for e in combinations(c, 2))
-    return CliqueDecomposition(HostGraph._of_valid(g.n, edges), cliques)
+    # Q_i and Q_j share at most one vertex, so no two cliques share an edge
+    count = len(cliques) if g.is_pair_graph else sum(
+        comb(len(c), 2) for c in cliques)
+    return CliqueDecomposition(HostGraph._spanned(g.n, cliques, count),
+                               cliques)
 
 
 def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:

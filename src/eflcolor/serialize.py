@@ -533,7 +533,7 @@ def decomposition_text(d: CliqueDecomposition):
     yield f'{{\n  "n": {d.host.vertex_count},\n  "host_edges": '
     if d.host.is_complete:
         yield '"complete"'
-    elif len(d.cliques) == len(d.host.edges):
+    elif len(d.cliques) == d.host.edge_count:
         # one edge per clique: the cliques are the sorted edges
         yield from _int_lists(d.cliques)
     else:

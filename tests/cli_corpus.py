@@ -69,6 +69,10 @@ CASES = [
     ("decompose_pairs_6", ["decompose", "--in", "@gen_pairs_6.stdout"]),
     ("decompose_general_pair",
      ["decompose", "--in", "@inputs/cliques_general_pair.json"]),
+    # a host that is not complete, with a clique larger than an edge:
+    # its host edges are listed from the edge set, not the cliques
+    ("decompose_keyed_sparse",
+     ["decompose", "--in", "@inputs/cliques_keyed_sparse.json"]),
     ("verify_k4_proper",
      ["verify", "--graph", "@decompose_4.stdout",
       "--coloring", "@inputs/k4_coloring_proper.json"]),

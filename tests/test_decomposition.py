@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -23,6 +25,7 @@ from eflcolor.decomposition import (
     intersection_graph,
     validate_decomposition,
 )
+from eflcolor.serialize import decomposition_text
 from helpers import (
     FANO_TRIANGLES,
     family_to_clique_list,
@@ -58,19 +61,72 @@ class TestHostGraph:
         assert not HostGraph.from_edges(3, [(1, 2)]).is_complete
 
     def test_hosts_built_unchecked_equal_checked_ones(self):
-        # complete_host, intersection_graph and efl_to_decomposition skip
-        # the per-edge check on edges that are valid by construction
+        # complete_host and efl_to_decomposition hold an edge count, not an
+        # edge set, and build no edge before one is read: they equal, and
+        # hash as, the checked hosts on the same edges
         for n in range(0, 7):
             edges = frozenset(combinations(range(1, n + 1), 2))
-            assert complete_host(n) == HostGraph(n, edges)
-        g = build_from_pairs(6, [(1, 2), (1, 3), (2, 5), (4, 6)])
-        host = efl_to_decomposition(g).host
-        assert host == HostGraph(6, frozenset(g.pairs))
+            host = complete_host(n)
+            assert host.edge_count == len(edges)
+            assert hash(host) == hash(HostGraph(n, edges))
+            assert host == HostGraph(n, edges)
+        sparse = [(1, 2), (1, 3), (1, 4), (2, 3), (4, 5)]
+        keyed = decomposition_to_efl(decomposition(
+            5, [(1, 2, 3), (1, 4), (4, 5)],
+            host=HostGraph.from_edges(5, sparse),
+        ))
+        assert not keyed.is_pair_graph
+        pair_graph = build_from_pairs(6, [(1, 2), (1, 3), (2, 5), (4, 6)])
+        for g, edges in [(pair_graph, pair_graph.pairs), (keyed, sparse)]:
+            checked = HostGraph(g.n, frozenset(edges))
+            host = efl_to_decomposition(g).host
+            assert host.edge_count == len(edges)
+            assert hash(host) == hash(checked)
+            assert host == checked
         d = fano_decomposition()
         ig = intersection_graph(d)
         assert ig == HostGraph(ig.vertex_count, ig.edges)
         with pytest.raises(ValueError, match="non-negative"):
             complete_host(-1)
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHostEdgeSet:
+    """A built host makes no edge set on the way from a graph to its text,
+    or through validation: at G_300, a frozenset of the 44,850 pairs
+    alone would take 2 MiB."""
+
+    def test_efl_to_decomposition_and_its_text(self):
+        g = build_maximal(300)
+        peak = traced_peak(
+            lambda: deque(decomposition_text(efl_to_decomposition(g)), 0)
+        )
+        assert peak < 512 * 1024
+
+    def test_validate_decomposition_on_a_complete_host(self):
+        pairs = list(combinations(range(1, 301), 2))
+
+        def covered():  # the cliques and covered edges validation holds
+            canon = sorted(tuple(sorted(c)) for c in pairs)
+            return canon, {i * 301 + j for i, j in canon}
+
+        floor = traced_peak(covered)
+        peak = traced_peak(
+            lambda: validate_decomposition(complete_host(300), pairs)
+        )
+        assert peak < floor + 512 * 1024
+
+    def test_complete_host(self):
+        assert traced_peak(lambda: complete_host(2048)) < 64 * 1024
 
 
 class TestValidateDecomposition:

@@ -439,6 +439,30 @@ class TestDecompositionText:
             decomposition_to_json(d)
         )
 
+    # a host that is not complete, with more edges than cliques, lists its
+    # edge set
+    SPARSE = {"n": 5, "host_edges": [[1, 2], [1, 3], [2, 3], [3, 4]],
+              "cliques": [[3, 4], [1, 2, 3]]}
+
+    def test_sparse_host_with_a_larger_clique(self):
+        host = HostGraph.from_edges(5, [(3, 4), (2, 3), (1, 3), (2, 1)])
+        d = validate_decomposition(host, [(1, 2, 3), (4, 3)])
+        assert "".join(decomposition_text(d)) == dumps(self.SPARSE)
+        assert decomposition_to_json(d) == self.SPARSE
+
+    def test_keyed_graph_with_a_sparse_host(self):
+        g = validate([
+            {GeneralVertex(0), *(UnsharedVertex(1, s) for s in range(1, 5))},
+            {GeneralVertex(0), *(UnsharedVertex(2, s) for s in range(1, 5))},
+            {GeneralVertex(0), SharedVertex(3, 4), UnsharedVertex(3, 1),
+             UnsharedVertex(3, 2), UnsharedVertex(3, 3)},
+            {SharedVertex(3, 4), *(UnsharedVertex(4, s) for s in range(1, 5))},
+            {*(UnsharedVertex(5, s) for s in range(1, 6))},
+        ], 5)
+        d = efl_to_decomposition(g)
+        assert "".join(decomposition_text(d)) == dumps(self.SPARSE)
+        assert decomposition_to_json(d) == self.SPARSE
+
     @pytest.mark.parametrize("host", [
         complete_host(0), complete_host(1), HostGraph(3, frozenset()),
     ])
