@@ -12,10 +12,10 @@ n-coloring of the whole graph: inside each defining clique the unshared
 vertices take the colors its shared vertices do not use.
 
 The colorings are lists of colors by vertex number (:class:`NumberedColors`
-over :class:`eflcolor.core.Numbering`): the shared vertices in the order
-of their clique tuples, then each clique's other vertices.  Coloring,
-extending and checking work on those lists, on every graph, and on a
-pair graph build no vertex object.  A vertex is the clique of its
+over :class:`eflcolor.core.Numbering`), in :func:`vertex_key` order: the
+shared pairs, then each clique's slots, then the general labels.
+Coloring, extending and checking work on those lists, on every graph,
+and build no vertex object.  A vertex is the clique of its
 defining cliques' indices, so :func:`first_clash` judges vertex and
 clique colorings alike.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
 
 from .core import EflGraph, vertex_key
 
@@ -169,33 +168,34 @@ def color_shared(g: EflGraph) -> SharedColoring:
             "graph has a shared vertex in three or more defining cliques; "
             "translate to a clique decomposition and search instead"
         )
-    n = g.n
-    by_number = pair_colors(n, g.pairs)
-    by_number += [None] * (g.numbering.size - len(by_number))
+    n, numbering = g.n, g.numbering
+    by_number = pair_colors(n, numbering.pairs)
+    by_number += [None] * (numbering.start[-1] - len(by_number))
+    by_number += [pair_color(n, *ix) if len(ix) > 1 else None
+                  for ix in numbering.label_cliques]
     return SharedColoring(n if n % 2 else n - 1, NumberedColors(g, by_number))
 
 
-def _least_uncolored(g: EflGraph, by_number: list, stop: int):
-    """The least vertex by :func:`vertex_key` among those numbered below
-    stop that by_number leaves uncolored, or None."""
-    if None not in by_number[:stop]:
-        return None
+def _first(g: EflGraph, by_number: list, shared: bool, colored: bool):
+    """The least number of a vertex that g shares, or does not share when
+    not shared, and that by_number colors, or leaves uncolored when not
+    colored; None when there is none."""
     numbering = g.numbering
-    return numbering.vertex(numbering.least(
-        k for k in range(stop) if by_number[k] is None
-    ))
+    P, L = len(numbering.pairs), numbering.start[-1]
+    part, lo = (by_number[:P], 0) if shared else (by_number[P:L], P)
+    if part.count(None) != (len(part) if colored else 0):
+        return next(k for k, c in enumerate(part, lo)
+                    if (c is None) != colored)
+    return next((k for k, ix in enumerate(numbering.label_cliques, L)
+                 if (len(ix) > 1) == shared
+                 and (by_number[k] is None) != colored), None)
 
 
 def _least_not_shared(g: EflGraph, colors: NumberedColors):
     """The least vertex by :func:`vertex_key` that colors colors and g
     does not share, or None."""
-    by_number, P = colors.by_number, len(g.numbering.shared_cliques)
-    found = list(colors.extra)
-    if by_number[P:].count(None) < len(by_number) - P:
-        numbering = g.numbering
-        found.append(numbering.vertex(numbering.least(
-            k for k in range(P, len(by_number)) if by_number[k] is not None
-        )))
+    k = _first(g, colors.by_number, shared=False, colored=True)
+    found = [*colors.extra, *([] if k is None else [g.numbering.vertex(k)])]
     return min(found, key=vertex_key, default=None)
 
 
@@ -211,35 +211,45 @@ def extend_to_full(g: EflGraph, shared: SharedColoring) -> FullColoring:
     above n; the message names the offending clique.
     """
     colors = _numbered(g, shared.colors)
-    P = len(g.numbering.shared_cliques)
-    v = _least_uncolored(g, colors.by_number, P)
-    if v is not None:
-        raise ValueError(f"shared coloring misses shared vertex {v!r}")
+    k = _first(g, colors.by_number, shared=True, colored=False)
+    if k is not None:
+        raise ValueError(
+            f"shared coloring misses shared vertex {g.numbering.vertex(k)!r}"
+        )
     v = _least_not_shared(g, colors)
     if v is not None:
         raise ValueError(f"shared coloring colors non-shared vertex {v!r}")
-    return _fill(g, colors.by_number[:P], g.n)
+    return _fill(g, colors.by_number[:], g.n)
 
 
 def _fill(g: EflGraph, full: list, palette: int) -> FullColoring:
-    """:func:`extend_to_full`'s fill of full, the colors of g's shared
-    vertices by number, within palette >= n; full is extended in place.
-    Raises ValueError for the first clique that repeats a color or holds
-    one outside 1..palette, at its least such vertex."""
+    """:func:`extend_to_full`'s fill of full, g's colors by vertex number
+    with its shared vertices colored and the others None, within palette
+    >= n; full is filled in place.  Raises ValueError for the first clique
+    that repeats a color or holds one outside 1..palette, at its least
+    such vertex."""
+    numbering = g.numbering
     by_clique: list = [[] for _ in range(g.n)]  # their colors, per clique
-    for ix, c in zip(g.numbering.shared_cliques, full):
+    for ix, c in zip(numbering.pairs, full):
         for i in ix:
             by_clique[i - 1].append(c)
+    lone: dict = {}  # clique -> the numbers of its labels in no other
+    for k, ix in enumerate(numbering.label_cliques, numbering.start[-1]):
+        if len(ix) == 1:
+            lone.setdefault(ix[0], []).append(k)
+            continue
+        for i in ix:
+            by_clique[i - 1].append(full[k])
     colors = set(range(1, palette + 1))
     # full's own int objects where it has them: one object per color
     colors = {c for c in set(full) if c in colors} | colors
     for idx, used in enumerate(by_clique, start=1):
         free = colors.difference(used)
         if len(free) + len(used) != palette:  # a repeat, or a color outside
-            numbering, seen = g.numbering, set()
-            at = [k for k, ix in enumerate(numbering.shared_cliques)
-                  if idx in ix]
-            for k in sorted(at, key=numbering.key):
+            seen = set()
+            for k, ix in enumerate(numbering.cliques):
+                if idx not in ix or len(ix) == 1:
+                    continue
                 c = full[k]
                 if not 1 <= c <= palette:
                     raise ValueError(
@@ -251,7 +261,11 @@ def _fill(g: EflGraph, full: list, palette: int) -> FullColoring:
                         f"clique {idx}: shared coloring repeats color {c}"
                     )
                 seen.add(c)
-        full += sorted(free)[:g.n - len(used)]
+        free = sorted(free)
+        slots = numbering.slots(idx)
+        full[slots.start:slots.stop] = free[:len(slots)]
+        for k, c in zip(lone.get(idx, ()), free[len(slots):]):
+            full[k] = c
     return FullColoring(palette, NumberedColors(g, full))
 
 
@@ -286,17 +300,6 @@ def first_clash(cliques, colors) -> tuple | None:
     )
 
 
-class _Joined:
-    """Sequences end to end, walked as often as :func:`first_clash` asks
-    (twice on a clash) without a copy of the shared vertices' cliques."""
-
-    def __init__(self, *parts):
-        self.parts = parts
-
-    def __iter__(self):
-        return chain(*self.parts)
-
-
 def check_proper(g: EflGraph, coloring) -> ProperCheck:
     """Check that no edge of g joins two equally colored vertices.
 
@@ -304,26 +307,22 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
     may cover any subset of the shared vertices, and only edges inside its
     domain are examined.  Two vertices are adjacent exactly when their
     defining cliques meet, so :func:`first_clash` runs on each vertex's
-    cliques: ``numbering.shared_cliques[k]`` for shared vertex k, (c,) for
-    the others of clique c.  On failure the lexicographically first
-    monochromatic pair by :func:`vertex_key` is reported: on a keyed
-    graph, whose numbers are not in that order, a clash is found again
-    on the vertices sorted by key.  A vertex outside the domain or a
-    color outside 1..palette_size is a ValueError naming the least such
-    vertex.  Nothing is allocated per palette value.
+    cliques, ``numbering.cliques``.  Vertex numbers follow
+    :func:`vertex_key` order, so its first clash is the lexicographically
+    first monochromatic pair by :func:`vertex_key`, which is reported.  A
+    vertex outside the domain or a color outside 1..palette_size is a
+    ValueError naming the least such vertex.  Nothing is allocated per
+    palette value.
     """
     colors = _numbered(g, coloring.colors)
     by_number, numbering = colors.by_number, g.numbering
-    cliques = numbering.shared_cliques
     if isinstance(coloring, FullColoring):
-        v = _least_uncolored(g, by_number, len(by_number))
-        if v is not None:
+        if None in by_number:
+            v = numbering.vertex(by_number.index(None))
             raise ValueError(f"full coloring misses vertex {v!r}")
         if colors.extra:
             v = min(colors.extra, key=vertex_key)
             raise ValueError(f"full coloring names unknown vertex {v!r}")
-        cliques = _Joined(cliques, [*chain.from_iterable(
-            [(c,)] * len(numbering.slots(c)) for c in range(1, g.n + 1))])
     else:
         v = _least_not_shared(g, colors)
         if v is not None:
@@ -333,27 +332,18 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
     p = coloring.palette_size
     used = set(by_number) - {None}
     if used and not 1 <= min(used) <= max(used) <= p:
-        k = numbering.least(
-            k for k, c in enumerate(by_number)
-            if c is not None and not 1 <= c <= p
-        )
+        k = next(k for k, c in enumerate(by_number)
+                 if c is not None and not 1 <= c <= p)
         raise ValueError(
             f"vertex {numbering.vertex(k)!r} has color {by_number[k]} "
             f"outside 1..{p}"
         )
-    clash = first_clash(cliques, by_number)
+    clash = first_clash(numbering.cliques, by_number)
     if not clash:
         return ProperCheck(True)
-    k, m = clash[0] - 1, clash[1] - 1
-    if not g.is_pair_graph:  # numbers out of vertex_key order
-        cliques = list(cliques)
-        order = sorted(range(len(cliques)), key=numbering.key)
-        s, t = first_clash(
-            [cliques[x] for x in order], [by_number[x] for x in order]
-        )
-        k, m = order[s - 1], order[t - 1]
-    u, w = numbering.vertex(k), numbering.vertex(m)
+    u, w = numbering.vertex(clash[0] - 1), numbering.vertex(clash[1] - 1)
     return ProperCheck(
         False, (u, w),
-        f"{u!r} and {w!r} are adjacent and share color {by_number[k]}",
+        f"{u!r} and {w!r} are adjacent and share color "
+        f"{by_number[clash[0] - 1]}",
     )

@@ -26,7 +26,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable
 
 __all__ = [
@@ -251,95 +251,99 @@ class EflGraph:
         return (self.keyed or {})[vertex_key(v)]
 
 
-class Numbering:
-    """Numbers 0..size-1 for the vertices of an EFL graph g.
+class _Joined:
+    """Each vertex number's ascending clique tuple, in number order: the
+    pairs, (c,) for each slot of clique c, then the labels' tuples.  It is
+    walked as often as a caller asks (:func:`eflcolor.coloring.first_clash`
+    walks it twice on a clash), with no copy of the pairs and nothing held
+    per slot."""
 
-    Shared vertex k < P = len(shared_cliques) is the one lying in the
-    cliques ``shared_cliques[k]``, the ascending clique tuples of g's
-    shared vertices, sorted: ``g.pairs`` on a two-clique graph.  The
-    other vertices of clique c take the numbers in ``slots(c)``, in
-    :func:`vertex_key` order.  On a pair graph the numbers follow
-    :func:`vertex_key` order throughout, and slot s of clique c is
-    UnsharedVertex(c, s), so no vertex object is needed to find a
-    number; any other graph keeps its vertex objects in ``names``.
+    def __init__(self, pairs, start, labels):
+        self.parts = pairs, start, labels
+
+    def __iter__(self):
+        pairs, start, labels = self.parts
+        slots = (repeat((c,), start[c + 1] - start[c])
+                 for c in range(1, len(start) - 1))
+        return chain(pairs, chain.from_iterable(slots), labels)
+
+
+class Numbering:
+    """Numbers 0..size-1 for the vertices of an EFL graph g, in
+    :func:`vertex_key` order, found from g's pairs or keys with no vertex
+    object.
+
+    Number k < len(pairs) is SharedVertex(*pairs[k]), where ``pairs`` is
+    ``g.pairs`` on a pair graph and a keyed graph's kind-0 pairs, sorted.
+    Clique c's slots UnsharedVertex(c, 1), (c, 2), ... take the numbers
+    ``slots(c)``, and from ``start[-1]`` on, GeneralVertex(label) takes
+    the numbers of ``labels``, ascending.  ``cliques`` walks each number's
+    ascending clique tuple; the shared vertices are the pairs and the
+    labels in two or more cliques.
     """
 
     def __init__(self, g: EflGraph):
         n = g.n
-        shared = g.pairs if g.keyed is None else tuple(sorted(
-            ix for ix in g.keyed.values() if len(ix) > 1
-        ))
-        self.n, self.shared_cliques = n, shared
-        degree = Counter(chain.from_iterable(shared))
-        P = len(shared)
+        if g.keyed is None:
+            pairs, labeled = g.pairs, ()
+        else:
+            # a validated kind-0 key's cliques are its pair, k[1:]
+            pairs = sorted(ix for k, ix in g.keyed.items() if k[0] == 0)
+            labeled = sorted((k[1], ix) for k, ix in g.keyed.items()
+                             if k[0] == 2)
+        self.n, self.pairs = n, pairs
+        self.labels = [label for label, _ in labeled]
+        self.label_cliques = [ix for _, ix in labeled]
+        degree = Counter(chain.from_iterable(chain(pairs, self.label_cliques)))
         # the slots of clique c are numbered start[c] .. start[c + 1] - 1
-        start = [P, P]
+        start = [len(pairs)] * 2
         for c in range(1, n + 1):
             start.append(start[-1] + n - degree[c])
         self.start = start
-        self.size = start[-1]
-        # on a pair graph, the pairs (i, *) are shared[rows[i]:rows[i + 1]]
-        self.rows = [bisect_left(shared, (i,)) for i in range(n + 2)]
-        self.names = self.numbers = None
-        if not g.is_pair_graph:
-            on = {g.cliques_of(v): v for v in g.shared}
-            self.names = [on[ix] for ix in shared] + [
-                v for q in g.cliques
-                for v in sorted(q - g.shared, key=vertex_key)
-            ]
-            self.numbers = {v: k for k, v in enumerate(self.names)}
+        self.size = start[-1] + len(labeled)
+        # the pairs (i, *) are pairs[rows[i]:rows[i + 1]]
+        self.rows = [bisect_left(pairs, (i,)) for i in range(n + 2)]
+        self.cliques = _Joined(pairs, start, self.label_cliques)
 
     def slots(self, c: int) -> range:
         """The numbers of clique c's unshared vertices."""
         return range(self.start[c], self.start[c + 1])
 
-    def number(self, kind: int, a: int, b: int):
+    def number(self, kind: int, a: int, b: int = 0):
         """The number of the vertex whose :func:`vertex_key` is
         (kind, a, b), or (2, a) for kind 2; None when g has no such
         vertex."""
-        if self.numbers is not None:
-            return self.numbers.get(key_vertex(kind, a, b))
         n = self.n
         if kind == 0:
             if not 1 <= a < b <= n:
                 return None
             lo, hi = self.rows[a], self.rows[a + 1]
             k = lo + b - a - 1 if hi - lo == n - a \
-                else bisect_left(self.shared_cliques, (a, b), lo, hi)
-            return k if k < hi and self.shared_cliques[k] == (a, b) \
-                else None
+                else bisect_left(self.pairs, (a, b), lo, hi)
+            return k if k < hi and self.pairs[k] == (a, b) else None
         if kind == 1 and 1 <= a <= n and 1 <= b <= len(self.slots(a)):
             return self.start[a] + b - 1
+        if kind == 2 and type(a) is int:
+            k = bisect_left(self.labels, a)
+            if k < len(self.labels) and self.labels[k] == a:
+                return self.start[-1] + k
         return None
 
     def number_of(self, v):
         """The number of vertex v, or None when g has no such vertex."""
-        if self.numbers is not None:
-            return self.numbers.get(v)
-        if type(v) is SharedVertex:
-            return self.number(0, v.i, v.j)
-        if type(v) is UnsharedVertex:
-            return self.number(1, v.clique, v.slot)
-        return None
+        key = vertex_key(v)
+        if key[0] > 2 or {type(x) for x in key[1:]} != {int}:
+            return None
+        return self.number(*key)
 
     def vertex(self, k: int):
         """The vertex numbered k."""
-        if self.names is not None:
-            return self.names[k]
-        if k < len(self.shared_cliques):
-            return SharedVertex(*self.shared_cliques[k])
+        if k < len(self.pairs):
+            return SharedVertex(*self.pairs[k])
+        if k >= self.start[-1]:
+            return GeneralVertex(self.labels[k - self.start[-1]])
         c = bisect_right(self.start, k) - 1
         return UnsharedVertex(c, k - self.start[c] + 1)
-
-    def key(self, k: int):
-        """A sort key of vertex k that orders numbers as
-        :func:`vertex_key` orders their vertices."""
-        return k if self.names is None else vertex_key(self.names[k])
-
-    def least(self, numbers):
-        """The number, among ``numbers``, of the least vertex by
-        :func:`vertex_key`."""
-        return min(numbers, key=self.key)
 
 
 # the largest order built or read: G_n has about n^2 / 2 vertices, so an

@@ -337,32 +337,34 @@ def _assignment_text(vertex: str, color) -> str:
 
 
 def _numbered_assignments(colors: NumberedColors):
-    """The assignments of colors numbered by a pair graph, whose numbers
-    follow :func:`vertex_key` order: the pairs, then each clique's slots."""
-    g, by_number = colors.graph, colors.by_number
-    for (i, j), c in zip(g.pairs, by_number):
+    """The assignments of colors by vertex number, in :func:`vertex_key`
+    order: the pairs, then each clique's slots, then the labels."""
+    numbering, by_number = colors.graph.numbering, colors.by_number
+    for (i, j), c in zip(numbering.pairs, by_number):
         if c is not None:
             yield _assignment_text(
                 f'[\n        "shared",\n        {i},\n        {j}\n      ]', c
             )
-    for clique in range(1, g.n + 1):
-        for slot, k in enumerate(g.numbering.slots(clique), start=1):
+    for clique in range(1, numbering.n + 1):
+        for slot, k in enumerate(numbering.slots(clique), start=1):
             c = by_number[k]
             if c is not None:
                 yield _assignment_text(
                     f'[\n        "unshared",\n        {clique},'
                     f'\n        {slot}\n      ]', c
                 )
+    for label, c in zip(numbering.labels, by_number[numbering.start[-1]:]):
+        if c is not None:
+            yield _assignment_text(_key_text(2, label), c)
 
 
 def coloring_text(coloring):
     """Yields ``dumps(coloring_to_json(coloring))`` one assignment at a
     time, written straight from the colors with no JSON encoder, and with
-    no vertex object when a pair graph numbers them."""
+    no vertex object when a graph's numbering holds them all."""
     colors = coloring.colors
     yield f'{{\n  "palette": {coloring.palette_size},\n  "assignments": '
-    if isinstance(colors, NumberedColors) and colors.graph.is_pair_graph \
-            and not colors.extra:
+    if isinstance(colors, NumberedColors) and not colors.extra:
         yield from _json_list(_numbered_assignments(colors))
     else:
         yield from _json_list(

@@ -279,10 +279,12 @@ def chromatic_number(
         if status is Status.BUDGET_EXHAUSTED:
             raise BudgetExhausted(total)
         k += 1
-    shared = g.numbering.shared_cliques
-    if cliques != shared:  # canonical order puts size first
+    numbering = g.numbering
+    if g.keyed is None:  # the cliques are the pairs, numbered first
+        colors += [None] * (numbering.size - len(colors))
+    else:  # canonical order puts size first
         color_of = dict(zip(cliques, colors))
-        colors = [color_of[ix] for ix in shared]
+        colors = [color_of.get(ix) for ix in numbering.cliques]
     try:
         witness = _fill(g, colors, k)
     except ValueError as e:  # a clique repeats a color, or holds one above k

@@ -7,7 +7,8 @@ reference_chromatic``) agrees where it is quick.  The node budget is
 cumulative over the palettes tried.  The witness's unshared vertices are
 filled as extend_to_full fills them, and extend_to_full, which now takes
 every graph, matches the per-vertex oracle ``helpers.
-reference_extend_to_full`` on these graphs, its errors among them.
+reference_extend_to_full`` on these graphs and on graphs with general
+labels in one clique and in two, its errors among them.
 """
 
 import random
@@ -33,6 +34,7 @@ from eflcolor.solver import (
 from helpers import (
     FANO_TRIANGLES,
     four_clique_packing,
+    mixed_graph,
     reference_chromatic,
     reference_extend_to_full,
     triangle_packing,
@@ -177,9 +179,19 @@ def faults(rng, g, shared: dict):
     yield "above n", {**shared, rng.choice(verts): g.n + 1}
 
 
+def _mixed():
+    """(name, graph) of helpers.mixed_graph at n = 5..8: a general label
+    in one clique and one in two, numbered after the slots."""
+    for n in range(5, 9):
+        g = mixed_graph(n, random.Random(n))
+        sizes = {len(ix) for k, ix in g.keyed.items() if k[0] == 2}
+        assert {1, 2} <= sizes
+        yield f"mixed_{n}", g
+
+
 GRAPHS = [("fano", fano()), ("hub", hub())] + [
     (name, g) for name, g in PACKINGS if g.n <= 8
-]
+] + list(_mixed())
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])

@@ -10,8 +10,10 @@ seeded corruptions the same ProperCheck, the same ValueError and the same
 ``verify`` result.  ``check_proper`` runs the same numbered check on
 graphs with a vertex in three or more cliques: on packings of K_n and on
 Fano it must give the oracle's answers for the exact search's witness
-and its corruptions.  A structural guard counts the pair and slot vertex
-objects that the CLI's closed-form commands build: none.
+and its corruptions.  Every graph's numbers follow ``vertex_key`` order,
+and a vertex with a field that is not an int is an unknown vertex.  A
+structural guard counts the pair and slot vertex objects that the CLI's
+closed-form commands build, on pair graphs and on a keyed one: none.
 """
 
 import contextlib
@@ -179,6 +181,26 @@ def test_corruptions_give_the_oracle_answers(name, g):
     assert seen["missing"] and seen["outside"] and seen["unknown"]
 
 
+@pytest.mark.parametrize("v", [
+    GeneralVertex("x"), GeneralVertex(1.5), SharedVertex(1.5, 2),
+    UnsharedVertex(1, 1.5),
+], ids=repr)
+@pytest.mark.parametrize("name", ["G_7", "general_pair"])
+def test_a_vertex_with_a_non_int_field_is_unknown(name, v):
+    g = dict(GRAPHS)[name]
+    shared = dict(reference_color_shared(g).colors)
+    full = dict(reference_extend_to_full(g, reference_color_shared(g)).colors)
+    for fn, c, why in (
+        (check_proper, FullColoring(g.n, {**full, v: 1}),
+         "full coloring names unknown vertex"),
+        (check_proper, SharedColoring(g.n, {**shared, v: 1}),
+         "shared coloring names non-shared vertex"),
+        (extend_to_full, SharedColoring(g.n, {**shared, v: 1}),
+         "shared coloring colors non-shared vertex"),
+    ):
+        assert outcome(fn, g, c) == f"ValueError: {why} {v!r}"
+
+
 def _packed_graphs():
     """(name, graph) of seeded triangle and 4-clique packings of K_3..K_7
     and of Fano, each with a vertex in three or more cliques."""
@@ -225,6 +247,19 @@ def test_one_check_on_graphs_with_vertices_in_three_cliques(name, g):
     assert check_proper(g, witness)
     assert seen["recolored"] and seen["missing"] and seen["outside"] \
         and seen["unknown"]
+
+
+@pytest.mark.parametrize("name,g", GRAPHS + PACKED,
+                         ids=[n for n, _ in GRAPHS + PACKED])
+def test_numbers_follow_vertex_key_order(name, g):
+    numbering = g.numbering
+    order = sorted(g.vertex_set, key=vertex_key)
+    assert [numbering.vertex(k) for k in range(numbering.size)] == order
+    for k, v in enumerate(order):
+        assert numbering.number_of(v) == numbering.number(*vertex_key(v)) \
+            == k
+    cliques = [g.cliques_of(v) for v in order]
+    assert list(numbering.cliques) == list(numbering.cliques) == cliques
 
 
 def reference_verify(g, data) -> tuple:
@@ -279,6 +314,13 @@ def test_verify_matches_the_oracle_on_corrupted_documents(name, g, tmp_path):
 def test_closed_form_commands_build_no_pair_or_slot_vertex(
     tmp_path, monkeypatch
 ):
+    # G_30 with a shared pair and a clique's last slot renamed as labels
+    keyed = str(tmp_path / "keyed.json")
+    names = {SharedVertex(1, 2): GeneralVertex(7),
+             UnsharedVertex(5, 1): GeneralVertex(-3)}
+    Path(keyed).write_text("".join(graph_text(validate(
+        [{names.get(v, v) for v in q} for q in build_maximal(30).cliques], 30
+    ))))
     built = Counter()
     for cls in (SharedVertex, UnsharedVertex):
         def counted(self, check=cls.__post_init__, name=cls.__name__):
@@ -308,6 +350,14 @@ def test_closed_form_commands_build_no_pair_or_slot_vertex(
             ["to-efl", "--in", decomposition],
             ["chromatic", "--in", g, "--out", witness],
         ]
+    commands += [
+        ["color", "--in", keyed, "--extend", "--out", coloring],
+        ["verify", "--graph", keyed, "--coloring", coloring],
+        ["color", "--in", keyed, "--out", coloring],
+        ["verify", "--graph", keyed, "--coloring", coloring],
+        ["chromatic", "--in", keyed, "--out", witness],
+        ["verify", "--graph", keyed, "--coloring", witness],
+    ]
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
