@@ -10,12 +10,10 @@ Clique indices are 1-based throughout.  Vertices carry one of three
 identities: a shared vertex in exactly two cliques is named by its sorted
 clique-index pair, an unshared vertex by its clique and a slot number, and
 anything else (for graphs whose shared vertices may lie in three or more
-cliques) by an opaque integer label.  A graph is held in one of two
-forms, with no vertex object until a caller asks for vertices.  One whose
-vertices all carry pair or slot identities is fixed by n and its sorted
-shared pairs, and holds only those.  One with general labels too is fixed
-by n and, for each vertex that is not a slot, its :func:`vertex_key`
-tuple and clique indices, and holds only those, as int tuples.
+cliques) by an opaque integer label.  Every graph is held in one form,
+with no vertex object until a caller asks for vertices: n, the sorted
+pairs of its pair-named vertices, and its sorted general labels with each
+label's clique indices.  Its slots are implied.
 """
 
 from __future__ import annotations
@@ -125,44 +123,29 @@ class Rejection:
 class EflGraph:
     """Union of n defining n-cliques, any two meeting in at most one vertex.
 
-    ``cliques[k]`` is the vertex set of Q_{k+1}; ``shared`` holds exactly
-    the vertices lying in two or more defining cliques; ``pairs`` lists,
-    sorted, the clique-index pairs of the shared vertices lying in exactly
-    two.  A graph is held in one of two forms.  A pair graph
-    (``is_pair_graph``: every vertex carries a pair or slot identity),
-    built by :func:`build_maximal`, :func:`build_from_pairs` or from keys
-    with no general label, holds only n and the pairs.  A keyed graph,
-    built by :func:`validate_keys` or ``decomposition_to_efl`` of larger
-    cliques, holds only n and ``keyed``: the :func:`vertex_key` tuple of
-    every vertex that is not a slot, mapped to the ascending indices of
-    its cliques; its slots are implied, since a validated clique's
-    unshared vertices fill slots 1..free.  Either form builds its cliques,
-    shared vertices and vertex indexes the first time a caller reads
-    them; on a pair graph ``keyed`` is None.  Instances are immutable and
-    safe to share across threads.  Build through those functions or
-    :func:`validate`, so the identity scheme stays consistent with actual
-    clique membership.
+    ``EflGraph(n, named_pairs, labels, label_cliques)`` is the graph of
+    order n whose vertices other than slots are SharedVertex(*p) for each
+    p of ``named_pairs``, sorted, and GeneralVertex(t) for each t of
+    ``labels``, ascending, lying in the cliques of the same place of
+    ``label_cliques``, each an ascending index tuple.  A validated
+    clique's unshared vertices fill slots 1..free, so n and these three
+    tuples are the whole graph, and all it holds: ``cliques[k]`` (the
+    vertex set of Q_{k+1}), ``shared`` (the vertices lying in two or more
+    cliques) and the vertex indexes are built the first time a caller
+    reads them.  ``pairs`` lists, sorted, the clique-index pairs of the
+    shared vertices lying in exactly two cliques: ``named_pairs`` itself
+    unless some label lies in exactly two.  A pair graph
+    (``is_pair_graph``) has no label.  Instances are immutable and safe to
+    share across threads.  Build through :func:`build_maximal`,
+    :func:`build_from_pairs`, :func:`validate` or :func:`validate_keys`,
+    so the identity scheme stays consistent with actual clique
+    membership.
     """
 
-    @classmethod
-    def _of_pairs(cls, n: int, pairs: tuple) -> "EflGraph":
-        """The graph of order n on distinct, in-range pairs, sorted."""
-        g = cls.__new__(cls)
-        vars(g).update(n=n, pairs=pairs, keyed=None, is_pair_graph=True,
-                       is_two_clique=True)
-        return g
-
-    @classmethod
-    def _of_keys(cls, n: int, keyed: dict) -> "EflGraph":
-        """The graph of order n whose vertices other than slots have the
-        :func:`vertex_key` tuples of ``keyed``, each mapped to the
-        ascending indices of its cliques, as validated: a pair graph when
-        none is a general label."""
-        if all(k[0] == 0 for k in keyed):
-            return cls._of_pairs(n, tuple(sorted(keyed.values())))
-        g = cls.__new__(cls)
-        vars(g).update(n=n, keyed=keyed, is_pair_graph=False)
-        return g
+    def __init__(self, n: int, named_pairs: tuple, labels: tuple = (),
+                 label_cliques: tuple = ()):
+        vars(self).update(n=n, named_pairs=named_pairs, labels=labels,
+                          label_cliques=label_cliques)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EflGraph is immutable: cannot set {name!r}")
@@ -173,22 +156,21 @@ class EflGraph:
     def __eq__(self, other):
         if not isinstance(other, EflGraph):
             return NotImplemented
-        if self.n != other.n or self.keyed != other.keyed:
-            return False
-        # n and the keys rebuild a keyed graph, n and the pairs a pair one
-        return self.keyed is not None or self.pairs == other.pairs
+        return (self.n == other.n and self.labels == other.labels
+                and self.label_cliques == other.label_cliques
+                and self.named_pairs == other.named_pairs)
 
     def __hash__(self):
         # the shared vertex count, found without building them
-        if self.keyed is None:
-            return hash((self.n, len(self.pairs)))
-        return hash((self.n, sum(len(ix) > 1 for ix in self.keyed.values())))
+        return hash((self.n, len(self.named_pairs) + sum(
+            len(ix) > 1 for ix in self.label_cliques)))
 
     def _placed(self):
         """(vertex, clique indices) of every vertex that is not a slot."""
-        if self.keyed is None:
-            return ((SharedVertex(*p), p) for p in self.pairs)
-        return ((key_vertex(*k), ix) for k, ix in self.keyed.items())
+        return chain(
+            ((SharedVertex(*p), p) for p in self.named_pairs),
+            zip(map(GeneralVertex, self.labels), self.label_cliques),
+        )
 
     @cached_property
     def cliques(self) -> tuple:
@@ -210,9 +192,20 @@ class EflGraph:
     @cached_property
     def pairs(self) -> tuple:
         """Sorted clique-index pairs of the shared vertices lying in
-        exactly two defining cliques: given to a pair graph, and read off
-        a keyed graph's keys."""
-        return tuple(sorted(ix for ix in self.keyed.values() if len(ix) == 2))
+        exactly two defining cliques."""
+        two = [ix for ix in self.label_cliques if len(ix) == 2]
+        return tuple(sorted(chain(self.named_pairs, two))) if two \
+            else self.named_pairs
+
+    @property
+    def is_pair_graph(self) -> bool:
+        """True when every vertex carries a pair or slot identity."""
+        return not self.labels
+
+    @cached_property
+    def is_two_clique(self) -> bool:
+        """True when every shared vertex lies in exactly two cliques."""
+        return all(len(ix) <= 2 for ix in self.label_cliques)
 
     @cached_property
     def numbering(self) -> "Numbering":
@@ -231,24 +224,23 @@ class EflGraph:
         """All vertices in canonical order."""
         return tuple(sorted(self.vertex_set, key=vertex_key))
 
-    @cached_property
-    def is_two_clique(self) -> bool:
-        """True when every shared vertex lies in exactly two cliques: given
-        to a pair graph, and read off a keyed graph's keys."""
-        return all(len(ix) <= 2 for ix in self.keyed.values())
-
     def cliques_of(self, v) -> tuple:
         """Ascending indices of the defining cliques containing vertex v.
 
         A pair or slot identity names them, since validated graphs keep
         those identities true to membership; any other vertex is looked up
-        in :attr:`keyed` by its key, a KeyError when g has no such vertex.
+        among the labels, a KeyError when g has no such vertex.
         """
         if isinstance(v, SharedVertex):
             return (v.i, v.j)
         if isinstance(v, UnsharedVertex):
             return (v.clique,)
-        return (self.keyed or {})[vertex_key(v)]
+        key = vertex_key(v)
+        if key[0] == 2 and type(key[1]) is int:
+            k = bisect_left(self.labels, key[1])
+            if k < len(self.labels) and self.labels[k] == key[1]:
+                return self.label_cliques[k]
+        raise KeyError(key)
 
 
 class _Joined:
@@ -270,40 +262,30 @@ class _Joined:
 
 class Numbering:
     """Numbers 0..size-1 for the vertices of an EFL graph g, in
-    :func:`vertex_key` order, found from g's pairs or keys with no vertex
-    object.
+    :func:`vertex_key` order, found from g's lists with no vertex object.
 
     Number k < len(pairs) is SharedVertex(*pairs[k]), where ``pairs`` is
-    ``g.pairs`` on a pair graph and a keyed graph's kind-0 pairs, sorted.
-    Clique c's slots UnsharedVertex(c, 1), (c, 2), ... take the numbers
-    ``slots(c)``, and from ``start[-1]`` on, GeneralVertex(label) takes
-    the numbers of ``labels``, ascending.  ``cliques`` walks each number's
-    ascending clique tuple; the shared vertices are the pairs and the
-    labels in two or more cliques.
+    ``g.named_pairs``.  Clique c's slots UnsharedVertex(c, 1), (c, 2), ...
+    take the numbers ``slots(c)``, and from ``start[-1]`` on,
+    GeneralVertex(label) takes the numbers of ``labels``, g's labels.
+    ``cliques`` walks each number's ascending clique tuple; the shared
+    vertices are the pairs and the labels in two or more cliques.
     """
 
     def __init__(self, g: EflGraph):
-        n = g.n
-        if g.keyed is None:
-            pairs, labeled = g.pairs, ()
-        else:
-            # a validated kind-0 key's cliques are its pair, k[1:]
-            pairs = sorted(ix for k, ix in g.keyed.items() if k[0] == 0)
-            labeled = sorted((k[1], ix) for k, ix in g.keyed.items()
-                             if k[0] == 2)
+        n, pairs = g.n, g.named_pairs
         self.n, self.pairs = n, pairs
-        self.labels = [label for label, _ in labeled]
-        self.label_cliques = [ix for _, ix in labeled]
-        degree = Counter(chain.from_iterable(chain(pairs, self.label_cliques)))
+        self.labels, self.label_cliques = g.labels, g.label_cliques
+        degree = Counter(chain.from_iterable(chain(pairs, g.label_cliques)))
         # the slots of clique c are numbered start[c] .. start[c + 1] - 1
         start = [len(pairs)] * 2
         for c in range(1, n + 1):
             start.append(start[-1] + n - degree[c])
         self.start = start
-        self.size = start[-1] + len(labeled)
+        self.size = start[-1] + len(g.labels)
         # the pairs (i, *) are pairs[rows[i]:rows[i + 1]]
         self.rows = [bisect_left(pairs, (i,)) for i in range(n + 2)]
-        self.cliques = _Joined(pairs, start, self.label_cliques)
+        self.cliques = _Joined(pairs, start, g.label_cliques)
 
     def slots(self, c: int) -> range:
         """The numbers of clique c's unshared vertices."""
@@ -370,7 +352,7 @@ def build_maximal(n: int) -> EflGraph:
     why = _order_error(n)  # before combinations() copies its pool
     if why:
         raise ValueError(why)
-    return EflGraph._of_pairs(n, tuple(combinations(range(1, n + 1), 2)))
+    return EflGraph(n, tuple(combinations(range(1, n + 1), 2)))
 
 
 def build_from_pairs(n: int, pairs: Iterable) -> EflGraph:
@@ -399,7 +381,7 @@ def build_from_pairs(n: int, pairs: Iterable) -> EflGraph:
     if not ascending:
         _refuse_repeats(out)
         out.sort()
-    return EflGraph._of_pairs(n, tuple(out))
+    return EflGraph(n, tuple(out))
 
 
 def _refuse_repeats(pairs: list):
@@ -448,17 +430,13 @@ def validate_keys(cliques: Iterable, n: int):
     (0, i, j), (1, clique, slot) and (2, label).
 
     The same rules, scan order and messages, with no vertex object built
-    unless one is named in a rejection; the graph returned holds only the
-    keys (see :class:`EflGraph`).  The cliques are read one at a time,
-    each dropped once scanned, so a caller may stream them.
+    unless one is named in a rejection.  The cliques are read one at a
+    time, each dropped once scanned, so a caller may stream them.
     """
     why = _order_error(n)
     if why:
         return Rejection("order", why)
-    placed = _rule_scan(cliques, n)
-    if isinstance(placed, Rejection):
-        return placed
-    return EflGraph._of_keys(n, placed)
+    return _rule_scan(cliques, n)
 
 
 @contextmanager
@@ -477,9 +455,8 @@ def _gc_paused():
 
 def _rule_scan(cliques: Iterable, n: int):
     """The rules of :func:`validate` after the order, over cliques of
-    :func:`vertex_key` tuples read one at a time: the membership {key:
-    ascending clique indices} of every vertex that is not an unshared
-    slot, or the first :class:`Rejection`.
+    :func:`vertex_key` tuples read one at a time: the graph they make, or
+    the first :class:`Rejection`.
 
     The scan keeps the first short clique, the membership of shared pairs
     and general labels, each clique's unshared slots (a range when they
@@ -571,4 +548,7 @@ def _rule_scan(cliques: Iterable, n: int):
                 f"{free} unshared places",
                 (idx, min(bad)),
             )
-    return placed
+    # a valid kind-0 key's cliques are its pair, k[1:]
+    pairs = tuple(sorted(ix for k, ix in placed.items() if k[0] == 0))
+    labels = tuple(sorted(k[1] for k in placed if k[0] == 2))
+    return EflGraph(n, pairs, labels, tuple(placed[2, t] for t in labels))

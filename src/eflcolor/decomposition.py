@@ -14,7 +14,6 @@ vertices.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +22,7 @@ from math import comb
 from typing import Iterable
 
 from .coloring import ProperCheck, first_clash
-from .core import EflGraph, Rejection, build_from_pairs
+from .core import EflGraph, Rejection
 
 __all__ = [
     "HostGraph",
@@ -280,11 +279,9 @@ def efl_cliques(g: EflGraph) -> tuple:
     """The cliques of :func:`efl_to_decomposition`'s decomposition of g,
     in canonical order, with no host built: every shared vertex
     contributes the clique of the indices of the defining cliques
-    containing it, so a pair graph's cliques are its pairs."""
-    if g.is_pair_graph:
-        return g.pairs
-    return tuple(
-        _canonical_order(ix for ix in g.keyed.values() if len(ix) > 1)
+    containing it, so the 2-cliques are ``g.pairs``."""
+    return g.pairs + tuple(
+        _canonical_order(ix for ix in g.label_cliques if len(ix) > 2)
     )
 
 
@@ -299,9 +296,10 @@ def efl_to_decomposition(g: EflGraph) -> CliqueDecomposition:
     canonical order.
     """
     cliques = efl_cliques(g)
-    # Q_i and Q_j share at most one vertex, so no two cliques share an edge
-    count = len(cliques) if g.is_pair_graph else sum(
-        comb(len(c), 2) for c in cliques)
+    # Q_i and Q_j share at most one vertex, so no two cliques share an
+    # edge; the cliques before the larger ones are g.pairs, an edge each
+    edges = len(g.pairs)
+    count = edges + sum(comb(len(c), 2) for c in cliques[edges:])
     return CliqueDecomposition(HostGraph._spanned(g.n, cliques, count),
                                cliques)
 
@@ -312,31 +310,27 @@ def decomposition_to_efl(d: CliqueDecomposition) -> EflGraph:
     Decomposition clique D_t becomes one shared vertex placed in the
     defining cliques its host vertices index: a SharedVertex for a
     2-clique, a GeneralVertex labeled t otherwise.  Defining cliques are
-    padded to order n with slot-numbered unshared vertices.  When every
-    clique is a 2-clique the result is the pair graph on them; otherwise
-    it is the keyed graph that maps the key (0, i, j) or (2, t) of each
-    shared vertex to its clique D_t, built with no vertex object (see
-    :class:`eflcolor.core.EflGraph`).  Two guards catch unvalidated input,
-    which a validated decomposition of a simple host never trips:
+    padded to order n with slot-numbered unshared vertices.  The graph is
+    built from the cliques with no vertex object (see
+    :class:`eflcolor.core.EflGraph`).  Three guards catch unvalidated
+    input, which a validated decomposition of a simple host never trips:
     CliqueCapacityError when a host vertex lies in more than n cliques,
-    then ValueError naming the first repeated clique.
+    then ValueError naming the first repeated clique, then the first
+    clique with a vertex outside 1..n.
     """
     n = d.host.vertex_count
     if n < 2:
         raise ValueError(f"host must have >= 2 vertices, got {n}")
-    # canonical order puts the largest cliques last
-    if not d.cliques or len(d.cliques[-1]) == 2:
-        pairs = d.cliques
-        if not all(map(operator.lt, pairs, pairs[1:])):  # a repeat, maybe
-            _check_capacity(n, Counter(chain.from_iterable(pairs)))
-            _check_repeats(pairs)
-        return build_from_pairs(n, pairs)
-    _check_capacity(n, Counter(chain.from_iterable(d.cliques)))
+    count = Counter(chain.from_iterable(d.cliques))
+    _check_capacity(n, count)
     _check_repeats(d.cliques)
-    return EflGraph._of_keys(n, {
-        (0, *c) if len(c) == 2 else (2, t): c
-        for t, c in enumerate(d.cliques, start=1)
-    })
+    if count.keys() - range(1, n + 1):
+        c = next(c for c in d.cliques if not 1 <= min(c) <= max(c) <= n)
+        raise ValueError(f"clique {c} out of range for n={n}")
+    labels = tuple(t for t, c in enumerate(d.cliques, start=1)
+                   if len(c) != 2)
+    return EflGraph(n, tuple(sorted(c for c in d.cliques if len(c) == 2)),
+                    labels, tuple(d.cliques[t - 1] for t in labels))
 
 
 def _check_capacity(n: int, count):

@@ -177,17 +177,21 @@ def _clique_text(vertices) -> str:
     return "    [\n      " + ",\n      ".join(vertices) + "\n    ]"
 
 
-def _keyed_clique_texts(g: EflGraph):
-    """The cliques of a keyed graph as ``graph_text`` writes them, each
-    in :func:`vertex_key` order: its shared pairs, its slots, then its
-    general labels, from the keys alone."""
+def _clique_texts(g: EflGraph):
+    """The cliques of g as ``graph_text`` writes them, each in
+    :func:`vertex_key` order: its shared pairs, its slots, then its
+    general labels, from g's sorted pairs and labels alone."""
     n = g.n
     head: list = [[] for _ in range(n + 1)]  # the pairs of each clique
     tail: list = [[] for _ in range(n + 1)]  # its general labels
-    for k, ix in sorted(g.keyed.items()):
-        text = _key_text(*k)
+    for p in g.named_pairs:
+        text = _key_text(0, *p)
+        for c in p:
+            head[c].append(text)
+    for t, ix in zip(g.labels, g.label_cliques):
+        text = _key_text(2, t)
         for c in ix:
-            (head if k[0] == 0 else tail)[c].append(text)
+            tail[c].append(text)
     for c in range(1, n + 1):
         slots = n - len(head[c]) - len(tail[c])
         yield _clique_text(chain(
@@ -198,13 +202,13 @@ def _keyed_clique_texts(g: EflGraph):
 
 def graph_text(g: EflGraph):
     """Yields ``dumps(graph_to_json(g))`` one shared pair or clique at a
-    time, written straight from g's pairs or keys with no JSON encoder
+    time, written straight from g's pairs and labels with no JSON encoder
     and no vertex object."""
     yield f'{{\n  "n": {g.n},\n  "shared_pairs": '
     yield from _int_lists(g.pairs)
-    if g.keyed is not None:
+    if not g.is_pair_graph:
         yield ',\n  "cliques": '
-        yield from _json_list(_keyed_clique_texts(g))
+        yield from _json_list(_clique_texts(g))
     yield "\n}\n"
 
 
@@ -285,8 +289,8 @@ def _check_pairs(pairs, g: EflGraph):
 def graph_from_json(data) -> EflGraph:
     """The graph of a graph document: built from its "shared_pairs", or,
     when it has "cliques", validated from those with
-    :func:`eflcolor.core.validate_keys` as a keyed graph, its
-    "shared_pairs", when present, checked against them.  Each parsed
+    :func:`eflcolor.core.validate_keys`, its "shared_pairs", when
+    present, checked against them.  Each parsed
     clique list is dropped from the document as the rule scan takes it,
     so the document is not held while the graph is validated."""
     if not isinstance(data, dict) or not _is_int(data.get("n")):

@@ -280,11 +280,12 @@ def chromatic_number(
             raise BudgetExhausted(total)
         k += 1
     numbering = g.numbering
-    if g.keyed is None:  # the cliques are the pairs, numbered first
-        colors += [None] * (numbering.size - len(colors))
-    else:  # canonical order puts size first
-        color_of = dict(zip(cliques, colors))
-        colors = [color_of.get(ix) for ix in numbering.cliques]
+    labeled = set(numbering.label_cliques)
+    color_of = {ix: c for ix, c in zip(cliques, colors) if ix in labeled}
+    # the other cliques are the named pairs, sorted, as they are numbered
+    colors = [c for ix, c in zip(cliques, colors) if ix not in labeled]
+    colors += [None] * (numbering.start[-1] - len(colors))
+    colors += map(color_of.get, numbering.label_cliques)
     try:
         witness = _fill(g, colors, k)
     except ValueError as e:  # a clique repeats a color, or holds one above k

@@ -4,11 +4,15 @@ Each case is a name and an argv for ``eflcolor.cli.main``.  An argument
 starting with "@" names a file in the corpus directory: either a
 hand-written input under ``inputs/`` or ``<case>.stdout``, the pinned
 stdout of an earlier case, so a chain such as gen -> color -> verify
-replays every step from the pinned bytes of the step before.
+replays every step from the pinned bytes of the step before.  The
+argument ``OUT`` ("%out") names the file a case writes with ``--out``;
+its bytes are pinned as ``<case>.out`` and a later case may read them as
+"@<case>.out".
 
 ``python tests/cli_corpus.py`` captures the corpus into
-``tests/fixtures/cli_corpus/``: one ``<case>.stdout`` per case plus
-``manifest.json`` with the argv, exit code and stderr of each.
+``tests/fixtures/cli_corpus/``: one ``<case>.stdout`` per case, one
+``<case>.out`` per case that writes one, plus ``manifest.json`` with the
+argv, exit code and stderr of each.
 ``python tests/cli_corpus.py NAME ...`` recaptures only the named cases,
 so a change that means to alter some outputs alters no other: every
 other ``.stdout`` and manifest entry is kept byte for byte, and a name
@@ -21,11 +25,13 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from eflcolor.cli import main
 
 CORPUS = Path(__file__).parent / "fixtures" / "cli_corpus"
+OUT = "%out"
 
 
 def _gen(n):
@@ -109,6 +115,8 @@ CASES = [
       "--view", "intersection"]),
     ("chromatic_4", ["chromatic", "--in", "@gen_all_4.stdout"]),
     ("chromatic_fano", ["chromatic", "--in", "@to_efl_fano.stdout"]),
+    ("chromatic_fano_out",
+     ["chromatic", "--in", "@to_efl_fano.stdout", "--out", OUT]),
     ("sweep_5_3", ["sweep", "--n", "5", "--r", "3"]),
     ("sweep_6_3_min_palettes",
      ["sweep", "--n", "6", "--r", "3", "--min-palettes"]),
@@ -352,6 +360,19 @@ CASES = [
     # a graph that the chunked reader refuses, drawn by export-dot
     ("export_dot_cliques_first",
      ["export-dot", "--in", "@inputs/cliques_first.json"]),
+    # the graph of order 3 with a general label in cliques 1 and 2: its
+    # shared coloring, chromatic witness and both drawings
+    ("color_general_pair",
+     ["color", "--in", "@inputs/cliques_general_pair.json"]),
+    ("chromatic_general_pair",
+     ["chromatic", "--in", "@inputs/cliques_general_pair.json",
+      "--out", OUT]),
+    ("export_dot_host_general_pair",
+     ["export-dot", "--in", "@inputs/cliques_general_pair.json",
+      "--view", "host"]),
+    ("export_dot_intersection_general_pair",
+     ["export-dot", "--in", "@inputs/cliques_general_pair.json",
+      "--view", "intersection"]),
 ]
 
 
@@ -361,13 +382,20 @@ def resolve(argv):
 
 
 def run(argv):
-    """(exit code, stdout, stderr) of one ``cli.main`` call, with a corpus
-    file's path in stderr written back as its "@name", so the pinned
-    messages do not depend on where the corpus lies."""
+    """(exit code, stdout, stderr, the text written to ``OUT`` or None) of
+    one ``cli.main`` call, with a corpus file's path in stderr written
+    back as its "@name", so the pinned messages do not depend on where
+    the corpus lies."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(resolve(argv))
-    return code, out.getvalue(), err.getvalue().replace(f"{CORPUS}/", "@")
+    with tempfile.TemporaryDirectory() as tmp:
+        written = Path(tmp) / "out"
+        argv = [str(written) if a == OUT else a for a in resolve(argv)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        text = (written.read_text(encoding="utf-8") if written.exists()
+                else None)
+    return (code, out.getvalue(), err.getvalue().replace(f"{CORPUS}/", "@"),
+            text)
 
 
 def capture(names=None):
@@ -394,8 +422,10 @@ def capture(names=None):
         if name not in names:
             entries.append(kept[name])
             continue
-        code, out, err = run(argv)
+        code, out, err, written = run(argv)
         (CORPUS / f"{name}.stdout").write_text(out, encoding="utf-8")
+        if written is not None:
+            (CORPUS / f"{name}.out").write_text(written, encoding="utf-8")
         entries.append(
             {"name": name, "argv": argv, "exit": code, "stderr": err}
         )

@@ -267,10 +267,12 @@ def reference_validate(cliques, n):
                 f"{free} unshared places",
                 (idx, bad[0]),
             )
-    return EflGraph._of_keys(n, {
-        vertex_key(v): ix for v, ix in membership.items()
-        if not isinstance(v, UnsharedVertex)
-    })
+    pairs = sorted(ix for v, ix in membership.items()
+                   if isinstance(v, SharedVertex))
+    labeled = sorted((v.label, ix) for v, ix in membership.items()
+                     if isinstance(v, GeneralVertex))
+    return EflGraph(n, tuple(pairs), tuple(t for t, _ in labeled),
+                    tuple(ix for _, ix in labeled))
 
 
 def reference_graph_from_json(data) -> EflGraph:

@@ -184,7 +184,7 @@ def _mixed():
     in one clique and one in two, numbered after the slots."""
     for n in range(5, 9):
         g = mixed_graph(n, random.Random(n))
-        sizes = {len(ix) for k, ix in g.keyed.items() if k[0] == 2}
+        sizes = set(map(len, g.label_cliques))
         assert {1, 2} <= sizes
         yield f"mixed_{n}", g
 

@@ -10,7 +10,7 @@ import shutil
 import pytest
 
 import cli_corpus
-from cli_corpus import CASES, CORPUS, run
+from cli_corpus import CASES, CORPUS, OUT, run
 
 MANIFEST = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))
 
@@ -33,11 +33,15 @@ def test_corpus_covers_every_subcommand():
 
 @pytest.mark.parametrize("case", MANIFEST, ids=lambda case: case["name"])
 def test_replay_is_byte_identical(case):
-    code, out, err = run(case["argv"])
+    code, out, err, written = run(case["argv"])
     expected = (CORPUS / f"{case['name']}.stdout").read_text(encoding="utf-8")
     assert code == case["exit"]
     assert out == expected
     assert err == case["stderr"]
+    pinned = CORPUS / f"{case['name']}.out"
+    assert (written is not None) == (OUT in case["argv"]) == pinned.exists()
+    if written is not None:
+        assert written == pinned.read_text(encoding="utf-8")
 
 
 def test_named_capture_keeps_every_other_case(tmp_path, monkeypatch):

@@ -71,13 +71,13 @@ class TestHostGraph:
             assert hash(host) == hash(HostGraph(n, edges))
             assert host == HostGraph(n, edges)
         sparse = [(1, 2), (1, 3), (1, 4), (2, 3), (4, 5)]
-        keyed = decomposition_to_efl(decomposition(
+        mixed = decomposition_to_efl(decomposition(
             5, [(1, 2, 3), (1, 4), (4, 5)],
             host=HostGraph.from_edges(5, sparse),
         ))
-        assert not keyed.is_pair_graph
+        assert not mixed.is_pair_graph
         pair_graph = build_from_pairs(6, [(1, 2), (1, 3), (2, 5), (4, 6)])
-        for g, edges in [(pair_graph, pair_graph.pairs), (keyed, sparse)]:
+        for g, edges in [(pair_graph, pair_graph.pairs), (mixed, sparse)]:
             checked = HostGraph(g.n, frozenset(edges))
             host = efl_to_decomposition(g).host
             assert host.edge_count == len(edges)
@@ -294,6 +294,14 @@ class TestDecompositionToEfl:
         )
         with pytest.raises(ValueError, match=r"^duplicate clique \(1, 2, 3\)"):
             decomposition_to_efl(bogus)
+
+    def test_rejects_out_of_range_clique_on_unchecked_input(self):
+        # bypasses validate_decomposition: host vertex 5 names no defining
+        # clique of order 3
+        for cliques in [((1, 5),), ((1, 2), (1, 3, 5))]:
+            bogus = CliqueDecomposition(complete_host(3), cliques)
+            with pytest.raises(ValueError, match="out of range for n=3$"):
+                decomposition_to_efl(bogus)
 
     def test_rejects_tiny_host(self):
         d = decomposition(1, [], host=HostGraph(1, frozenset()))

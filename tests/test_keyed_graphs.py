@@ -1,8 +1,8 @@
-"""Explicit-clique graphs held as vertex keys, against the object path.
+"""Explicit-clique graphs with general labels, against the object path.
 
-``graph_from_json`` reads a "cliques" document into a keyed graph (n plus
-the vertex_key tuple and clique indices of every vertex that is not a
-slot), and ``decomposition_to_efl`` builds one from mixed clique sizes.
+``graph_from_json`` reads a "cliques" document into a graph held as n,
+its sorted pairs and its sorted general labels with their clique indices,
+and ``decomposition_to_efl`` builds one from mixed clique sizes.
 Every graph, rejection message, written byte and edge-partition verdict
 is checked against the oracles in tests/helpers.py, which read vertices
 with ``vertex_from_json`` and validate vertex objects and edge tuples.
@@ -11,6 +11,7 @@ with ``vertex_from_json`` and validate vertex objects and edge tuples.
 import copy
 import json
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -79,7 +80,7 @@ def test_reader_matches_the_object_path_on_mixed_graphs(n):
     for _, _, g in mixed_graphs([n], range(2)):
         doc = graph_to_json(g)
         got = graph_from_json(copy.deepcopy(doc))
-        assert got.keyed is not None
+        assert not got.is_pair_graph
         assert got == reference_graph_from_json(doc) == g
         assert g == got and hash(got) == hash(g)
 
@@ -87,7 +88,7 @@ def test_reader_matches_the_object_path_on_mixed_graphs(n):
 def test_keyed_graphs_read_as_their_object_graphs():
     for n, seed, g in mixed_graphs((3, 4, 7, 12, 25), range(3)):
         k = graph_from_json(graph_to_json(g))
-        # the keys place every vertex before any vertex index is built
+        # the lists place every vertex before any vertex index is built
         for v in g.vertex_set:
             assert k.cliques_of(v) == g.cliques_of(v)
         assert "cliques" not in vars(k)
@@ -109,12 +110,12 @@ def test_keyed_graphs_are_written_as_object_graphs_are():
         assert text(g) == want
         k = graph_from_json(json.loads(want))
         assert text(k) == want
-        # and the graph of the packing itself, keyed from its cliques
+        # and the graph of the packing itself, built from its cliques
         d = efl_to_decomposition(g)
-        keyed = decomposition_to_efl(d)
-        assert keyed.keyed is not None
-        objects = validate(keyed.cliques, n)
-        assert text(keyed) == text(objects) == dumps(graph_to_json(objects))
+        packed = decomposition_to_efl(d)
+        assert not packed.is_pair_graph
+        objects = validate(packed.cliques, n)
+        assert text(packed) == text(objects) == dumps(graph_to_json(objects))
 
 
 def test_keyed_graphs_of_packings_round_trip():
@@ -123,9 +124,12 @@ def test_keyed_graphs_of_packings_round_trip():
             complete_host(n), triangle_packing(n, random.Random(n))
         )
         g = decomposition_to_efl(d)
-        assert g.keyed is not None and not g.is_two_clique
+        assert not g.is_pair_graph and not g.is_two_clique
         back = graph_from_json(json.loads(text(g)))
-        assert back == g and back.keyed == g.keyed
+        assert back == g and hash(back) == hash(g)
+        assert (back.named_pairs, back.labels, back.label_cliques) == (
+            g.named_pairs, g.labels, g.label_cliques
+        )
         assert efl_to_decomposition(back) == d
 
 
@@ -154,6 +158,27 @@ def test_no_graph_holds_vertex_objects_until_read():
         assert "cliques" not in vars(g)
         assert len(g.cliques) == g.n
         assert "cliques" in vars(g)
+
+
+def test_a_graph_with_a_general_label_is_held_as_two_sorted_lists():
+    # G_300 with the pair (1, 2) named as general label 7: the graph holds
+    # its 44,849 pairs and one label with its cliques, and nothing per key
+    n = 300
+
+    def cliques():
+        for c in range(1, n + 1):
+            q = [(0, min(c, d), max(c, d)) for d in range(1, n + 1) if d != c]
+            yield [(2, 7) if k == (0, 1, 2) else k for k in q] + [(1, c, 1)]
+
+    tracemalloc.start()
+    try:
+        g = validate_keys(cliques(), n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(g, EflGraph) and not g.is_pair_graph
+    assert g.is_two_clique and len(g.pairs) == n * (n - 1) // 2
+    assert held < 4 * 2**20, held
 
 
 def _is_vertex(v) -> bool:
