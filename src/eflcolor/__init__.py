@@ -12,26 +12,19 @@ from .core import (
     validate,
     vertex_key,
 )
-from .coloring import (
-    FullColoring,
-    ProperCheck,
-    SharedColoring,
-    check_proper,
-    color_shared,
-    extend_to_full,
-    pair_color,
+from .check import (
+    CliqueDecomposition, DecompositionColoring, FullColoring, ProperCheck,
+    SharedColoring, check_decomposition_coloring, check_proper,
+    validate_decomposition,
 )
+from .coloring import color_shared, extend_to_full, pair_color
 from .decomposition import (
     CliqueCapacityError,
-    CliqueDecomposition,
-    DecompositionColoring,
     HostGraph,
-    check_decomposition_coloring,
     complete_host,
     decomposition_to_efl,
     efl_to_decomposition,
     intersection_graph,
-    validate_decomposition,
 )
 from .solver import (
     BudgetExhausted,

@@ -22,13 +22,15 @@ import os
 import sys
 
 from . import serialize
+from .check import (
+    CliqueDecomposition, check_decomposition_coloring, check_n_coloring,
+    check_proper,
+)
 from .chunked import read_graph, read_vertex_coloring
-from .coloring import ProperCheck, check_proper, color_shared, extend_to_full
+from .coloring import color_shared, extend_to_full
 from .core import build_from_pairs, build_maximal
 from .decomposition import (
     CliqueCapacityError,
-    CliqueDecomposition,
-    check_decomposition_coloring,
     decomposition_to_efl,
     efl_to_decomposition,
 )
@@ -138,11 +140,7 @@ def _cmd_color(args) -> int:
             raise AssertionError(
                 f"closed form produced an improper coloring: {e}"
             ) from None
-    chk = check_proper(g, coloring)
-    if not chk:
-        raise AssertionError(
-            f"coloring failed re-verification: {chk.reason}"
-        )
+    check_proper(g, coloring).require("coloring failed re-verification")
     _emit(serialize.coloring_text(coloring), args.out)
     return EXIT_OK
 
@@ -197,16 +195,8 @@ def _cmd_verify(args) -> int:
         del cdata
     # both checkers raise ValueError for a coloring that does not fit its
     # palette or the graph: exit 2 from main
-    if is_decomposition:
-        chk = check_decomposition_coloring(graph, coloring)
-    else:
-        chk = check_proper(graph, coloring)
-        # an n-coloring, as on the decomposition side
-        if coloring.palette_size > graph.n:
-            chk = ProperCheck(
-                False, None, f"palette {coloring.palette_size} exceeds the "
-                f"graph order {graph.n}",
-            )
+    chk = (check_decomposition_coloring if is_decomposition
+           else check_n_coloring)(graph, coloring)
     if chk:
         print("proper")
         return EXIT_OK

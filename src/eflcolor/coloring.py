@@ -14,30 +14,23 @@ vertices take the colors its shared vertices do not use.
 The colorings are lists of colors by vertex number (:class:`NumberedColors`
 over :class:`eflcolor.core.Numbering`), in :func:`vertex_key` order: the
 shared pairs, then each clique's slots, then the general labels.
-Coloring, extending and checking work on those lists, on every graph,
-and build no vertex object.  A vertex is the clique of its
-defining cliques' indices, so :func:`first_clash` judges vertex and
-clique colorings alike.
+Coloring and extending work on those lists, on every graph, and build no
+vertex object; :func:`eflcolor.check.check_proper` judges the result.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
-
-from .core import EflGraph, vertex_key
+from .check import (  # ProperCheck and the checks: importable as before
+    FullColoring, NumberedColors, ProperCheck, SharedColoring, _first,
+    _least_not_shared, _numbered, check_proper, first_clash,
+)
+from .core import EflGraph
 
 __all__ = [
-    "SharedColoring",
-    "FullColoring",
-    "NumberedColors",
-    "ProperCheck",
     "pair_color",
     "pair_colors",
     "color_shared",
     "extend_to_full",
-    "first_clash",
-    "check_proper",
 ]
 
 
@@ -67,92 +60,6 @@ def pair_colors(n: int, pairs) -> list:
     return [ints[pair_color(n, i, j)] for i, j in pairs]
 
 
-@dataclass(frozen=True)
-class SharedColoring:
-    """Colors for (a subset of) the shared vertices of an EFL graph."""
-
-    palette_size: int
-    colors: Mapping
-
-
-@dataclass(frozen=True)
-class FullColoring:
-    """Colors for every vertex of an EFL graph."""
-
-    palette_size: int
-    colors: Mapping
-
-
-@dataclass(frozen=True)
-class ProperCheck:
-    """Outcome of a properness check; falsy when a violation was found."""
-
-    ok: bool
-    violation: tuple = None
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-class NumberedColors(Mapping):
-    """A read-only vertex -> color Mapping held as a list by vertex number.
-
-    ``by_number[k]`` is the color of vertex k of ``graph.numbering``, or
-    None when it is uncolored; ``extra`` maps any colored vertex that the
-    graph does not have to its color.  Vertex objects are built only when
-    a caller reads the mapping by vertex; its length is counted once.
-    """
-
-    __slots__ = ("graph", "by_number", "extra", "_len", "_dict")
-
-    def __init__(self, graph: EflGraph, by_number: list, extra=None):
-        self.graph, self.by_number = graph, by_number
-        self.extra = extra or {}
-        self._len = len(by_number) - by_number.count(None) + len(self.extra)
-        self._dict = None
-
-    def _as_dict(self) -> dict:
-        if self._dict is None:
-            vertex = self.graph.numbering.vertex
-            self._dict = {
-                vertex(k): c for k, c in enumerate(self.by_number)
-                if c is not None
-            }
-            self._dict.update(self.extra)
-        return self._dict
-
-    def __getitem__(self, v):
-        return self._as_dict()[v]
-
-    def __iter__(self):
-        return iter(self._as_dict())
-
-    def __len__(self):
-        return self._len
-
-    def __repr__(self):
-        return repr(self._as_dict())
-
-
-def _numbered(g: EflGraph, colors) -> NumberedColors:
-    """colors, a vertex -> color Mapping, numbered by g's vertices."""
-    if isinstance(colors, NumberedColors) and (
-        colors.graph is g or colors.graph == g
-    ):
-        return colors
-    numbering = g.numbering
-    by_number = [None] * numbering.size
-    extra = {}
-    for v, c in colors.items():
-        k = numbering.number_of(v)
-        if k is None:
-            extra[v] = c
-        else:
-            by_number[k] = c
-    return NumberedColors(g, by_number, extra)
-
-
 def color_shared(g: EflGraph) -> SharedColoring:
     """Proper coloring of the shared vertices of a two-clique EFL graph.
 
@@ -174,29 +81,6 @@ def color_shared(g: EflGraph) -> SharedColoring:
     by_number += [pair_color(n, *ix) if len(ix) > 1 else None
                   for ix in numbering.label_cliques]
     return SharedColoring(n if n % 2 else n - 1, NumberedColors(g, by_number))
-
-
-def _first(g: EflGraph, by_number: list, shared: bool, colored: bool):
-    """The least number of a vertex that g shares, or does not share when
-    not shared, and that by_number colors, or leaves uncolored when not
-    colored; None when there is none."""
-    numbering = g.numbering
-    P, L = len(numbering.pairs), numbering.start[-1]
-    part, lo = (by_number[:P], 0) if shared else (by_number[P:L], P)
-    if part.count(None) != (len(part) if colored else 0):
-        return next(k for k, c in enumerate(part, lo)
-                    if (c is None) != colored)
-    return next((k for k, ix in enumerate(numbering.label_cliques, L)
-                 if (len(ix) > 1) == shared
-                 and (by_number[k] is None) != colored), None)
-
-
-def _least_not_shared(g: EflGraph, colors: NumberedColors):
-    """The least vertex by :func:`vertex_key` that colors colors and g
-    does not share, or None."""
-    k = _first(g, colors.by_number, shared=False, colored=True)
-    found = [*colors.extra, *([] if k is None else [g.numbering.vertex(k)])]
-    return min(found, key=vertex_key, default=None)
 
 
 def extend_to_full(g: EflGraph, shared: SharedColoring) -> FullColoring:
@@ -267,83 +151,3 @@ def _fill(g: EflGraph, full: list, palette: int) -> FullColoring:
         for k, c in zip(lone.get(idx, ()), free[len(slots):]):
             full[k] = c
     return FullColoring(palette, NumberedColors(g, full))
-
-
-def first_clash(cliques, colors) -> tuple | None:
-    """The lexicographically first pair (s, t), s < t, of cliques that
-    share a host vertex and a color, or None when no two do.
-
-    colors[t - 1] is the color of clique t (both 1-based); None leaves it
-    uncolored.  The cost is linear in the clique-vertex incidences: each
-    color class lists the vertices of its cliques, and there is no clash
-    exactly when no class repeats a vertex.  On a clash the cliques are
-    bucketed by (vertex, color); every clashing pair lies in one bucket,
-    whose two least indices form a pair no later than it, so the least
-    such pair over the buckets is the answer.
-    """
-    classes: dict = {}  # color -> the vertices of its cliques
-    for c, q in zip(colors, cliques):
-        classes.setdefault(c, []).extend(q)
-    classes.pop(None, None)
-    for vs in classes.values():
-        if len(set(vs)) < len(vs):
-            break
-    else:
-        return None
-    buckets: dict = {}  # (vertex, color) -> the cliques holding both
-    for t, (c, q) in enumerate(zip(colors, cliques), start=1):
-        for v in q:
-            buckets.setdefault((v, c), []).append(t)
-    return min(
-        tuple(b[:2]) for (_, c), b in buckets.items()
-        if len(b) > 1 and c is not None
-    )
-
-
-def check_proper(g: EflGraph, coloring) -> ProperCheck:
-    """Check that no edge of g joins two equally colored vertices.
-
-    A FullColoring must cover exactly the vertices of g; a SharedColoring
-    may cover any subset of the shared vertices, and only edges inside its
-    domain are examined.  Two vertices are adjacent exactly when their
-    defining cliques meet, so :func:`first_clash` runs on each vertex's
-    cliques, ``numbering.cliques``.  Vertex numbers follow
-    :func:`vertex_key` order, so its first clash is the lexicographically
-    first monochromatic pair by :func:`vertex_key`, which is reported.  A
-    vertex outside the domain or a color outside 1..palette_size is a
-    ValueError naming the least such vertex.  Nothing is allocated per
-    palette value.
-    """
-    colors = _numbered(g, coloring.colors)
-    by_number, numbering = colors.by_number, g.numbering
-    if isinstance(coloring, FullColoring):
-        if None in by_number:
-            v = numbering.vertex(by_number.index(None))
-            raise ValueError(f"full coloring misses vertex {v!r}")
-        if colors.extra:
-            v = min(colors.extra, key=vertex_key)
-            raise ValueError(f"full coloring names unknown vertex {v!r}")
-    else:
-        v = _least_not_shared(g, colors)
-        if v is not None:
-            raise ValueError(
-                f"shared coloring names non-shared vertex {v!r}"
-            )
-    p = coloring.palette_size
-    used = set(by_number) - {None}
-    if used and not 1 <= min(used) <= max(used) <= p:
-        k = next(k for k, c in enumerate(by_number)
-                 if c is not None and not 1 <= c <= p)
-        raise ValueError(
-            f"vertex {numbering.vertex(k)!r} has color {by_number[k]} "
-            f"outside 1..{p}"
-        )
-    clash = first_clash(numbering.cliques, by_number)
-    if not clash:
-        return ProperCheck(True)
-    u, w = numbering.vertex(clash[0] - 1), numbering.vertex(clash[1] - 1)
-    return ProperCheck(
-        False, (u, w),
-        f"{u!r} and {w!r} are adjacent and share color "
-        f"{by_number[clash[0] - 1]}",
-    )

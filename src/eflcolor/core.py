@@ -246,7 +246,7 @@ class EflGraph:
 class _Joined:
     """Each vertex number's ascending clique tuple, in number order: the
     pairs, (c,) for each slot of clique c, then the labels' tuples.  It is
-    walked as often as a caller asks (:func:`eflcolor.coloring.first_clash`
+    walked as often as a caller asks (:func:`eflcolor.check.first_clash`
     walks it twice on a clash), with no copy of the pairs and nothing held
     per slot."""
 

@@ -4,8 +4,8 @@ A clique decomposition of a simple host graph H is a family of cliques
 covering every edge of H exactly once.  Coloring the decomposition means
 assigning colors to its cliques so that vertex-intersecting cliques
 differ, which is exactly a proper coloring of the family's intersection
-graph; :func:`eflcolor.coloring.first_clash` checks it on the
-clique-vertex incidences, without building that graph.  EFL graphs and
+graph; :func:`eflcolor.check.check_decomposition_coloring` checks it on
+the clique-vertex incidences, without building that graph.  EFL graphs and
 clique decompositions translate into each other: defining cliques become
 host vertices and shared vertices become decomposition cliques, so an
 n-coloring of the decomposition is a proper coloring of the shared
@@ -15,28 +15,26 @@ vertices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Iterable
 
-from .coloring import ProperCheck, first_clash
-from .core import EflGraph, Rejection
+from .check import (  # the moved names: importable as before
+    CliqueDecomposition, DecompositionColoring, _canonical_order,
+    check_decomposition_coloring, validate_decomposition,
+)
+from .core import EflGraph
 
 __all__ = [
     "HostGraph",
-    "CliqueDecomposition",
-    "DecompositionColoring",
     "CliqueCapacityError",
     "complete_host",
-    "validate_decomposition",
     "intersection_graph",
     "clique_masks",
     "efl_cliques",
     "efl_to_decomposition",
     "decomposition_to_efl",
-    "check_decomposition_coloring",
 ]
 
 
@@ -130,109 +128,6 @@ class HostGraph:
 def complete_host(n: int) -> HostGraph:
     """The complete graph K_n."""
     return HostGraph._spanned(n, None, n * (n - 1) // 2)
-
-
-@dataclass(frozen=True)
-class CliqueDecomposition:
-    """Host graph plus cliques partitioning its edge set.
-
-    Cliques are sorted vertex tuples in canonical order (size, then
-    lexicographic), so equal decompositions serialize identically.
-    """
-
-    host: HostGraph
-    cliques: tuple
-
-
-@dataclass(frozen=True)
-class DecompositionColoring:
-    """Colors for the cliques of a decomposition, keyed by canonical index."""
-
-    palette_size: int
-    colors: dict
-
-
-def _canonical_order(cliques) -> list:
-    """Cliques by size, then lexicographically: the size sort is stable."""
-    return sorted(sorted(cliques), key=len)
-
-
-def validate_decomposition(host: HostGraph, cliques: Iterable):
-    """Check the edge-partition and clique-completeness invariants.
-
-    Returns the decomposition with cliques in canonical order, or a
-    Rejection naming the first offense in a fixed scan order: a repeated
-    vertex, an undersized clique, an out-of-range vertex, a non-edge
-    inside a clique, a doubly covered edge, then the lexicographically
-    first uncovered edge.  Edges of int vertices are checked by number
-    (i * (N + 1) + j for the edge (i, j) of a host on N vertices), so no
-    edge tuple is hashed, and a complete host's edges are known by range
-    alone.
-    """
-    canon = []
-    for c in cliques:
-        c = tuple(c)
-        if len(set(c)) != len(c):
-            return Rejection(
-                "clique-vertices", f"clique {c} repeats a vertex", (c,)
-            )
-        canon.append(tuple(sorted(c)))
-    del cliques  # freed here when the caller passed its only reference
-    canon = _canonical_order(canon)
-    N = host.vertex_count
-    M = N + 1
-    # int vertices give each edge (i, j) of 1..N its own number; anything
-    # else is checked as the tuples host.edges holds.  A host's vertices are
-    # screened in what it holds, given edges or a built host's cliques, so
-    # K_n, which holds none, builds no edge for it
-    ints = set(map(type, chain.from_iterable(
-        chain(canon, host._spans or ())))) <= {int}
-    if not ints:
-        edges = host.edges
-    elif not host.is_complete:
-        edges = {i * M + j for i, j in host.edges}
-    else:  # every in-range pair is an edge
-        edges = None
-    covered = set()
-    for t, c in enumerate(canon, start=1):
-        if len(c) < 2:
-            return Rejection(
-                "clique-size",
-                f"clique {t} has {len(c)} vertices; decomposition cliques "
-                "must carry at least one edge",
-                (t,),
-            )
-        if not ints or c[0] < 1 or c[-1] > N:  # c is sorted
-            out = [v for v in c if not 1 <= v <= N]
-            if out:
-                return Rejection(
-                    "vertex-range",
-                    f"clique {t} names vertex {out[0]}, outside 1..{N}",
-                    (t, out[0]),
-                )
-        for i, j in combinations(c, 2):
-            e = i * M + j if ints else (i, j)
-            if edges is not None and e not in edges:
-                return Rejection(
-                    "not-a-clique",
-                    f"clique {t} spans {(i, j)}, which is not a host edge",
-                    (t, (i, j)),
-                )
-            if e in covered:
-                return Rejection(
-                    "edge-covered-twice",
-                    f"edge {(i, j)} belongs to two cliques",
-                    (i, j),
-                )
-            covered.add(e)
-    # every covered edge is a host edge
-    if len(covered) < host.edge_count:
-        e = next(e for e in sorted(host.edges)
-                 if (e[0] * M + e[1] if ints else e) not in covered)
-        return Rejection(
-            "edge-uncovered", f"edge {e} belongs to no clique", e
-        )
-    return CliqueDecomposition(host, tuple(canon))
 
 
 def clique_masks(cliques) -> list:
@@ -349,47 +244,3 @@ def _check_repeats(cliques):
     repeated = [c for c, k in Counter(cliques).items() if k > 1]
     if repeated:
         raise ValueError(f"duplicate clique {repeated[0]}")
-
-
-def check_decomposition_coloring(
-    d: CliqueDecomposition, coloring: DecompositionColoring
-) -> ProperCheck:
-    """Check a coloring as an n-coloring of (host, cliques).
-
-    n is the host order: a coloring whose palette exceeds it is not an
-    n-coloring and fails.  Vertex-intersecting cliques must receive
-    distinct colors; :func:`eflcolor.coloring.first_clash` on d's
-    cliques reports the first violating index pair (lexicographic).
-    Raises ValueError when the coloring is not total on the cliques or
-    steps outside its own palette.
-    """
-    k = len(d.cliques)
-    cmap = coloring.colors
-    for t in range(1, k + 1):
-        if t not in cmap:
-            raise ValueError(f"coloring misses clique {t}")
-        c = cmap[t]
-        if not 1 <= c <= coloring.palette_size:
-            raise ValueError(
-                f"clique {t} has color {c} outside 1..{coloring.palette_size}"
-            )
-    if len(cmap) != k:
-        extra = sorted(set(cmap) - set(range(1, k + 1)))
-        raise ValueError(f"coloring names unknown clique index {extra[0]}")
-    if k > 0 and coloring.palette_size > d.host.vertex_count:
-        return ProperCheck(
-            False,
-            None,
-            f"palette {coloring.palette_size} exceeds the host order "
-            f"{d.host.vertex_count}",
-        )
-    clash = first_clash(d.cliques, [cmap[t] for t in range(1, k + 1)])
-    if clash:
-        s, t = clash
-        return ProperCheck(
-            False,
-            clash,
-            f"cliques {s} and {t} share a vertex and color {cmap[s]}",
-        )
-    return ProperCheck(True)
-

@@ -37,6 +37,10 @@ from collections import Counter
 from itertools import chain, repeat
 from operator import itemgetter, lt
 
+from .check import (
+    CliqueDecomposition, DecompositionColoring, FullColoring, NumberedColors,
+    SharedColoring, validate_decomposition,
+)
 from .core import (
     MAX_ORDER,
     EflGraph,
@@ -49,15 +53,7 @@ from .core import (
     validate_keys,
     vertex_key,
 )
-from .coloring import FullColoring, NumberedColors, SharedColoring
-from .decomposition import (
-    CliqueDecomposition,
-    DecompositionColoring,
-    HostGraph,
-    complete_host,
-    intersection_graph,
-    validate_decomposition,
-)
+from .decomposition import HostGraph, complete_host, intersection_graph
 
 __all__ = [
     "FormatError",

@@ -23,13 +23,14 @@ engine it replaced.  A negative answer is reported only after the search
 space is exhausted or the counting bound refutes the palette; running
 out of node budget is a distinct outcome, never conflated with a proof.
 Every certificate is checked before it leaves this module, by the caller
-that hands it out, with one check: :func:`_checked_colors`, which runs
-:func:`eflcolor.coloring.first_clash` on the cliques in time linear in
-their clique-vertex incidences.  Sweeps split their instance stream
-into deterministic shards, one per usable CPU, swept in forked workers;
-the merged report is the same whatever the CPU count.  A sweep leaf whose
-first-fit coloring, kept by the enumerator, fits in palette n is
-certified at 0 nodes; any other goes to :func:`_color_cliques`.
+that hands it out, with one check: :func:`eflcolor.check.check_cliques`,
+in time linear in the cliques' clique-vertex incidences; the counting
+bound is :func:`eflcolor.check.over_capacity`.  Sweeps split their
+instance stream into deterministic shards, one per usable CPU, swept in
+forked workers; the merged report is the same whatever the CPU count.
+A sweep leaf whose first-fit coloring, kept by the enumerator, fits in
+palette n is certified at 0 nodes; any other goes to
+:func:`_color_cliques`.
 """
 
 from __future__ import annotations
@@ -38,21 +39,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import chain, combinations
-from math import gcd
 from typing import Callable, Iterator, Optional
 
 from . import shards as _shards
-from .coloring import (
-    FullColoring, check_proper, first_clash, pair_colors, _fill,
+from .check import (
+    CliqueDecomposition, DecompositionColoring, FullColoring, check_cliques,
+    check_proper, over_capacity,
 )
+from .coloring import pair_colors, _fill
 from .core import EflGraph
-from .decomposition import (
-    CliqueDecomposition,
-    DecompositionColoring,
-    clique_masks,
-    complete_host,
-    efl_cliques,
-)
+from .decomposition import clique_masks, complete_host, efl_cliques
 
 __all__ = [
     "BudgetExhausted",
@@ -67,6 +63,10 @@ __all__ = [
     "SweepReport",
     "sweep_two_r_decompositions",
 ]
+
+
+# what a certificate that fails its check raises, before the reason
+_UNVERIFIED = "solver certificate failed verification"
 
 
 class BudgetExhausted(RuntimeError):
@@ -107,10 +107,10 @@ class SearchOutcome:
     """Result of one palette-limited search.
 
     A COLORABLE certificate gives intersecting cliques distinct colors
-    within the palette, checked by first_clash on the cliques before
+    within the palette, checked by check_cliques on the cliques before
     returning whatever the palette (check_decomposition_coloring also
     fails a palette above the host order); NOT_COLORABLE means the space
-    was exhausted or the capacity bound refuted the palette (0 nodes).
+    was exhausted or over_capacity refuted the palette (0 nodes).
     """
 
     status: Status
@@ -292,11 +292,7 @@ def chromatic_number(
         raise AssertionError(
             f"solver produced an improper witness: {e}"
         ) from None
-    chk = check_proper(g, witness)
-    if not chk:
-        raise AssertionError(
-            f"solver produced an improper witness: {chk.reason}"
-        )
+    check_proper(g, witness).require("solver produced an improper witness")
     return ChromaticResult(k, witness, total)
 
 
@@ -308,8 +304,8 @@ def color_decomposition(
     :func:`_color_cliques` answers: a palette that fails the color-class
     capacity bound is NOT_COLORABLE at 0 nodes, the closed form colors
     2-cliques at 0 nodes, and any other palette is searched.  A COLORABLE
-    certificate passes :func:`_checked_colors` on d's cliques, and keeps
-    the caller's palette.
+    certificate passes :func:`eflcolor.check.check_cliques` on d's
+    cliques, and keeps the caller's palette.
     """
     status, colors, nodes = _color_cliques(
         d.cliques, max(palette, 0), d.host.vertex_count, cfg.node_limit,
@@ -317,7 +313,7 @@ def color_decomposition(
     )
     cert = None
     if status is Status.COLORABLE:
-        _checked_colors(d.cliques, colors)
+        check_cliques(d.cliques, colors).require(_UNVERIFIED)
         cert = DecompositionColoring(palette, dict(enumerate(colors, 1)))
     return SearchOutcome(status, cert, nodes)
 
@@ -337,20 +333,16 @@ def _color_cliques(cliques, palette: int, order: int, node_limit: int,
     The colors are not checked here: each caller checks the certificate
     it hands out.
 
-    A color class is a set of pairwise vertex-disjoint cliques, so it
-    covers at most order host vertices, and a multiple of the gcd of the
-    clique sizes: more clique-vertex incidences than palette such classes
-    hold is NOT_COLORABLE at 0 nodes.  When every clique is a 2-clique
-    and the palette holds the closed form's, n - 1 for an even order n
-    and n for an odd one, clique (i, j) takes pair_color(order, i, j),
-    through pair_colors, at 0 nodes.  Any other palette is searched on the
+    A palette that :func:`eflcolor.check.over_capacity` refutes is
+    NOT_COLORABLE at 0 nodes.  When every clique is a 2-clique and the
+    palette holds the closed form's, n - 1 for an even order n and n for
+    an odd one, clique (i, j) takes pair_color(order, i, j), through
+    pair_colors, at 0 nodes.  Any other palette is searched on the
     cliques' intersection masks, node_limit nodes at most.
     """
-    sizes = [len(c) for c in cliques]
-    step = gcd(*sizes) or 1
-    if sum(sizes) > palette * (order - order % step):
+    if over_capacity(cliques, palette, order):
         return Status.NOT_COLORABLE, None, 0
-    if set(sizes) <= {2} and palette >= order - 1 + order % 2:
+    if set(map(len, cliques)) <= {2} and palette >= order - 1 + order % 2:
         return Status.COLORABLE, pair_colors(order, cliques), 0
     nb = clique_masks(cliques)
     try:
@@ -362,21 +354,6 @@ def _color_cliques(cliques, palette: int, order: int, node_limit: int,
     if not found:
         return Status.NOT_COLORABLE, None, nodes
     return Status.COLORABLE, colors, nodes
-
-
-def _checked_colors(cliques, colors) -> list:
-    """colors (colors[t] is cliques[t]'s), once first_clash finds no two
-    cliques sharing a host vertex and a color; AssertionError naming the
-    first such pair otherwise.  Every certificate the solver hands out
-    passes here."""
-    clash = first_clash(cliques, colors)
-    if clash:
-        s, t = clash
-        raise AssertionError(
-            f"solver certificate failed verification: cliques {s} and {t} "
-            f"share a vertex and color {colors[s - 1]}"
-        )
-    return colors
 
 
 # the largest order a sweep accepts.  The enumerator builds its table of
@@ -550,9 +527,10 @@ def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
 
     A leaf with first-fit colors is COLORABLE at 0 nodes; any other is
     colored at palette n by :func:`_color_cliques`.  Every coloring, of
-    the leaf or of a downward probe, must pass :func:`_checked_colors` on
-    the leaf's cliques.  A coloring whose largest color is m proves every
-    palette >= m, so the probes start at palette m - 1.
+    the leaf or of a downward probe, must pass
+    :func:`eflcolor.check.check_cliques` on the leaf's cliques.  A
+    coloring whose largest color is m proves every palette >= m, so the
+    probes start at palette m - 1.
     """
     total = colorable = max_nodes = 0
     not_col, budget, minimums = [], [], []
@@ -566,7 +544,7 @@ def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
             )
             max_nodes = max(max_nodes, nodes)
         if status is Status.COLORABLE:
-            _checked_colors(cliques, colors)
+            check_cliques(cliques, colors).require(_UNVERIFIED)
             colorable += 1
             if not minimum_palettes:
                 continue
@@ -577,7 +555,7 @@ def _sweep_shard(n, r, cfg, minimum_palettes, shard, shards) -> tuple:
                 )
                 if probe is not Status.COLORABLE:
                     break
-                _checked_colors(cliques, low)
+                check_cliques(cliques, low).require(_UNVERIFIED)
                 p -= 1
             if probe is Status.BUDGET_EXHAUSTED:
                 status = probe

@@ -466,6 +466,44 @@ FANO_TRIANGLES = (
 )
 
 
+def projective_plane(p: int) -> list:
+    """The lines of PG(2, p), p prime, on the points 1..p^2 + p + 1, each
+    a sorted tuple, in lexicographic order.  The points are the vectors of
+    F_p^3 whose first nonzero coordinate is 1, labeled in lexicographic
+    order; each of them also names the line of the points orthogonal to
+    it."""
+    points = [v for v in product(range(p), repeat=3)
+              if any(v) and next(x for x in v if x) == 1]
+    return sorted(
+        tuple(k for k, v in enumerate(points, start=1)
+              if sum(a * b for a, b in zip(u, v)) % p == 0)
+        for u in points
+    )
+
+
+def bose_sts(v: int) -> list:
+    """Bose's Steiner triple system on v = 3m points, v = 3 mod 6, each
+    block a sorted tuple, in lexicographic order.  Point (x, i) of
+    Z_m x Z_3 is labeled 1 + x + m*i.  With the idempotent commutative
+    quasigroup x o y = (x + y)(m + 1)/2 mod m, the blocks are
+    {(x, 0), (x, 1), (x, 2)} for every x, and {(x, i), (y, i),
+    (x o y, i + 1)} for every x < y and i (R. C. Bose, "On the
+    construction of balanced incomplete block designs", 1939)."""
+    assert v % 6 == 3, v
+    m = v // 3
+
+    def point(x, i):
+        return 1 + x + m * (i % 3)
+
+    blocks = [(point(x, 0), point(x, 1), point(x, 2)) for x in range(m)]
+    blocks += [
+        tuple(sorted((point(x, i), point(y, i),
+                      point((x + y) * (m + 1) // 2 % m, i + 1))))
+        for x, y in combinations(range(m), 2) for i in range(3)
+    ]
+    return sorted(blocks)
+
+
 def reference_search(neighbors, palette, preset, node_limit, progress=None,
                      interval=10**6):
     """Fail-first backtracking coloring over an indexed adjacency list.

@@ -5,11 +5,15 @@ the clique-vertex incidences, and colors a decomposition made only of
 2-cliques by the paper's closed form at any palette that holds it;
 chromatic_number answers a two-clique EFL graph with that closed form on
 its decomposition's cliques.  Each shortcut must agree with the search
-path it bypasses on every instance small enough to search.
+path it bypasses on every instance small enough to search.  Projective
+planes and Bose's triple systems, whose answers are known by
+construction, are answered node for node as the recursive reference
+engine answers them.
 """
 
 import random
 import time
+from hashlib import sha256
 from itertools import combinations
 from pathlib import Path
 
@@ -37,7 +41,13 @@ from eflcolor.solver import (
     enumerate_two_r_decompositions,
     sweep_two_r_decompositions,
 )
-from helpers import reference_chromatic
+from helpers import (
+    FANO_TRIANGLES,
+    bose_sts,
+    projective_plane,
+    reference_chromatic,
+    reference_search,
+)
 
 CFG = SearchConfig()
 
@@ -202,6 +212,58 @@ def test_affine_plane(searches):
     # one color per parallel class
     four, _ = assert_matches_search(d, 4, searches)
     assert four.status is Status.COLORABLE
+
+
+def assert_family_answer(d, palette, status, nodes):
+    """color_decomposition answers d at palette with status in exactly
+    nodes, the recursive reference engine agrees node for node, and a
+    certificate is the reference's coloring and passes
+    check_decomposition_coloring."""
+    got = color_decomposition(d, palette)
+    assert (got.status, got.nodes) == (status, nodes)
+    nb = clique_masks(d.cliques)
+    neighbors = [[u for u in range(len(nb)) if nb[v] >> u & 1]
+                 for v in range(len(nb))]
+    found, colors, searched = reference_search(
+        neighbors, palette, solver._greedy_preset(nb), CFG.node_limit
+    )
+    assert (found, searched) == (status is Status.COLORABLE, nodes)
+    if found:
+        assert got.certificate.colors == dict(enumerate(colors, 1))
+        assert check_decomposition_coloring(d, got.certificate)
+
+
+def test_family_block_orders_are_pinned():
+    # node counts depend on the labeling and the order of the blocks
+    assert projective_plane(2) == list(FANO_TRIANGLES)
+    blocks = bose_sts(15)
+    assert blocks[:8] == [(1, 2, 9), (1, 3, 7), (1, 4, 10), (1, 5, 8),
+                          (1, 6, 11), (1, 12, 15), (1, 13, 14), (2, 3, 10)]
+    assert sha256(repr(blocks).encode()).hexdigest().startswith(
+        "2fdd2ef77f90"
+    )
+    assert sha256(repr(projective_plane(5)).encode()).hexdigest(
+    ).startswith("bb268c60b52e")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_projective_plane_needs_a_color_per_line(p):
+    # any two lines meet, so the greedy preset is every line: n nodes
+    # color PG(2, p) at palette n, and n - 1 refute palette n - 1
+    n = p * p + p + 1
+    lines = projective_plane(p)
+    d = validate_decomposition(complete_host(n), lines)
+    assert d.cliques == tuple(lines) and len(lines) == n
+    assert_family_answer(d, n, Status.COLORABLE, n)
+    assert_family_answer(d, n - 1, Status.NOT_COLORABLE, n - 1)
+
+
+def test_bose_sts_15_needs_nine_colors():
+    # the hardest refutation in the tier: about 0.1 s of search
+    d = validate_decomposition(complete_host(15), bose_sts(15))
+    assert d.cliques == tuple(bose_sts(15))
+    assert_family_answer(d, 8, Status.NOT_COLORABLE, 33490)
+    assert_family_answer(d, 9, Status.COLORABLE, 250)
 
 
 @pytest.mark.parametrize("n,palette", [(9, 8), (11, 10)])
