@@ -84,7 +84,7 @@ PROPER = ProperCheck(True)
 class NumberedColors(Mapping):
     """A read-only vertex -> color Mapping held as a list by vertex number.
 
-    ``by_number[k]`` is the color of vertex k of ``graph.numbering``, or
+    ``by_number[k]`` is the color of the vertex ``graph`` numbers k, or
     None when it is uncolored; ``extra`` maps any colored vertex that the
     graph does not have to its color.  Vertex objects are built only when
     a caller reads the mapping by vertex; its length is counted once.
@@ -100,7 +100,7 @@ class NumberedColors(Mapping):
 
     def _as_dict(self) -> dict:
         if self._dict is None:
-            vertex = self.graph.numbering.vertex
+            vertex = self.graph.vertex
             self._dict = {
                 vertex(k): c for k, c in enumerate(self.by_number)
                 if c is not None
@@ -127,11 +127,10 @@ def _numbered(g: EflGraph, colors) -> NumberedColors:
         colors.graph is g or colors.graph == g
     ):
         return colors
-    numbering = g.numbering
-    by_number = [None] * numbering.size
+    by_number = [None] * g.size
     extra = {}
     for v, c in colors.items():
-        k = numbering.number_of(v)
+        k = g.number_of(v)
         if k is None:
             extra[v] = c
         else:
@@ -143,13 +142,12 @@ def _first(g: EflGraph, by_number: list, shared: bool, colored: bool):
     """The least number of a vertex that g shares, or does not share when
     not shared, and that by_number colors, or leaves uncolored when not
     colored; None when there is none."""
-    numbering = g.numbering
-    P, L = len(numbering.pairs), numbering.start[-1]
+    P, L = len(g.named_pairs), g.start[-1]
     part, lo = (by_number[:P], 0) if shared else (by_number[P:L], P)
     if part.count(None) != (len(part) if colored else 0):
         return next(k for k, c in enumerate(part, lo)
                     if (c is None) != colored)
-    return next((k for k, ix in enumerate(numbering.label_cliques, L)
+    return next((k for k, ix in enumerate(g.label_cliques, L)
                  if (len(ix) > 1) == shared
                  and (by_number[k] is None) != colored), None)
 
@@ -158,7 +156,7 @@ def _least_not_shared(g: EflGraph, colors: NumberedColors):
     """The least vertex by :func:`vertex_key` that colors colors and g
     does not share, or None."""
     k = _first(g, colors.by_number, shared=False, colored=True)
-    found = [*colors.extra, *([] if k is None else [g.numbering.vertex(k)])]
+    found = [*colors.extra, *([] if k is None else [g.vertex(k)])]
     return min(found, key=vertex_key, default=None)
 
 
@@ -243,17 +241,17 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
     edge lies in one defining clique, so the coloring is proper when no
     clique holds a color twice: its pairs' and labels' colors, and its
     slots' as one slice.  Otherwise :func:`first_clash` runs on each
-    vertex's defining cliques, ``numbering.cliques``, which meet exactly
+    vertex's defining cliques, ``g.vertex_cliques``, which meet exactly
     when the vertices are adjacent; vertex numbers follow
     :func:`vertex_key` order, so the first monochromatic pair by
     :func:`vertex_key` is reported.  Nothing is allocated per palette
     value.
     """
     colors = _numbered(g, coloring.colors)
-    by_number, numbering = colors.by_number, g.numbering
+    by_number = colors.by_number
     if isinstance(coloring, FullColoring):
         if None in by_number:
-            v = numbering.vertex(by_number.index(None))
+            v = g.vertex(by_number.index(None))
             raise ValueError(f"full coloring misses vertex {v!r}")
         if colors.extra:
             v = min(colors.extra, key=vertex_key)
@@ -270,26 +268,26 @@ def check_proper(g: EflGraph, coloring) -> ProperCheck:
         k = next(k for k, c in enumerate(by_number)
                  if c is not None and not 1 <= c <= p)
         raise ValueError(
-            f"vertex {numbering.vertex(k)!r} has color {by_number[k]} "
+            f"vertex {g.vertex(k)!r} has color {by_number[k]} "
             f"outside 1..{p}"
         )
-    start, rows = numbering.start, numbering.rows
+    start, rows = g.start, g.rows
     # at[c]: clique c's colors, None for an uncolored vertex; those of the
     # pairs (c, *), and of its slots, which only a full coloring colors,
     # are one slice each
     ends = start[1:] if isinstance(coloring, FullColoring) else start
     at = [by_number[rows[c]:rows[c + 1]] + by_number[start[c]:ends[c]]
           for c in range(g.n + 1)]
-    for (_, j), c in zip(numbering.pairs, by_number):
+    for (_, j), c in zip(g.named_pairs, by_number):
         at[j].append(c)
-    for ix, c in zip(numbering.label_cliques, by_number[start[-1]:]):
+    for ix, c in zip(g.label_cliques, by_number[start[-1]:]):
         for i in ix:
             at[i].append(c)
     clash = any(len(set(cs)) < len(cs) for cs in at) and first_clash(
-        numbering.cliques, by_number)
+        g.vertex_cliques, by_number)
     if not clash:  # no clique repeats a color; None, uncolored, may repeat
         return PROPER
-    u, w = numbering.vertex(clash[0] - 1), numbering.vertex(clash[1] - 1)
+    u, w = g.vertex(clash[0] - 1), g.vertex(clash[1] - 1)
     return ProperCheck(
         False, (u, w),
         f"{u!r} and {w!r} are adjacent and share color "

@@ -34,6 +34,7 @@ from .core import (
 from .serialize import (
     _Assignment,
     _clique_keys,
+    _int_pairs,
     _numbered_coloring,
     fold_assignment,
 )
@@ -160,10 +161,9 @@ class _Text:
 def _interned_pairs(ints: dict, chunk: list):
     """A chunk of "shared_pairs" as tuples of the ints in ``ints``, where
     each is added the first time it is met; ValueError unless every entry
-    is an [i, j] integer pair, by the screen of
-    ``serialize.pairs_from_json``."""
-    if not (set(map(type, chunk)) <= {list} and set(map(len, chunk)) <= {2}
-            and set(map(type, chain.from_iterable(chunk))) <= {int}):
+    is an [i, j] integer pair, by the screen ``serialize.pairs_from_json``
+    uses."""
+    if not _int_pairs(chunk):
         raise ValueError("not integer pairs")
     flat = map(ints.setdefault, chain.from_iterable(chunk),
                chain.from_iterable(chunk))

@@ -29,11 +29,7 @@ from .check import (
 from .chunked import read_graph, read_vertex_coloring
 from .coloring import color_shared, extend_to_full
 from .core import build_from_pairs, build_maximal
-from .decomposition import (
-    CliqueCapacityError,
-    decomposition_to_efl,
-    efl_to_decomposition,
-)
+from .decomposition import decomposition_to_efl, efl_to_decomposition
 from .serialize import FormatError
 from .solver import (
     BudgetExhausted,
@@ -223,11 +219,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_to_efl(args) -> int:
     d = serialize.decomposition_from_json(_read_json(args.infile))
-    try:
-        g = decomposition_to_efl(d)
-    except CliqueCapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    g = decomposition_to_efl(d)
     del d  # not held while g is written
     _emit(serialize.graph_text(g), args.out)
     return EXIT_OK

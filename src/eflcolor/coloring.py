@@ -12,10 +12,11 @@ n-coloring of the whole graph: inside each defining clique the unshared
 vertices take the colors its shared vertices do not use.
 
 The colorings are lists of colors by vertex number (:class:`NumberedColors`
-over :class:`eflcolor.core.Numbering`), in :func:`vertex_key` order: the
-shared pairs, then each clique's slots, then the general labels.
-Coloring and extending work on those lists, on every graph, and build no
-vertex object; :func:`eflcolor.check.check_proper` judges the result.
+over the numbers :class:`eflcolor.core.EflGraph` gives its vertices), in
+:func:`vertex_key` order: the shared pairs, then each clique's slots, then
+the general labels.  Coloring and extending work on those lists, on
+every graph, and build no vertex object; :func:`eflcolor.check.check_proper`
+judges the result.
 """
 
 from __future__ import annotations
@@ -75,11 +76,11 @@ def color_shared(g: EflGraph) -> SharedColoring:
             "graph has a shared vertex in three or more defining cliques; "
             "translate to a clique decomposition and search instead"
         )
-    n, numbering = g.n, g.numbering
-    by_number = pair_colors(n, numbering.pairs)
-    by_number += [None] * (numbering.start[-1] - len(by_number))
+    n = g.n
+    by_number = pair_colors(n, g.named_pairs)
+    by_number += [None] * (g.start[-1] - len(by_number))
     by_number += [pair_color(n, *ix) if len(ix) > 1 else None
-                  for ix in numbering.label_cliques]
+                  for ix in g.label_cliques]
     return SharedColoring(n if n % 2 else n - 1, NumberedColors(g, by_number))
 
 
@@ -98,7 +99,7 @@ def extend_to_full(g: EflGraph, shared: SharedColoring) -> FullColoring:
     k = _first(g, colors.by_number, shared=True, colored=False)
     if k is not None:
         raise ValueError(
-            f"shared coloring misses shared vertex {g.numbering.vertex(k)!r}"
+            f"shared coloring misses shared vertex {g.vertex(k)!r}"
         )
     v = _least_not_shared(g, colors)
     if v is not None:
@@ -112,13 +113,12 @@ def _fill(g: EflGraph, full: list, palette: int) -> FullColoring:
     >= n; full is filled in place.  Raises ValueError for the first clique
     that repeats a color or holds one outside 1..palette, at its least
     such vertex."""
-    numbering = g.numbering
     by_clique: list = [[] for _ in range(g.n)]  # their colors, per clique
-    for ix, c in zip(numbering.pairs, full):
+    for ix, c in zip(g.named_pairs, full):
         for i in ix:
             by_clique[i - 1].append(c)
     lone: dict = {}  # clique -> the numbers of its labels in no other
-    for k, ix in enumerate(numbering.label_cliques, numbering.start[-1]):
+    for k, ix in enumerate(g.label_cliques, g.start[-1]):
         if len(ix) == 1:
             lone.setdefault(ix[0], []).append(k)
             continue
@@ -131,7 +131,7 @@ def _fill(g: EflGraph, full: list, palette: int) -> FullColoring:
         free = colors.difference(used)
         if len(free) + len(used) != palette:  # a repeat, or a color outside
             seen = set()
-            for k, ix in enumerate(numbering.cliques):
+            for k, ix in enumerate(g.vertex_cliques):
                 if idx not in ix or len(ix) == 1:
                     continue
                 c = full[k]
@@ -146,7 +146,7 @@ def _fill(g: EflGraph, full: list, palette: int) -> FullColoring:
                     )
                 seen.add(c)
         free = sorted(free)
-        slots = numbering.slots(idx)
+        slots = g.slots(idx)
         full[slots.start:slots.stop] = free[:len(slots)]
         for k, c in zip(lone.get(idx, ()), free[len(slots):]):
             full[k] = c

@@ -35,7 +35,6 @@ __all__ = [
     "key_vertex",
     "Rejection",
     "EflGraph",
-    "Numbering",
     "MAX_ORDER",
     "build_maximal",
     "build_from_pairs",
@@ -120,6 +119,7 @@ class Rejection:
     detail: tuple = ()
 
 
+@dataclass(frozen=True, repr=False)
 class EflGraph:
     """Union of n defining n-cliques, any two meeting in at most one vertex.
 
@@ -131,34 +131,29 @@ class EflGraph:
     clique's unshared vertices fill slots 1..free, so n and these three
     tuples are the whole graph, and all it holds: ``cliques[k]`` (the
     vertex set of Q_{k+1}), ``shared`` (the vertices lying in two or more
-    cliques) and the vertex indexes are built the first time a caller
+    cliques) and the vertex numbering are built the first time a caller
     reads them.  ``pairs`` lists, sorted, the clique-index pairs of the
     shared vertices lying in exactly two cliques: ``named_pairs`` itself
     unless some label lies in exactly two.  A pair graph
-    (``is_pair_graph``) has no label.  Instances are immutable and safe to
-    share across threads.  Build through :func:`build_maximal`,
-    :func:`build_from_pairs`, :func:`validate` or :func:`validate_keys`,
-    so the identity scheme stays consistent with actual clique
-    membership.
+    (``is_pair_graph``) has no label.
+
+    The vertices are numbered 0..size-1 in :func:`vertex_key` order, with
+    no vertex object: number k < len(named_pairs) is
+    SharedVertex(*named_pairs[k]), clique c's slots UnsharedVertex(c, 1),
+    (c, 2), ... take the numbers ``slots(c)``, and from ``start[-1]`` on,
+    GeneralVertex(label) takes the numbers of ``labels``.
+    ``vertex_cliques`` walks each number's ascending clique tuple.
+
+    Instances are immutable and safe to share across threads.  Build
+    through :func:`build_maximal`, :func:`build_from_pairs`,
+    :func:`validate` or :func:`validate_keys`, so the identity scheme
+    stays consistent with actual clique membership.
     """
 
-    def __init__(self, n: int, named_pairs: tuple, labels: tuple = (),
-                 label_cliques: tuple = ()):
-        vars(self).update(n=n, named_pairs=named_pairs, labels=labels,
-                          label_cliques=label_cliques)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"EflGraph is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"EflGraph is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, EflGraph):
-            return NotImplemented
-        return (self.n == other.n and self.labels == other.labels
-                and self.label_cliques == other.label_cliques
-                and self.named_pairs == other.named_pairs)
+    n: int
+    named_pairs: tuple
+    labels: tuple = ()
+    label_cliques: tuple = ()
 
     def __hash__(self):
         # the shared vertex count, found without building them
@@ -208,11 +203,6 @@ class EflGraph:
         return all(len(ix) <= 2 for ix in self.label_cliques)
 
     @cached_property
-    def numbering(self) -> "Numbering":
-        """The vertex numbering of g, see :class:`Numbering`."""
-        return Numbering(self)
-
-    @cached_property
     def vertex_set(self) -> frozenset:
         out = set()
         for q in self.cliques:
@@ -242,50 +232,32 @@ class EflGraph:
                 return self.label_cliques[k]
         raise KeyError(key)
 
-
-class _Joined:
-    """Each vertex number's ascending clique tuple, in number order: the
-    pairs, (c,) for each slot of clique c, then the labels' tuples.  It is
-    walked as often as a caller asks (:func:`eflcolor.check.first_clash`
-    walks it twice on a clash), with no copy of the pairs and nothing held
-    per slot."""
-
-    def __init__(self, pairs, start, labels):
-        self.parts = pairs, start, labels
-
-    def __iter__(self):
-        pairs, start, labels = self.parts
-        slots = (repeat((c,), start[c + 1] - start[c])
-                 for c in range(1, len(start) - 1))
-        return chain(pairs, chain.from_iterable(slots), labels)
-
-
-class Numbering:
-    """Numbers 0..size-1 for the vertices of an EFL graph g, in
-    :func:`vertex_key` order, found from g's lists with no vertex object.
-
-    Number k < len(pairs) is SharedVertex(*pairs[k]), where ``pairs`` is
-    ``g.named_pairs``.  Clique c's slots UnsharedVertex(c, 1), (c, 2), ...
-    take the numbers ``slots(c)``, and from ``start[-1]`` on,
-    GeneralVertex(label) takes the numbers of ``labels``, g's labels.
-    ``cliques`` walks each number's ascending clique tuple; the shared
-    vertices are the pairs and the labels in two or more cliques.
-    """
-
-    def __init__(self, g: EflGraph):
-        n, pairs = g.n, g.named_pairs
-        self.n, self.pairs = n, pairs
-        self.labels, self.label_cliques = g.labels, g.label_cliques
-        degree = Counter(chain.from_iterable(chain(pairs, g.label_cliques)))
-        # the slots of clique c are numbered start[c] .. start[c + 1] - 1
+    @cached_property
+    def start(self) -> tuple:
+        """The slots of clique c are numbered start[c] .. start[c + 1] - 1;
+        the labels from start[-1] on."""
+        n, pairs = self.n, self.named_pairs
+        degree = Counter(chain.from_iterable(chain(pairs, self.label_cliques)))
         start = [len(pairs)] * 2
         for c in range(1, n + 1):
             start.append(start[-1] + n - degree[c])
-        self.start = start
-        self.size = start[-1] + len(g.labels)
-        # the pairs (i, *) are pairs[rows[i]:rows[i + 1]]
-        self.rows = [bisect_left(pairs, (i,)) for i in range(n + 2)]
-        self.cliques = _Joined(pairs, start, g.label_cliques)
+        return tuple(start)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The pairs (i, *) are named_pairs[rows[i]:rows[i + 1]]."""
+        pairs = self.named_pairs
+        return tuple(bisect_left(pairs, (i,)) for i in range(self.n + 2))
+
+    @property
+    def size(self) -> int:
+        """The number of vertices."""
+        return self.start[-1] + len(self.labels)
+
+    @property
+    def vertex_cliques(self) -> _Joined:
+        """Each vertex number's ascending clique tuple, in number order."""
+        return _Joined(self.named_pairs, self.start, self.label_cliques)
 
     def slots(self, c: int) -> range:
         """The numbers of clique c's unshared vertices."""
@@ -301,8 +273,8 @@ class Numbering:
                 return None
             lo, hi = self.rows[a], self.rows[a + 1]
             k = lo + b - a - 1 if hi - lo == n - a \
-                else bisect_left(self.pairs, (a, b), lo, hi)
-            return k if k < hi and self.pairs[k] == (a, b) else None
+                else bisect_left(self.named_pairs, (a, b), lo, hi)
+            return k if k < hi and self.named_pairs[k] == (a, b) else None
         if kind == 1 and 1 <= a <= n and 1 <= b <= len(self.slots(a)):
             return self.start[a] + b - 1
         if kind == 2 and type(a) is int:
@@ -320,12 +292,29 @@ class Numbering:
 
     def vertex(self, k: int):
         """The vertex numbered k."""
-        if k < len(self.pairs):
-            return SharedVertex(*self.pairs[k])
+        if k < len(self.named_pairs):
+            return SharedVertex(*self.named_pairs[k])
         if k >= self.start[-1]:
             return GeneralVertex(self.labels[k - self.start[-1]])
         c = bisect_right(self.start, k) - 1
         return UnsharedVertex(c, k - self.start[c] + 1)
+
+
+class _Joined:
+    """Each vertex number's ascending clique tuple, in number order: the
+    pairs, (c,) for each slot of clique c, then the labels' tuples.  It is
+    walked as often as a caller asks (:func:`eflcolor.check.first_clash`
+    walks it twice on a clash), with no copy of the pairs and nothing held
+    per slot."""
+
+    def __init__(self, pairs, start, labels):
+        self.parts = pairs, start, labels
+
+    def __iter__(self):
+        pairs, start, labels = self.parts
+        slots = (repeat((c,), start[c + 1] - start[c])
+                 for c in range(1, len(start) - 1))
+        return chain(pairs, chain.from_iterable(slots), labels)
 
 
 # the largest order built or read: G_n has about n^2 / 2 vertices, so an

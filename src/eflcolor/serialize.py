@@ -208,14 +208,19 @@ def graph_text(g: EflGraph):
     yield "\n}\n"
 
 
+def _int_pairs(pairs: list) -> bool:
+    """True when every entry of a list is an [i, j] list of two ints,
+    screened without a Python-level loop."""
+    return (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int})
+
+
 def pairs_from_json(pairs, what: str) -> list:
     """A JSON list of [i, j] integer pairs as tuples; FormatError naming
     the first entry that is not one."""
     if not isinstance(pairs, list):
         raise FormatError(f"{what} must be a list of [i, j] pairs")
-    # screened without a Python-level loop; the loop names an offender
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-            and set(map(type, chain.from_iterable(pairs))) <= {int}):
+    if not _int_pairs(pairs):  # the loop names an offender
         for p in pairs:
             if not (isinstance(p, list) and len(p) == 2
                     and all(map(_is_int, p))):
@@ -339,21 +344,21 @@ def _assignment_text(vertex: str, color) -> str:
 def _numbered_assignments(colors: NumberedColors):
     """The assignments of colors by vertex number, in :func:`vertex_key`
     order: the pairs, then each clique's slots, then the labels."""
-    numbering, by_number = colors.graph.numbering, colors.by_number
-    for (i, j), c in zip(numbering.pairs, by_number):
+    g, by_number = colors.graph, colors.by_number
+    for (i, j), c in zip(g.named_pairs, by_number):
         if c is not None:
             yield _assignment_text(
                 f'[\n        "shared",\n        {i},\n        {j}\n      ]', c
             )
-    for clique in range(1, numbering.n + 1):
-        for slot, k in enumerate(numbering.slots(clique), start=1):
+    for clique in range(1, g.n + 1):
+        for slot, k in enumerate(g.slots(clique), start=1):
             c = by_number[k]
             if c is not None:
                 yield _assignment_text(
                     f'[\n        "unshared",\n        {clique},'
                     f'\n        {slot}\n      ]', c
                 )
-    for label, c in zip(numbering.labels, by_number[numbering.start[-1]:]):
+    for label, c in zip(g.labels, by_number[g.start[-1]:]):
         if c is not None:
             yield _assignment_text(_key_text(2, label), c)
 
@@ -361,7 +366,7 @@ def _numbered_assignments(colors: NumberedColors):
 def coloring_text(coloring):
     """Yields ``dumps(coloring_to_json(coloring))`` one assignment at a
     time, written straight from the colors with no JSON encoder, and with
-    no vertex object when a graph's numbering holds them all."""
+    no vertex object when a graph numbers them all."""
     colors = coloring.colors
     yield f'{{\n  "palette": {coloring.palette_size},\n  "assignments": '
     if isinstance(colors, NumberedColors) and not colors.extra:
@@ -469,8 +474,8 @@ def vertex_coloring_on(g: EflGraph, data):
     :func:`eflcolor.coloring.check_proper` to judge.
 
     Each entry goes straight to its vertex number (see
-    :class:`eflcolor.core.Numbering`), so a pair graph's coloring is read
-    with no vertex object.  The first bad entry or repeated vertex in
+    :meth:`eflcolor.core.EflGraph.number`), so a pair graph's coloring is
+    read with no vertex object.  The first bad entry or repeated vertex in
     document order is the FormatError, as in
     :func:`vertex_coloring_from_json`.
     """
@@ -481,9 +486,9 @@ def _numbered_coloring(g: EflGraph, palette: int, entries):
     """The coloring of g whose entries, folded as
     ``(kind, a, b, color)``, go straight to their vertex numbers;
     FormatError at the first vertex assigned twice."""
-    by_number = [None] * g.numbering.size
+    by_number = [None] * g.size
     extra = {}
-    number = g.numbering.number
+    number = g.number
     for kind, a, b, c in entries:
         k = number(kind, a, b)
         if k is None:

@@ -279,13 +279,12 @@ def chromatic_number(
         if status is Status.BUDGET_EXHAUSTED:
             raise BudgetExhausted(total)
         k += 1
-    numbering = g.numbering
-    labeled = set(numbering.label_cliques)
+    labeled = set(g.label_cliques)
     color_of = {ix: c for ix, c in zip(cliques, colors) if ix in labeled}
     # the other cliques are the named pairs, sorted, as they are numbered
     colors = [c for ix, c in zip(cliques, colors) if ix not in labeled]
-    colors += [None] * (numbering.start[-1] - len(colors))
-    colors += map(color_of.get, numbering.label_cliques)
+    colors += [None] * (g.start[-1] - len(colors))
+    colors += map(color_of.get, g.label_cliques)
     try:
         witness = _fill(g, colors, k)
     except ValueError as e:  # a clique repeats a color, or holds one above k

@@ -373,6 +373,12 @@ CASES = [
     ("export_dot_intersection_general_pair",
      ["export-dot", "--in", "@inputs/cliques_general_pair.json",
       "--view", "intersection"]),
+    # "shared_pairs" that is not a list: a --pairs object, and a graph
+    # whose cliques are valid beside a number
+    ("gen_pairs_object",
+     ["gen", "--n", "3", "--pairs", "@inputs/pairs_object.json"]),
+    ("decompose_pairs_not_a_list",
+     ["decompose", "--in", "@inputs/cliques_pairs_not_a_list.json"]),
 ]
 
 

@@ -285,6 +285,19 @@ class TestDecomposeAndBack:
         assert main(["to-efl", "--in", dfile, "--out", back]) == 0
         assert read_json(back) == read_json(graph)
 
+    def test_vertex_in_n_cliques_fails_validation(self, tmp_path, capsys):
+        # host vertex 1 lies in all 3 cliques: that needs 3 edges at it,
+        # more than K_3 has, so an edge is covered twice
+        d = write(tmp_path, "d.json", {
+            "n": 3, "host_edges": "complete",
+            "cliques": [[1, 2], [1, 3], [1, 2, 3]],
+        })
+        assert main(["to-efl", "--in", d]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid decomposition: edge (1, 2) belongs to two "
+            "cliques\n"
+        )
+
 
 class TestSweep:
     def test_n3_r3_report(self, tmp_path, capsys):

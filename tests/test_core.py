@@ -21,6 +21,7 @@ from eflcolor.core import (
     vertex_key,
 )
 from eflcolor.decomposition import (
+    complete_host,
     decomposition_to_efl,
     efl_to_decomposition,
     validate_decomposition,
@@ -298,6 +299,18 @@ class TestGraphBasics:
         g = build_from_pairs(5, [(3, 4), (1, 2)])
         assert g.is_two_clique
         assert sorted(map(g.cliques_of, g.shared)) == [(1, 2), (3, 4)]
+
+    def test_immutable_and_unequal_to_other_types(self):
+        g = build_maximal(4)
+        g.cliques  # a cached property may not be set or deleted either
+        for name in ("n", "named_pairs", "cliques", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert g.n == 4 and len(g.cliques) == 4
+        assert g != g.pairs and g != complete_host(4)
+        assert not g == (4, g.named_pairs, (), ())
 
     def test_membership_is_ascending(self):
         g = build_maximal(5)

@@ -56,6 +56,23 @@ class TestHostGraph:
         with pytest.raises(ValueError):
             HostGraph.from_edges(3, [(1, 4)])
 
+    def test_immutable_and_unequal_to_other_types(self):
+        h = complete_host(3)
+        h.edges
+        for name in ("vertex_count", "edges", "other"):
+            with pytest.raises(AttributeError, match="HostGraph is immutable"):
+                setattr(h, name, 1)
+            with pytest.raises(AttributeError, match="HostGraph is immutable"):
+                delattr(h, name)
+        assert h.vertex_count == 3 and h.edge_count == 3
+        assert h != h.edges and h != build_maximal(3)
+        assert not h == (3, h.edges)
+
+    def test_repr_names_the_edges(self):
+        h = HostGraph.from_edges(3, [(2, 1)])
+        assert repr(h) == \
+            "HostGraph(vertex_count=3, edges=frozenset({(1, 2)}))"
+
     def test_completeness(self):
         assert complete_host(4).is_complete
         assert not HostGraph.from_edges(3, [(1, 2)]).is_complete

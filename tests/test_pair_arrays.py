@@ -252,14 +252,12 @@ def test_one_check_on_graphs_with_vertices_in_three_cliques(name, g):
 @pytest.mark.parametrize("name,g", GRAPHS + PACKED,
                          ids=[n for n, _ in GRAPHS + PACKED])
 def test_numbers_follow_vertex_key_order(name, g):
-    numbering = g.numbering
     order = sorted(g.vertex_set, key=vertex_key)
-    assert [numbering.vertex(k) for k in range(numbering.size)] == order
+    assert [g.vertex(k) for k in range(g.size)] == order
     for k, v in enumerate(order):
-        assert numbering.number_of(v) == numbering.number(*vertex_key(v)) \
-            == k
+        assert g.number_of(v) == g.number(*vertex_key(v)) == k
     cliques = [g.cliques_of(v) for v in order]
-    assert list(numbering.cliques) == list(numbering.cliques) == cliques
+    assert list(g.vertex_cliques) == list(g.vertex_cliques) == cliques
 
 
 def reference_verify(g, data) -> tuple:

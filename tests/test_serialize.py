@@ -217,6 +217,15 @@ class TestColoringText:
         with pytest.raises(FormatError):
             "".join(coloring_text(FullColoring(1, {42: 1})))
 
+    def test_general_vertex_with_a_label_that_is_no_int(self):
+        # written through the JSON encoder, quotes escaped
+        c = FullColoring(3, {
+            GeneralVertex('a "b"'): 2,
+            UnsharedVertex(2, 1): 3,
+            SharedVertex(1, 2): 1,
+        })
+        assert "".join(coloring_text(c)) == dumps(coloring_to_json(c))
+
 
 class TestGraphText:
     """graph_text writes dumps(graph_to_json(g))."""

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import eflcolor.shards as runner
-from eflcolor import cli, solver
+from eflcolor import cli, serialize, solver
 from eflcolor.solver import (
     SearchConfig,
     enumerate_two_r_decompositions,
@@ -170,6 +170,31 @@ def test_improper_first_fit_certificate_exits_5(cpus, monkeypatch, capsys):
         "verification: cliques "
     )
     assert captured.err.count("\n") == 1
+
+
+def test_not_colorable_leaf_is_listed_and_exits_1(cpus, monkeypatch,
+                                                   capsys):
+    # a search that finds no coloring at palette n: every leaf that first
+    # fit leaves to it is listed, and the sweep exits 1
+    cpus(1)
+    searched = sorted(
+        [list(c) for c in twos + chosen]
+        for twos, chosen, colors in solver._two_r_leaves(6, 3, 0, 1)
+        if colors is None
+    )
+    assert searched
+    monkeypatch.setattr(
+        solver, "_color_cliques",
+        lambda *args: (solver.Status.NOT_COLORABLE, None, 7),
+    )
+    report = sweep_two_r_decompositions(6, 3)
+    assert report.not_colorable == searched
+    assert report.colorable == report.instances - len(searched)
+    assert report.budget_exhausted == [] and report.max_nodes == 7
+    assert cli.main(["sweep", "--n", "6", "--r", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(serialize.sweep_text(report))
+    assert captured.err == ""
 
 
 class TestWorkerFailures:
